@@ -278,7 +278,27 @@ let test_follower_rejects_mutations () =
   let resp =
     Service.Server.handle_request srv (mutate_request ~session:"s" "nope")
   in
-  Alcotest.(check string) "mutate refused" "not_leader" (resp_error_code resp)
+  Alcotest.(check string) "mutate refused" "not_leader" (resp_error_code resp);
+  (* the 1b mutations meet the same gate *)
+  let frame_refused what op =
+    let f =
+      Service.Frame.encode_request
+        { Service.Frame.fr_id = 9; fr_session = "s"; fr_op = op }
+    in
+    match
+      Service.Frame.decode_response ~op:Service.Frame.op_add_member
+        (Service.Server.handle_frame srv f)
+    with
+    | Ok (9, Service.Frame.Err (P.Not_leader, _)) -> ()
+    | _ -> Alcotest.failf "%s frame not refused with not_leader" what
+  in
+  frame_refused "add_member"
+    (Service.Frame.Add_member { am_class = 0; am_member = G.member "nope" });
+  frame_refused "add_class"
+    (Service.Frame.Add_class
+       { ac_name = "Nope"; ac_bases = []; ac_members = [] });
+  Alcotest.(check (list (pair string int))) "follower untouched" [ ("s", 0) ]
+    (Service.Server.open_sessions srv)
 
 let test_apply_replicated_gap_rejected () =
   let srv = Service.Server.create ~role:Service.Server.Follower () in
@@ -583,6 +603,151 @@ let test_router_fails_over_and_reports_unavailable () =
   | None -> Alcotest.fail "router closed the connection");
   Net.Client.close cl
 
+(* ---- the router's 1b path ------------------------------------------- *)
+
+module F = Service.Frame
+
+let frame_of ~id ~session op =
+  F.encode_request { F.fr_id = id; fr_session = session; fr_op = op }
+
+let decode_frame ~op resp =
+  match F.decode_response ~op resp with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "undecodable response frame: %s" e
+
+let routed_frame cl f =
+  match Net.Client.request_frame cl f with
+  | Some resp -> resp
+  | None -> Alcotest.fail "router closed the connection"
+
+(* (class id, member id) for every pair of [srv]'s session, by asking it
+   for its symbols directly *)
+let id_pairs srv ~session =
+  match
+    decode_frame ~op:F.op_symbols
+      (Service.Server.handle_frame srv (frame_of ~id:0 ~session F.Symbols))
+  with
+  | _, F.Ok_symbols { os_classes; os_members; _ } ->
+    List.concat_map
+      (fun c -> List.init (Array.length os_members) (fun m -> (c, m)))
+      (List.init (Array.length os_classes) Fun.id)
+  | _ -> Alcotest.fail "symbols did not answer Ok_symbols"
+
+let labelled_count registry metric label value =
+  List.fold_left
+    (fun acc (labels, v) ->
+      if List.assoc_opt label labels = Some value then acc + v else acc)
+    0
+    (Telemetry.Registry.find_values registry metric)
+
+let test_router_frames_match_backend () =
+  let g = graph () in
+  with_backends g ~session:"s" (fun (s0, s1, s2) addrs ->
+      with_router ~leader:0 addrs @@ fun raddr ->
+      let cl = Net.Client.connect raddr in
+      let pairs = id_pairs s0 ~session:"s" in
+      (* lookups: the router's answer is the backend's answer *)
+      List.iteri
+        (fun k (c, m) ->
+          let f =
+            frame_of ~id:(100 + k) ~session:"s"
+              (F.Lookup { lk_class = c; lk_member = m })
+          in
+          let routed = decode_frame ~op:F.op_lookup (routed_frame cl f) in
+          let direct =
+            decode_frame ~op:F.op_lookup (Service.Server.handle_frame s0 f)
+          in
+          match (routed, direct) with
+          | (rid, F.Ok_lookup a), (_, F.Ok_lookup b) ->
+            Alcotest.(check int) "lookup id echoed" (100 + k) rid;
+            if a <> b then
+              Alcotest.failf "lookup(%d, %d): routed %d, backend %d" c m a b
+          | _ -> Alcotest.failf "lookup(%d, %d) did not answer Ok_lookup" c m)
+        pairs;
+      (* one batch frame over every pair *)
+      let f =
+        frame_of ~id:7 ~session:"s" (F.Batch_lookup (Array.of_list pairs))
+      in
+      (match
+         ( decode_frame ~op:F.op_batch_lookup (routed_frame cl f),
+           decode_frame ~op:F.op_batch_lookup
+             (Service.Server.handle_frame s0 f) )
+       with
+      | (7, (F.Ok_batch _ as a)), (_, (F.Ok_batch _ as b)) ->
+        if a <> b then Alcotest.fail "routed batch differs from the backend's"
+      | _ -> Alcotest.fail "batch did not answer Ok_batch under its id");
+      (* an add_member frame is forwarded to the leader only *)
+      let a = match G.find_opt g "A" with Some c -> c | None -> assert false in
+      let f =
+        frame_of ~id:8 ~session:"s"
+          (F.Add_member { am_class = a; am_member = G.member "framed" })
+      in
+      (match decode_frame ~op:F.op_add_member (routed_frame cl f) with
+      | 8, F.Ok_add_member { oam_epoch = 1; _ } -> ()
+      | _ -> Alcotest.fail "forwarded add_member frame failed");
+      Net.Client.close cl;
+      Alcotest.(check int) "leader advanced" 1 (session_epoch s0 "s");
+      Alcotest.(check int) "replica 1 untouched" 0 (session_epoch s1 "s");
+      Alcotest.(check int) "replica 2 untouched" 0 (session_epoch s2 "s"))
+
+(* A frame read for a session only the leader has: whichever backend the
+   router prefers, the caller gets the leader's answer — through the
+   replica's unknown_session and the one leader retry when the replica
+   comes first.  Session names are tried until one does prefer the
+   replica (placement hashes the ephemeral port, so which names do is
+   only known at run time). *)
+let test_router_frame_leader_retry () =
+  let g = graph () in
+  let leader = Service.Server.create () in
+  let replica = Service.Server.create () in
+  with_net leader @@ fun la ->
+  with_net replica @@ fun ra ->
+  with_router ~leader:0 [ la; ra ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  let replica_misses () =
+    labelled_count
+      (Service.Server.registry replica)
+      "cxxlookup_server_errors_total" "code" "unknown_session"
+  in
+  let rec try_session k =
+    if k = 64 then Alcotest.fail "no session name preferred the replica"
+    else begin
+      let session = Printf.sprintf "only-leader-%d" k in
+      if not (resp_ok (Service.Server.handle_request leader (open_request ~session g)))
+      then Alcotest.fail "leader open failed";
+      let f =
+        frame_of ~id:(500 + k) ~session (F.Lookup { lk_class = 0; lk_member = 0 })
+      in
+      let before = replica_misses () in
+      let routed = decode_frame ~op:F.op_lookup (routed_frame cl f) in
+      let direct =
+        decode_frame ~op:F.op_lookup (Service.Server.handle_frame leader f)
+      in
+      (match (routed, direct) with
+      | (rid, F.Ok_lookup a), (_, F.Ok_lookup b) when rid = 500 + k && a = b -> ()
+      | _ -> Alcotest.failf "session %s: routed answer is not the leader's" session);
+      if replica_misses () = before then try_session (k + 1)
+    end
+  in
+  try_session 0;
+  Net.Client.close cl
+
+let test_router_frame_unavailable () =
+  let dead =
+    let fd, bound = Net.Server.listen_on (Net.Server.Tcp ("127.0.0.1", 0)) in
+    Unix.close fd;
+    bound
+  in
+  let config = { Cluster.Router.retries = 0; backoff_ms = 10 } in
+  with_router ~config ~leader:0 [ dead; dead ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  let f = frame_of ~id:4242 ~session:"s" (F.Lookup { lk_class = 0; lk_member = 0 }) in
+  (match decode_frame ~op:F.op_lookup (routed_frame cl f) with
+  | 4242, F.Err (P.Backend_unavailable, _) -> ()
+  | id, _ ->
+    Alcotest.failf "expected backend_unavailable under id 4242, got id %d" id);
+  Net.Client.close cl
+
 let suite =
   [ Alcotest.test_case "wal tail: concurrent append" `Quick
       test_tail_concurrent_append;
@@ -606,4 +771,10 @@ let suite =
     Alcotest.test_case "router forwards mutations to leader" `Quick
       test_router_forwards_mutations_to_leader;
     Alcotest.test_case "router failover + explicit unavailable" `Quick
-      test_router_fails_over_and_reports_unavailable ]
+      test_router_fails_over_and_reports_unavailable;
+    Alcotest.test_case "router 1b frames = backend verdicts" `Quick
+      test_router_frames_match_backend;
+    Alcotest.test_case "router 1b leader retry on unknown_session" `Quick
+      test_router_frame_leader_retry;
+    Alcotest.test_case "router 1b backend_unavailable echoes id" `Quick
+      test_router_frame_unavailable ]
