@@ -1,5 +1,5 @@
 .PHONY: all build test bench bench-smoke lint metrics-smoke net-smoke \
-	cluster-smoke raw-smoke verify clean
+	cluster-smoke raw-smoke perf-smoke verify clean
 
 all: build
 
@@ -72,6 +72,16 @@ cluster-smoke: build
 raw-smoke: build
 	sh test/smoke/binary_rpc.sh
 	sh test/smoke/mmap_crash.sh
+
+# The serving benchmark's correctness replay, short: the input
+# generator's seed-purity self-test, then one traced run per framing.
+# A traced run replays every request in-process through
+# Service.Server.handle_line / handle_frame and checks each verdict
+# against Subobject.Spec.lookup; a wrong verdict exits 1.
+perf-smoke: build
+	python3 perfbench/run.py --selftest
+	python3 perfbench/run.py --workload read-json --seed 1 --seconds 2 --trace 1
+	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 1
 
 # CI entry point: full build, full test suite, a smoke run of the
 # telemetry pipeline end to end (parse -> all three engines -> JSON),

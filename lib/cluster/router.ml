@@ -1,5 +1,5 @@
-(* The shard router: one JSON-lines front end that spreads
-   [cxxlookup-rpc/1] traffic over a set of backends.
+(* The shard router: one front end that spreads [cxxlookup-rpc/1]
+   traffic — JSON lines and 1b frames alike — over a set of backends.
 
    Placement is rendezvous hashing — each (session, backend) pair gets
    a score, and a session's preference order is its backends by
@@ -16,7 +16,7 @@
      executed); a connection that dies mid-request is not — the
      mutation may have applied — so the router answers
      [backend_unavailable] rather than resend and double-apply.
-   - a [batch_lookup] fans out in contiguous chunks, one per backend in
+   - a JSON [batch_lookup] fans out in contiguous chunks, one per backend in
      preference order, and the merged response preserves request order
      and the single-server field shape exactly.  A chunk whose backend
      dies mid-fan-out is re-routed (reads again); the merge is whole or
@@ -31,6 +31,7 @@
 
 module J = Chg.Json
 module P = Service.Protocol
+module S = Service.Server
 
 type config = {
   retries : int;  (** connect / overloaded retries per backend *)
@@ -177,75 +178,74 @@ let client p i =
       p.router.alive.(i) <- true;
       Some c)
 
-(* One round trip against backend [i]; [None] = connection-level
-   failure (slot dropped, caller may fail over). *)
-let exchange p i line =
-  match client p i with
-  | None -> None
-  | Some c ->
-    let t0 = Telemetry.Clock.now_ns () in
-    (match
-       Net.Client.request_admitted ~retries:p.router.cfg.retries
-         ~backoff_ms:p.router.cfg.backoff_ms c line
-     with
-    | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
-      drop_slot p i;
-      None
-    | None ->
-      drop_slot p i;
-      None
-    | Some resp ->
-      Telemetry.Histogram.record p.router.be_hist.(i)
-        (Telemetry.Clock.elapsed_ns ~since:t0);
-      p.router.alive.(i) <- true;
-      Some resp)
+(* ---- the two framings ------------------------------------------------
 
-(* One binary round trip against backend [i] — {!exchange}'s frame
-   twin, feeding the same health/latency accounting. *)
-let exchange_frame p i frame =
-  match client p i with
-  | None -> None
-  | Some c ->
-    let t0 = Telemetry.Clock.now_ns () in
-    (match
-       Net.Client.request_frame_admitted ~retries:p.router.cfg.retries
-         ~backoff_ms:p.router.cfg.backoff_ms c frame
-     with
-    | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
-      drop_slot p i;
-      None
-    | None ->
-      drop_slot p i;
-      None
-    | Some resp ->
-      Telemetry.Histogram.record p.router.be_hist.(i)
-        (Telemetry.Clock.elapsed_ns ~since:t0);
-      p.router.alive.(i) <- true;
-      Some resp)
+   What routing needs of a framing: one admitted round trip, the
+   in-band error code of a response, and an error of its own in the
+   caller's framing. *)
 
-(* ---- response inspection -------------------------------------------- *)
+type codec = {
+  send :
+    ?retries:int -> ?backoff_ms:int -> Net.Client.t -> string -> string option;
+  error_code : string -> string option;
+  make_error : id:J.t -> P.error_code -> string -> string;
+}
 
-let error_code_of resp =
-  match J.of_string resp with
-  | Error _ -> None
-  | Ok j ->
-    (match J.member "error" j with
-    | Ok e ->
-      (match J.member "code" e with Ok (J.String c) -> Some c | _ -> None)
-    | Error _ -> None)
-
-let unavailable_response ~id msg =
-  J.to_string (P.error_response ~id P.Backend_unavailable msg)
+let json =
+  { send = Net.Client.request_admitted;
+    error_code =
+      (fun resp ->
+        match J.of_string resp with
+        | Error _ -> None
+        | Ok j ->
+          (match J.member "error" j with
+          | Ok e ->
+            (match J.member "code" e with Ok (J.String c) -> Some c | _ -> None)
+          | Error _ -> None));
+    make_error =
+      (fun ~id code msg -> J.to_string (P.error_response ~id code msg)) }
 
 (* Error frames decode independently of the op, so probing with any op
    is sound; non-error (or undecodable) frames yield [None]. *)
-let frame_error_code resp =
-  match Service.Frame.decode_response ~op:Service.Frame.op_lookup resp with
-  | Ok (_, Service.Frame.Err (code, _)) -> Some code
-  | _ -> None
+let frame =
+  { send = Net.Client.request_frame_admitted;
+    error_code =
+      (fun resp ->
+        match Service.Frame.decode_response ~op:Service.Frame.op_lookup resp with
+        | Ok (_, Service.Frame.Err (code, _)) -> Some (P.code_string code)
+        | _ -> None);
+    make_error =
+      (fun ~id code msg ->
+        let id = match id with J.Int n -> n | _ -> 0 in
+        Service.Frame.encode_response ~id (Service.Frame.Err (code, msg))) }
 
-let frame_error ~id code msg =
-  Service.Frame.encode_response ~id (Service.Frame.Err (code, msg))
+(* One round trip against backend [i]; [None] = connection-level
+   failure (slot dropped, caller may fail over). *)
+let exchange codec p i msg =
+  match client p i with
+  | None -> None
+  | Some c ->
+    let t0 = Telemetry.Clock.now_ns () in
+    (match
+       codec.send ~retries:p.router.cfg.retries
+         ~backoff_ms:p.router.cfg.backoff_ms c msg
+     with
+    | exception (Unix.Unix_error _ | Sys_error _ | End_of_file) ->
+      drop_slot p i;
+      None
+    | None ->
+      drop_slot p i;
+      None
+    | Some resp ->
+      Telemetry.Histogram.record p.router.be_hist.(i)
+        (Telemetry.Clock.elapsed_ns ~since:t0);
+      p.router.alive.(i) <- true;
+      Some resp)
+
+let unavailable codec ~id msg = codec.make_error ~id P.Backend_unavailable msg
+
+let unknown_session codec resp =
+  codec.error_code resp = Some (P.code_string P.Unknown_session)
 
 (* ---- routing -------------------------------------------------------- *)
 
@@ -253,24 +253,21 @@ let frame_error ~id code msg =
    answers.  A replica that has not (yet) seen the session answers
    [unknown_session] in band — retry that once on the leader, which by
    definition has everything. *)
-let route_read p ~id ~order line =
+let route_read codec p ~id ~order msg =
   let rec walk tried = function
     | [] ->
       Telemetry.Counter.incr p.router.unavailable;
-      unavailable_response ~id
+      unavailable codec ~id
         (Printf.sprintf "no backend reachable (%d tried)" tried)
     | i :: rest ->
-      (match exchange p i line with
+      (match exchange codec p i msg with
       | None ->
         if rest <> [] then Telemetry.Counter.incr p.router.failovers;
         walk (tried + 1) rest
       | Some resp ->
-        if
-          i <> p.router.leader
-          && error_code_of resp = Some "unknown_session"
-        then begin
+        if i <> p.router.leader && unknown_session codec resp then begin
           Telemetry.Counter.incr p.router.leader_retries;
-          match exchange p p.router.leader line with
+          match exchange codec p p.router.leader msg with
           | Some resp' -> resp'
           | None -> resp  (* leader gone: the replica's answer stands *)
         end
@@ -280,13 +277,13 @@ let route_read p ~id ~order line =
 
 (* Mutations: leader only, at most once past the point a request may
    have executed. *)
-let route_mutation p ~id line =
+let route_mutation codec p ~id msg =
   Telemetry.Counter.incr p.router.forwards;
-  match exchange p p.router.leader line with
+  match exchange codec p p.router.leader msg with
   | Some resp -> resp
   | None ->
     Telemetry.Counter.incr p.router.unavailable;
-    unavailable_response ~id
+    unavailable codec ~id
       "leader unreachable; the mutation was not confirmed and will not \
        be resent"
 
@@ -357,7 +354,7 @@ let sub_of_response resp =
 let route_batch p ~id ~session ~semantics ~order queries =
   let cs = chunks (List.length order) queries in
   if List.length cs <= 1 then
-    route_read p ~id ~order (chunk_line ~session ~semantics 0 queries)
+    route_read json p ~id ~order (chunk_line ~session ~semantics 0 queries)
     |> fun resp ->
     (match sub_of_response resp with
     | Ok (Ok_fields (rs, a, b, c)) ->
@@ -370,7 +367,7 @@ let route_batch p ~id ~session ~semantics ~order queries =
     | Ok (In_band resp') -> resp'
     | Error msg ->
       Telemetry.Counter.incr p.router.unavailable;
-      unavailable_response ~id msg)
+      unavailable json ~id msg)
   else begin
     Telemetry.Counter.incr p.router.fanouts;
     let order_arr = Array.of_list order in
@@ -383,17 +380,16 @@ let route_batch p ~id ~session ~semantics ~order queries =
         if attempts = n then Error "no backend reachable for batch chunk"
         else
           let i = order_arr.(j mod n) in
-          match exchange p i line with
+          match exchange json p i line with
           | None ->
             Telemetry.Counter.incr p.router.failovers;
             walk (attempts + 1) (j + 1)
           | Some resp ->
             (match sub_of_response resp with
             | Ok (In_band resp') when
-                i <> p.router.leader
-                && error_code_of resp' = Some "unknown_session" ->
+                i <> p.router.leader && unknown_session json resp' ->
               Telemetry.Counter.incr p.router.leader_retries;
-              (match exchange p p.router.leader line with
+              (match exchange json p p.router.leader line with
               | None -> Error "leader unreachable for batch chunk"
               | Some resp'' ->
                 (match sub_of_response resp'' with
@@ -426,83 +422,15 @@ let route_batch p ~id ~session ~semantics ~order queries =
               | Ok (J.String _), Ok (J.String _) ->
                 J.to_string
                   (J.Obj [ ("id", id); ("ok", J.Bool false); ("error", e) ])
-              | _ -> unavailable_response ~id "backend sent a malformed error")
-            | _ -> unavailable_response ~id "backend sent a malformed error")
-          | Error _ -> unavailable_response ~id "backend sent a malformed error")
+              | _ -> unavailable json ~id "backend sent a malformed error")
+            | _ -> unavailable json ~id "backend sent a malformed error")
+          | Error _ -> unavailable json ~id "backend sent a malformed error")
         | Error msg ->
           Telemetry.Counter.incr p.router.unavailable;
-          unavailable_response ~id msg)
+          unavailable json ~id msg)
     in
     merge 0 [] 0 0 0 cs
   end
-
-(* ---- binary (cxxlookup-rpc/1b) pass-through -------------------------
-
-   Frames route whole: the [i64 id | string session] payload prefix is
-   the routing key, the rest stays opaque bytes — the router never
-   re-encodes a frame.  Reads fail over down the preference order (with
-   the one leader retry on a replica's [unknown_session]); mutations go
-   to the leader at most once, exactly like JSON.  A binary
-   [batch_lookup] is routed as one read, not fanned out: interned ids
-   are per-backend-session state, so re-chunking would buy nothing and
-   the frame's merge shape is fixed. *)
-
-let route_read_frame p ~id ~order frame =
-  let rec walk tried = function
-    | [] ->
-      Telemetry.Counter.incr p.router.unavailable;
-      frame_error ~id P.Backend_unavailable
-        (Printf.sprintf "no backend reachable (%d tried)" tried)
-    | i :: rest ->
-      (match exchange_frame p i frame with
-      | None ->
-        if rest <> [] then Telemetry.Counter.incr p.router.failovers;
-        walk (tried + 1) rest
-      | Some resp ->
-        if
-          i <> p.router.leader
-          && frame_error_code resp = Some P.Unknown_session
-        then begin
-          Telemetry.Counter.incr p.router.leader_retries;
-          match exchange_frame p p.router.leader frame with
-          | Some resp' -> resp'
-          | None -> resp  (* leader gone: the replica's answer stands *)
-        end
-        else resp)
-  in
-  walk 0 order
-
-let route_mutation_frame p ~id frame =
-  Telemetry.Counter.incr p.router.forwards;
-  match exchange_frame p p.router.leader frame with
-  | Some resp -> resp
-  | None ->
-    Telemetry.Counter.incr p.router.unavailable;
-    frame_error ~id P.Backend_unavailable
-      "leader unreachable; the mutation was not confirmed and will not \
-       be resent"
-
-let respond_frame p frame =
-  Telemetry.Counter.incr p.router.requests;
-  let op = Char.code frame.[1] in
-  let body =
-    String.sub frame Service.Frame.header_len
-      (String.length frame - Service.Frame.header_len)
-  in
-  match Service.Frame.session_of_request body with
-  | Error msg -> frame_error ~id:0 P.Bad_request msg
-  | Ok (id, session) ->
-    let read_only =
-      op = Service.Frame.op_lookup
-      || op = Service.Frame.op_batch_lookup
-      || op = Service.Frame.op_symbols
-    in
-    if read_only then
-      route_read_frame p ~id ~order:(preference p.router session) frame
-    else
-      (* mutations — and unknown ops, which the leader answers
-         [bad_request] authoritatively *)
-      route_mutation_frame p ~id frame
 
 (* ---- the front end -------------------------------------------------- *)
 
@@ -512,29 +440,34 @@ let handle_metrics t ~id =
        [ ("format", J.String "text/plain; version=0.0.4");
          ("body", J.String (Telemetry.Prometheus.render t.registry)) ])
 
-let respond p line =
+(* One decoded message in either framing.  Frames route whole — the
+   router decodes them only to classify, then forwards the caller's
+   bytes — and a 1b batch is routed as one read, not fanned out:
+   interned ids are per-backend-session state, so re-chunking would buy
+   nothing.  Undecodable messages are answered here, never forwarded. *)
+let respond p codec (decoded : S.decoded) msg =
   Telemetry.Counter.incr p.router.requests;
-  match P.parse_request line with
-  | Error (id, code, msg) -> J.to_string (P.error_response ~id code msg)
+  match decoded with
+  | Error (id, code, m) -> codec.make_error ~id code m
   | Ok rq ->
-    let id = rq.P.rq_id in
-    (match rq.P.rq_op with
-    | P.Metrics -> handle_metrics p.router ~id
-    | P.Batch_lookup { bl_queries = qs; bl_semantics }
-      when rq.P.rq_session <> None && qs <> [] ->
-      let session = Option.get rq.P.rq_session in
+    let id = rq.S.rq_id in
+    (match rq.S.rq_op with
+    | S.Named P.Metrics -> handle_metrics p.router ~id
+    | S.Named (P.Batch_lookup { bl_queries = qs; bl_semantics })
+      when rq.S.rq_session <> None && qs <> [] ->
+      let session = Option.get rq.S.rq_session in
       route_batch p ~id ~session ~semantics:bl_semantics
         ~order:(preference p.router session) qs
-    | op when P.read_only op ->
+    | op when S.read_only op ->
       let order =
-        match rq.P.rq_session with
+        match rq.S.rq_session with
         | Some s -> preference p.router s
         | None ->
           (* session-less reads (service-level stats): any backend *)
           List.init (Array.length p.router.backends) Fun.id
       in
-      route_read p ~id ~order line
-    | _ -> route_mutation p ~id line)
+      route_read codec p ~id ~order msg
+    | _ -> route_mutation codec p ~id msg)
 
 (* Finish a line whose first byte was already consumed (it was not the
    frame magic).  Mirrors [In_channel.input_line]: a final unterminated
@@ -588,12 +521,12 @@ let handle_conn t conn fd =
             (match read_frame_after ic with
             | None -> continue := false
             | Some f ->
-              output_string oc (respond_frame p f);
+              output_string oc (respond p frame (S.request_of_frame f) f);
               flush oc)
           | c ->
             let line = read_line_after ic c in
             if String.trim line <> "" then begin
-              output_string oc (respond p line);
+              output_string oc (respond p json (S.decode_line line) line);
               output_char oc '\n';
               flush oc
             end

@@ -1,8 +1,9 @@
 (** The shard router: a [cxxlookup-rpc/1] front end that spreads
-    traffic over a set of backends by rendezvous-hashing session names.
+    traffic — JSON lines and 1b frames alike — over a set of backends
+    by rendezvous-hashing session names.
 
-    Routing by verb class:
-    - reads ([lookup], [batch_lookup], [lint], [stats]) go to the
+    Routing by verb class, the same for both framings:
+    - reads ([lookup], [batch_lookup], [lint], [symbols], [stats]) go to the
       session's preferred backend and fail over down the preference
       order; a replica's in-band [unknown_session] is retried once on
       the leader.  Only when every candidate fails does the client see
@@ -12,7 +13,7 @@
       forwarded to the leader {e at most once}: connect retries and
       [overloaded] resends are safe, but a connection lost mid-request
       answers [backend_unavailable] rather than risk double-apply.
-    - [batch_lookup] fans out in contiguous chunks across the
+    - a JSON [batch_lookup] fans out in contiguous chunks across the
       preference order and merges in request order, byte-shaped exactly
       like a single backend's response.
     - [metrics] is answered locally from the router's own registry

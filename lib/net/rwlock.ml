@@ -1,7 +1,7 @@
 (* A writers-preference read/write lock over Mutex + Condition.
 
    The networked server classifies every verb with
-   [Service.Protocol.read_only]: read verbs take the lock shared and
+   [Service.Server.read_only]: read verbs take the lock shared and
    execute concurrently against the immutable packed columns, while
    mutations take it exclusive — the single-writer path that owns the
    session table and WAL.  Writers preference keeps a steady read

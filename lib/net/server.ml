@@ -13,7 +13,7 @@ module P = Service.Protocol
    executors on different domains run OCaml code in parallel.
 
    Concurrency contract: every verb is classified by
-   [Service.Protocol.read_only].  Read verbs execute under the shared
+   [Service.Server.read_only].  Read verbs execute under the shared
    side of one server-wide {!Rwlock} — concurrently across domains,
    against immutable packed columns — while mutations take it
    exclusive, the single-writer path owning the session table and the
@@ -302,104 +302,54 @@ let reader t fd req_q timed_out () =
 
 (* Executor: per-connection serial request execution — the property
    that makes pipelined responses leave in request order and keeps a
-   single-connection transcript byte-identical to stdin mode.  Global
-   admission happens here, after parsing: past [queue_depth] admitted
-   requests the verb is answered [overloaded] through the server's
-   reject path (so the rejection is counted, logged and
-   flight-recorded), and the executor moves on. *)
-(* The lock class and metric verb of a frame, from its op byte alone —
-   no payload decode needed before admission. *)
-let frame_read_only op =
-  op = Service.Frame.op_lookup
-  || op = Service.Frame.op_batch_lookup
-  || op = Service.Frame.op_symbols
-
-let frame_verb op =
-  if op = Service.Frame.op_lookup then "lookup"
-  else if op = Service.Frame.op_batch_lookup then "batch_lookup"
-  else if op = Service.Frame.op_add_member then "mutate"
-  else if op = Service.Frame.op_add_class then "mutate"
-  else if op = Service.Frame.op_symbols then "symbols"
-  else "invalid"
-
+   single-connection transcript byte-identical to stdin mode.  Both
+   framings decode first, into the service's one request type; global
+   admission comes after decoding, so a message that does not decode is
+   answered [invalid] without taking an admission slot.  Past
+   [queue_depth] admitted requests the verb is answered [overloaded]
+   through the server's reject path (so the rejection is counted,
+   logged and flight-recorded), and the executor moves on. *)
 let executor t ~conn req_q out_q () =
-  let net = Service.Server.net t.srv in
-  let respond_raw s = ignore (Bqueue.push out_q s) in
-  let respond j = respond_raw (J.to_string j ^ "\n") in
-  let admit ~rejected run =
-    let admitted =
-      Atomic.fetch_and_add net.Service.Server.net_admitted 1
-      < t.cfg.queue_depth
-    in
-    if not admitted then begin
-      Atomic.decr net.Service.Server.net_admitted;
-      rejected ()
-    end
-    else
-      Fun.protect
-        ~finally:(fun () -> Atomic.decr net.Service.Server.net_admitted)
-        run
-  in
+  let module S = Service.Server in
+  let net = S.net t.srv in
+  let respond s = ignore (Bqueue.push out_q s) in
+  let line j = J.to_string j ^ "\n" in
   let overload_msg =
     Printf.sprintf "server at admission capacity (%d in flight); retry"
       t.cfg.queue_depth
   in
+  let admit codec (rq : S.request) run =
+    if Atomic.fetch_and_add net.S.net_admitted 1 >= t.cfg.queue_depth then begin
+      Atomic.decr net.S.net_admitted;
+      S.reject ~conn t.srv codec ~verb:(S.verb rq.S.rq_op) ~id:rq.S.rq_id
+        P.Overloaded overload_msg
+    end
+    else
+      Fun.protect
+        ~finally:(fun () -> Atomic.decr net.S.net_admitted)
+        (fun () ->
+          if S.read_only rq.S.rq_op then Rwlock.with_read t.lock run
+          else Rwlock.with_write t.lock run)
+  in
   let rec loop () =
     match Bqueue.pop req_q with
     | None -> ()
-    | Some (Oversized n) ->
+    | Some job ->
       respond
-        (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id:J.Null
-           P.Bad_request
-           (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n));
-      loop ()
-    | Some (Oversized_frame n) ->
-      respond_raw
-        (Service.Server.reject_frame ~conn t.srv ~verb:"invalid" ~id:0
-           P.Bad_request
-           (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
-              t.cfg.max_line n));
-      loop ()
-    | Some (Line line) ->
-      (match P.parse_request line with
-      | Error (id, code, msg) ->
-        respond (Service.Server.reject ~conn t.srv ~verb:"invalid" ~id code msg)
-      | Ok rq ->
-        admit
-          ~rejected:(fun () ->
-            respond
-              (Service.Server.reject ~conn t.srv
-                 ~verb:(P.op_string rq.P.rq_op) ~id:rq.P.rq_id P.Overloaded
-                 overload_msg))
-          (fun () ->
-            let run () = Service.Server.handle_request ~conn t.srv rq in
-            respond
-              (if P.read_only rq.P.rq_op then Rwlock.with_read t.lock run
-               else Rwlock.with_write t.lock run)));
-      loop ()
-    | Some (Frame f) ->
-      let op = Char.code f.[1] in
-      admit
-        ~rejected:(fun () ->
-          (* echo the id when the prefix survives — all the decode the
-             rejection path affords *)
-          let id =
-            match
-              Service.Frame.session_of_request
-                (String.sub f Service.Frame.header_len
-                   (String.length f - Service.Frame.header_len))
-            with
-            | Ok (id, _) -> id
-            | Error _ -> 0
-          in
-          respond_raw
-            (Service.Server.reject_frame ~conn t.srv ~verb:(frame_verb op)
-               ~id P.Overloaded overload_msg))
-        (fun () ->
-          let run () = Service.Server.handle_frame ~conn t.srv f in
-          respond_raw
-            (if frame_read_only op then Rwlock.with_read t.lock run
-             else Rwlock.with_write t.lock run));
+        (match job with
+        | Line l ->
+          line (S.handle ~conn ~around:(admit S.json) t.srv S.json (S.decode_line l))
+        | Frame f ->
+          S.handle ~conn ~around:(admit S.frame) t.srv S.frame
+            (S.decode_frame t.srv f)
+        | Oversized n ->
+          line
+            (S.reject ~conn t.srv S.json ~verb:"invalid" ~id:J.Null P.Bad_request
+               (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n))
+        | Oversized_frame n ->
+          S.reject ~conn t.srv S.frame ~verb:"invalid" ~id:(J.Int 0) P.Bad_request
+            (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
+               t.cfg.max_line n));
       loop ()
   in
   loop ();

@@ -56,16 +56,6 @@ type req =
 
 type request = { fr_id : int; fr_session : string; fr_op : req }
 
-let op_string = function
-  | Lookup _ -> "lookup"
-  | Batch_lookup _ -> "batch_lookup"
-  | Add_member _ | Add_class _ -> "mutate"
-  | Symbols -> "symbols"
-
-let read_only = function
-  | Lookup _ | Batch_lookup _ | Symbols -> true
-  | Add_member _ | Add_class _ -> false
-
 (* ---- header -------------------------------------------------------- *)
 
 (* [parse_header s] reads the 6-byte prefix of a request frame:

@@ -58,15 +58,6 @@ type req =
 
 type request = { fr_id : int; fr_session : string; fr_op : req }
 
-(** The verb name for metric labels — identical to the JSON protocol's
-    ([lookup], [batch_lookup], [mutate], [symbols]), so both framings
-    share one set of per-verb series. *)
-val op_string : req -> string
-
-(** Same contract as {!Protocol.read_only}: whether the networked
-    server may execute the op concurrently with other reads. *)
-val read_only : req -> bool
-
 (** [parse_header s] splits the 6-byte request prefix into
     [(op, payload_len)]. *)
 val parse_header : string -> (int * int, string) result

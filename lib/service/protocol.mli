@@ -121,8 +121,9 @@ type request = { rq_id : Chg.Json.t; rq_session : string option; rq_op : op }
 val op_string : op -> string
 
 (** [read_only op] — true for the verbs the networked server may execute
-    concurrently (lookup, batch_lookup, lint, stats, metrics); the rest
-    serialize through the single writer path. *)
+    concurrently (lookup, batch_lookup, lint, symbols, stats, metrics);
+    the rest serialize through the single writer path.
+    {!Server.read_only} extends it to the id-addressed 1b requests. *)
 val read_only : op -> bool
 
 (** [request_of_json j] / [parse_request line] — a typed request, or the

@@ -12,8 +12,8 @@ type entry = {
   e_id : J.t;  (* the request's echoed id *)
   e_outcome : string;  (* "ok" or the error code *)
   e_latency_ns : int;
-  e_bytes : int;  (* response line bytes; 0 when the log is disabled *)
-  e_via : string option;  (* lookup serving path: "table" / "memo" *)
+  e_bytes : int;  (* encoded response bytes; 0 when the log is disabled *)
+  e_via : string option;  (* lookup serving path: "table" / "memo" / "mro" *)
   e_slow : bool;  (* latency crossed the --slow-ms threshold *)
 }
 

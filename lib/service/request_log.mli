@@ -22,9 +22,13 @@ type entry = {
   e_id : Chg.Json.t;  (** the request's echoed id *)
   e_outcome : string;  (** ["ok"] or the error code *)
   e_latency_ns : int;
-  e_bytes : int;  (** response line bytes; [0] when the log is disabled
-                      (measuring would re-serialize the response) *)
-  e_via : string option;  (** lookup serving path: ["table"] / ["memo"] *)
+  e_bytes : int;
+      (** encoded response bytes — the JSON line without its newline, or
+          the whole 1b frame — measured only while a request log is
+          configured and [0] otherwise, in both framings (measuring a
+          JSON response means serializing it a second time) *)
+  e_via : string option;
+      (** single-lookup serving path: ["table"] / ["memo"] / ["mro"] *)
   e_slow : bool;  (** latency crossed the [--slow-ms] threshold *)
 }
 

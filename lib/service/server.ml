@@ -171,32 +171,97 @@ let counters t =
     [ t.requests; t.errors; t.sessions_opened; t.sessions_closed;
       t.lookups; t.batch_requests; t.batch_queries; t.mutations; t.lints ]
 
+(* ---- the request core ----------------------------------------------
+
+   Both framings decode into one [request]; [execute] answers it with a
+   typed [response] or an error value; a [codec] turns that result into
+   the caller's framing.  The interned-id variants are what a 1b frame
+   carries that a JSON line cannot; 1b add_class and symbols travel by
+   name, so they decode to the JSON verbs. *)
+
+type op =
+  | Named of P.op
+  | Lookup_ids of { cls : int; member : int }
+  | Batch_ids of (int * int) array
+  | Add_member_id of { cls : int; member : G.member }
+
+type request = { rq_id : J.t; rq_session : string option; rq_op : op }
+
+type error = P.error_code * string
+
+let verb = function
+  | Named op -> P.op_string op
+  | Lookup_ids _ -> "lookup"
+  | Batch_ids _ -> "batch_lookup"
+  | Add_member_id _ -> "mutate"
+
+let read_only = function
+  | Named op -> P.read_only op
+  | Lookup_ids _ | Batch_ids _ -> true
+  | Add_member_id _ -> false
+
+(* One query's answer by name: [verdict] is [Error msg] for an unknown
+   class; [via] is the serving layer ("table", "memo" or "mro"). *)
+type answer = {
+  a_query : P.query;
+  a_verdict : (Lookup_core.Engine.verdict option, string) result;
+  a_via : string;
+}
+
+type tally = { resolved : int; ambiguous : int; not_found : int }
+
+(* [new_symbols] is the member intern delta a mutation caused. *)
+type response =
+  | Verdict of { graph : G.t; semantics : Mro.semantics; answer : answer }
+  | Verdicts of
+      { graph : G.t; semantics : Mro.semantics; answers : answer list; tally : tally }
+  | Code of { code : int; via : string }
+  | Codes of { codes : int array; tally : tally }
+  | Member_added of
+      { session : string; cls : string; member : string; member_id : int;
+        rows : int; invalidated : bool; epoch : int;
+        new_symbols : (int * string) list }
+  | Class_added of
+      { session : string; name : string; cls_id : int; classes : int;
+        epoch : int; new_symbols : (int * string) list }
+  | Symbols of
+      { session : string; epoch : int; classes : string array; members : string array }
+  | Fields of (string * J.t) list  (* the JSON-only verbs *)
+
+let ( let* ) = Result.bind
+
+let error code fmt = Printf.ksprintf (fun msg -> Error (code, msg)) fmt
+
+(* verdict codes: [-1] absent, [-2] ambiguous, else the declaring class *)
+let tally codes =
+  let r = ref 0 and a = ref 0 and n = ref 0 in
+  Array.iter
+    (fun c -> if c >= 0 then incr r else if c = -2 then incr a else incr n)
+    codes;
+  { resolved = !r; ambiguous = !a; not_found = !n }
+
 (* ---- per-verb handlers --------------------------------------------- *)
 
-exception Reply_error of P.error_code * string
-
-let fail code fmt = Printf.ksprintf (fun msg -> raise (Reply_error (code, msg))) fmt
-
 let session t = function
-  | None -> fail P.Bad_request "missing field \"session\""
+  | None -> error P.Bad_request "missing field \"session\""
   | Some name ->
     (match Hashtbl.find_opt t.sessions name with
-    | Some s -> s
-    | None -> fail P.Unknown_session "no open session %S" name)
+    | Some s -> Ok s
+    | None -> error P.Unknown_session "no open session %S" name)
 
 let graph_of_hierarchy = function
   | P.Chg_json j ->
     (match Chg.Serialize.of_json j with
-    | Ok g -> g
-    | Error msg -> fail P.Bad_hierarchy "%s" msg)
+    | Ok g -> Ok g
+    | Error msg -> Error (P.Bad_hierarchy, msg))
   | P.Source src ->
     let r = Frontend.Sema.analyze_source src in
-    if not (Frontend.Sema.ok r) then
-      fail P.Bad_hierarchy "source has errors: %s"
+    if Frontend.Sema.ok r then Ok r.Frontend.Sema.graph
+    else
+      error P.Bad_hierarchy "source has errors: %s"
         (match r.Frontend.Sema.diagnostics with
         | d :: _ -> Frontend.Diagnostic.to_string d
-        | [] -> "unknown");
-    r.Frontend.Sema.graph
+        | [] -> "unknown")
 
 (* ---- durability ----------------------------------------------------
 
@@ -222,21 +287,61 @@ let snapshot_of_session s =
     s_columns = Session.compiled_columns s }
 
 let write_snapshot store s =
-  try Store.write_snapshot store (snapshot_of_session s)
+  try Ok (Store.write_snapshot store (snapshot_of_session s))
   with Sys_error msg | Unix.Unix_error (_, msg, _) ->
-    fail P.Store_error "snapshot failed: %s" msg
+    error P.Store_error "snapshot failed: %s" msg
 
 let log_mutation t s m =
   match t.store with
-  | None -> ()
+  | None -> Ok ()
   | Some store ->
     let session = Session.name s in
-    Store.log_mutation store ~session ~epoch:(Session.epoch s)
-      (store_mutation_of m);
+    Store.log_mutation store ~session ~epoch:(Session.epoch s) m;
     if Store.needs_compaction store ~session then begin
       Store.note_compaction store;
-      ignore (write_snapshot store s)
+      Result.map ignore (write_snapshot store s)
     end
+    else Ok ()
+
+(* The one road into a session mutation: the JSON mutate verb, the 1b
+   add_member/add_class frames, the replication applier and recovery
+   replay all apply here.  Outside a replay the mutation is counted and
+   logged (the WAL already holds replayed records). *)
+let apply ?(replay = false) t s (m : Store.Mutation.t) =
+  if not replay then Telemetry.Counter.incr t.mutations;
+  let before = Session.num_member_symbols s in
+  let applied () =
+    match m with
+    | Store.Mutation.Add_class { ac_name; ac_bases; ac_members } ->
+      let cls_id =
+        Session.add_class s ~cls:ac_name ~bases:ac_bases ~members:ac_members
+      in
+      Class_added
+        { session = Session.name s; name = ac_name; cls_id;
+          classes = G.num_classes (Session.graph s);
+          epoch = Session.epoch s;
+          new_symbols = Session.member_symbols_from s before }
+    | Store.Mutation.Add_member { am_class; am_member } ->
+      let rows, invalidated = Session.add_member s ~cls:am_class am_member in
+      let name = am_member.G.m_name in
+      Member_added
+        { session = Session.name s; cls = am_class; member = name;
+          member_id = Option.get (Session.member_symbol s name);
+          rows; invalidated;
+          epoch = Session.epoch s;
+          new_symbols = Session.member_symbols_from s before }
+  in
+  match applied () with
+  | exception G.Error e ->
+    let code =
+      match e with
+      | G.Unknown_class _ | G.Unknown_base _ -> P.Unknown_class
+      | _ -> P.Bad_hierarchy
+    in
+    Error (code, G.error_to_string e)
+  | resp ->
+    let* () = if replay then Ok () else log_mutation t s m in
+    Ok resp
 
 let register_session t s =
   let name = Session.name s in
@@ -246,166 +351,115 @@ let register_session t s =
   Session.register s t.registry
 
 let handle_open t ~session:requested hierarchy =
-  let name =
+  let* name =
     match requested with
-    | Some n ->
-      if Hashtbl.mem t.sessions n then
-        fail P.Duplicate_session "session %S is already open" n;
-      n
+    | Some n when Hashtbl.mem t.sessions n ->
+      error P.Duplicate_session "session %S is already open" n
+    | Some n -> Ok n
     | None ->
       let rec pick () =
         let n = Printf.sprintf "s%d" t.next_session in
         t.next_session <- t.next_session + 1;
         if Hashtbl.mem t.sessions n then pick () else n
       in
-      pick ()
+      Ok (pick ())
   in
-  let g = graph_of_hierarchy hierarchy in
+  let* g = graph_of_hierarchy hierarchy in
   let s = Session.create ~config:t.config ~name g in
-  (match t.store with
-  | None -> ()
-  | Some store ->
-    Store.reset_session store name;
-    ignore (write_snapshot store s));
+  let* _ =
+    match t.store with
+    | None -> Ok 0
+    | Some store ->
+      Store.reset_session store name;
+      write_snapshot store s
+  in
   register_session t s;
-  [ ("protocol", J.String P.version);
-    ("session", J.String name);
-    ("classes", J.Int (G.num_classes g));
-    ("edges", J.Int (G.num_edges g));
-    ("members", J.Int (List.length (G.member_names g))) ]
+  Ok
+    [ ("protocol", J.String P.version);
+      ("session", J.String name);
+      ("classes", J.Int (G.num_classes g));
+      ("edges", J.Int (G.num_edges g));
+      ("members", J.Int (List.length (G.member_names g))) ]
 
-let query_fields s (q : P.query) =
-  match Session.lookup s q.P.q_class q.P.q_member with
-  | Error cls -> fail P.Unknown_class "unknown class %S" cls
-  | Ok (v, served) ->
-    ("class", J.String q.P.q_class)
-    :: ("member", J.String q.P.q_member)
-    :: P.verdict_fields (Session.graph s) v
-    @ [ ("via", J.String (Session.served_string served)) ]
+(* One query by name, under C++ dominance or a linearized semantics
+   (answered from the session's per-variant MRO table as "via":"mro"). *)
+let answer s sem (q : P.query) =
+  let verdict, via =
+    match sem with
+    | Mro.Cpp ->
+      (match Session.lookup s q.P.q_class q.P.q_member with
+      | Ok (v, served) -> (Ok v, Session.served_string served)
+      | Error cls -> (Error cls, ""))
+    | Mro.Linearized v ->
+      (Session.mro_lookup s v q.P.q_class q.P.q_member, "mro")
+  in
+  { a_query = q;
+    a_verdict =
+      Result.map_error (fun cls -> Printf.sprintf "unknown class %S" cls) verdict;
+    a_via = via }
 
-(* The linearized-semantics twin of [query_fields]: answered from the
-   session's per-variant MRO table, reported as ["via":"mro"] with the
-   variant echoed, so C++-semantics responses stay byte-identical. *)
-let mro_query_fields s v (q : P.query) =
-  match Session.mro_lookup s v q.P.q_class q.P.q_member with
-  | Error cls -> fail P.Unknown_class "unknown class %S" cls
-  | Ok verdict ->
-    ("class", J.String q.P.q_class)
-    :: ("member", J.String q.P.q_member)
-    :: P.verdict_fields (Session.graph s) verdict
-    @ [ ("semantics", J.String (Mro.variant_string v));
-        ("via", J.String "mro") ]
-
-let handle_lookup t s sem q =
+let handle_lookup t s semantics q =
   Telemetry.Counter.incr t.lookups;
-  match sem with
-  | Mro.Cpp -> query_fields s q
-  | Mro.Linearized v -> mro_query_fields s v q
+  let a = answer s semantics q in
+  match a.a_verdict with
+  | Error msg -> Error (P.Unknown_class, msg)
+  | Ok _ -> Ok (Verdict { graph = Session.graph s; semantics; answer = a })
 
-let handle_batch t s sem qs =
+(* Unlike the id path, a by-name batch reports an unknown class per
+   query, inside an ok response. *)
+let handle_batch t s semantics qs =
   Telemetry.Counter.incr t.batch_requests;
   Telemetry.Counter.add t.batch_queries (List.length qs);
-  let resolved = ref 0 and ambiguous = ref 0 and not_found = ref 0 in
-  let count v =
-    match v with
-    | Some (Lookup_core.Engine.Red _) -> incr resolved
-    | Some (Lookup_core.Engine.Blue _) -> incr ambiguous
-    | None -> incr not_found
+  let answers = List.map (answer s semantics) qs in
+  let codes =
+    List.filter_map
+      (fun a -> Result.to_option a.a_verdict |> Option.map Session.code_of_verdict)
+      answers
   in
-  let unknown_class (q : P.query) cls =
-    J.Obj
-      [ ("class", J.String q.P.q_class);
-        ("member", J.String q.P.q_member);
-        ("error", J.String "unknown_class");
-        ("message", J.String (Printf.sprintf "unknown class %S" cls)) ]
-  in
-  let results =
-    List.map
-      (fun (q : P.query) ->
-        match sem with
-        | Mro.Cpp ->
-          (match Session.lookup s q.P.q_class q.P.q_member with
-          | Error cls -> unknown_class q cls
-          | Ok (v, served) ->
-            count v;
-            J.Obj
-              (("class", J.String q.P.q_class)
-               :: ("member", J.String q.P.q_member)
-               :: P.verdict_fields (Session.graph s) v
-               @ [ ("via", J.String (Session.served_string served)) ]))
-        | Mro.Linearized variant ->
-          (match
-             Session.mro_lookup s variant q.P.q_class q.P.q_member
-           with
-          | Error cls -> unknown_class q cls
-          | Ok v ->
-            count v;
-            J.Obj
-              (("class", J.String q.P.q_class)
-               :: ("member", J.String q.P.q_member)
-               :: P.verdict_fields (Session.graph s) v
-               @ [ ("semantics", J.String (Mro.variant_string variant));
-                   ("via", J.String "mro") ])))
-      qs
-  in
-  [ ("results", J.List results);
-    ("resolved", J.Int !resolved);
-    ("ambiguous", J.Int !ambiguous);
-    ("not_found", J.Int !not_found) ]
+  Ok
+    (Verdicts
+       { graph = Session.graph s; semantics; answers;
+         tally = tally (Array.of_list codes) })
 
-let handle_mutate t s m =
-  match m with
-  | P.Add_class { mc_name; mc_bases; mc_members } ->
-    Telemetry.Counter.incr t.mutations;
-    (try
-       ignore (Session.add_class s ~cls:mc_name ~bases:mc_bases
-                 ~members:mc_members);
-       log_mutation t s m;
-       [ ("session", J.String (Session.name s));
-         ("added", J.String mc_name);
-         ("classes", J.Int (G.num_classes (Session.graph s)));
-         ("epoch", J.Int (Session.epoch s)) ]
-     with G.Error e ->
-       let code =
-         match e with
-         | G.Unknown_class _ | G.Unknown_base _ -> P.Unknown_class
-         | _ -> P.Bad_hierarchy
-       in
-       fail code "%s" (G.error_to_string e))
-  | P.Add_member { mm_class; mm_member } ->
-    Telemetry.Counter.incr t.mutations;
-    (try
-       let rows, invalidated = Session.add_member s ~cls:mm_class mm_member in
-       log_mutation t s m;
-       [ ("session", J.String (Session.name s));
-         ("class", J.String mm_class);
-         ("member", J.String mm_member.G.m_name);
-         ("rows_recomputed", J.Int rows);
-         ("table_invalidated", J.Bool invalidated);
-         ("epoch", J.Int (Session.epoch s)) ]
-     with G.Error e ->
-       let code =
-         match e with
-         | G.Unknown_class _ -> P.Unknown_class
-         | _ -> P.Bad_hierarchy
-       in
-       fail code "%s" (G.error_to_string e))
+let id_error ~cls ~member = function
+  | `Bad_class -> error P.Unknown_class "unknown class id %d" cls
+  | `Bad_member -> error P.Bad_request "unknown member id %d" member
+
+let handle_lookup_ids t s ~cls ~member =
+  Telemetry.Counter.incr t.lookups;
+  match Session.lookup_code s ~cls ~member with
+  | Ok (code, served) -> Ok (Code { code; via = Session.served_string served })
+  | Error e -> id_error ~cls ~member e
+
+(* A bad id fails the whole id batch: ids come from the server's own
+   symbols/delta stream, so an out-of-range id is a client bug, not
+   data-dependent drift worth per-query reporting. *)
+let handle_batch_ids t s pairs =
+  Telemetry.Counter.incr t.batch_requests;
+  Telemetry.Counter.add t.batch_queries (Array.length pairs);
+  let codes = Array.make (Array.length pairs) 0 in
+  let rec fill i =
+    if i = Array.length pairs then Ok (Codes { codes; tally = tally codes })
+    else
+      let cls, member = pairs.(i) in
+      match Session.lookup_code s ~cls ~member with
+      | Ok (code, _) ->
+        codes.(i) <- code;
+        fill (i + 1)
+      | Error e -> id_error ~cls ~member e
+  in
+  fill 0
 
 let handle_lint t s sem rules =
   Telemetry.Counter.incr t.lints;
-  let rules =
+  let* rules =
     match rules with
-    | None -> Lint.Rule.default_rules
+    | None -> Ok Lint.Rule.default_rules
+    | Some [] -> error P.Bad_request "empty rule list"
     | Some ids ->
-      (match ids with
-      | [] -> fail P.Bad_request "empty rule list"
-      | _ ->
-        List.map
-          (fun id ->
-            match Lint.Rule.of_string id with
-            | Some r -> r
-            | None -> fail P.Bad_request "unknown lint rule %S" id)
-          ids)
+      (match List.find_opt (fun id -> Lint.Rule.of_string id = None) ids with
+      | Some id -> error P.Bad_request "unknown lint rule %S" id
+      | None -> Ok (List.filter_map Lint.Rule.of_string ids))
   in
   let g = Session.graph s in
   let findings =
@@ -426,28 +480,32 @@ let handle_lint t s sem rules =
         | n -> Some (Lint.Rule.to_string r, J.Int n))
       Lint.Rule.all
   in
-  [ ("session", J.String (Session.name s));
-    ("epoch", J.Int (Session.epoch s));
-    ("diagnostics", J.List (List.map (fun f -> Lint.finding_json f) findings));
-    ("errors", J.Int errors);
-    ("warnings", J.Int warnings);
-    ("notes", J.Int notes);
-    ("rules", J.Obj per_rule) ]
+  Ok
+    [ ("session", J.String (Session.name s));
+      ("epoch", J.Int (Session.epoch s));
+      ("diagnostics", J.List (List.map (fun f -> Lint.finding_json f) findings));
+      ("errors", J.Int errors);
+      ("warnings", J.Int warnings);
+      ("notes", J.Int notes);
+      ("rules", J.Obj per_rule) ]
+
+let no_store () =
+  error P.Store_error "no store configured (run: cxxlookup serve --store DIR)"
 
 let handle_snapshot t s =
   match t.store with
-  | None ->
-    fail P.Store_error "no store configured (run: cxxlookup serve --store DIR)"
+  | None -> no_store ()
   | Some store ->
-    let bytes = write_snapshot store s in
-    [ ("session", J.String (Session.name s));
-      ("epoch", J.Int (Session.epoch s));
-      ("bytes", J.Int bytes) ]
+    let* bytes = write_snapshot store s in
+    Ok
+      [ ("session", J.String (Session.name s));
+        ("epoch", J.Int (Session.epoch s));
+        ("bytes", J.Int bytes) ]
 
 (* Rebuild a session from a recovery: restore the snapshot (graph +
-   compiled columns), then replay the WAL tail through the session's
-   normal mutation path — but never back into the WAL, which already
-   holds these records. *)
+   compiled columns), then replay the WAL tail through {!apply} — never
+   back into the WAL, which already holds these records.  [Error] is
+   the first replay failure's message. *)
 let session_of_recovery t name rv =
   let snap = rv.Store.rv_snapshot in
   let s =
@@ -455,70 +513,54 @@ let session_of_recovery t name rv =
       ~epoch:snap.Store.Snapshot.s_epoch
       ~columns:snap.Store.Snapshot.s_columns snap.Store.Snapshot.s_graph
   in
-  List.iter
-    (fun (r : Store.Wal.record) ->
-      match r.Store.Wal.rc_mutation with
-      | Store.Mutation.Add_class { ac_name; ac_bases; ac_members } ->
-        ignore
-          (Session.add_class s ~cls:ac_name ~bases:ac_bases
-             ~members:ac_members)
-      | Store.Mutation.Add_member { am_class; am_member } ->
-        ignore (Session.add_member s ~cls:am_class am_member))
-    rv.Store.rv_replayed;
-  s
+  let rec replay = function
+    | [] -> Ok s
+    | (r : Store.Wal.record) :: rest ->
+      (match apply ~replay:true t s r.Store.Wal.rc_mutation with
+      | Ok _ -> replay rest
+      | Error (_, msg) -> Error msg)
+  in
+  replay rv.Store.rv_replayed
 
 let handle_restore t ~session:requested =
-  match t.store with
-  | None ->
-    fail P.Store_error "no store configured (run: cxxlookup serve --store DIR)"
-  | Some store ->
-    let name =
-      match requested with
-      | None -> fail P.Bad_request "missing field \"session\""
-      | Some n -> n
-    in
-    if Hashtbl.mem t.sessions name then
-      fail P.Duplicate_session "session %S is already open" name;
+  match (t.store, requested) with
+  | None, _ -> no_store ()
+  | Some _, None -> error P.Bad_request "missing field \"session\""
+  | Some _, Some name when Hashtbl.mem t.sessions name ->
+    error P.Duplicate_session "session %S is already open" name
+  | Some store, Some name ->
     (match Store.recover store name with
-    | Error msg -> fail P.Store_error "%s" msg
-    | Ok None -> fail P.Store_error "nothing stored under session %S" name
+    | Error msg -> Error (P.Store_error, msg)
+    | Ok None -> error P.Store_error "nothing stored under session %S" name
     | Ok (Some rv) ->
-      let s =
-        try session_of_recovery t name rv
-        with G.Error e ->
-          fail P.Store_error "replay failed: %s" (G.error_to_string e)
-      in
-      register_session t s;
-      [ ("protocol", J.String P.version);
-        ("session", J.String name);
-        ("epoch", J.Int (Session.epoch s));
-        ("classes", J.Int (G.num_classes (Session.graph s)));
-        ("replayed", J.Int (List.length rv.Store.rv_replayed));
-        ("torn_tail", J.Bool rv.Store.rv_torn) ])
+      (match session_of_recovery t name rv with
+      | Error msg -> error P.Store_error "replay failed: %s" msg
+      | Ok s ->
+        register_session t s;
+        Ok
+          [ ("protocol", J.String P.version);
+            ("session", J.String name);
+            ("epoch", J.Int (Session.epoch s));
+            ("classes", J.Int (G.num_classes (Session.graph s)));
+            ("replayed", J.Int (List.length rv.Store.rv_replayed));
+            ("torn_tail", J.Bool rv.Store.rv_torn) ]))
 
 (* The interned-id tables for the binary hot path: class ids are graph
    ids, member ids the session's dense intern order.  Served over JSON
    too, so a client can bootstrap ids before switching framing. *)
 let handle_symbols s =
   let epoch, classes, members = Session.symbols s in
-  let strings a = J.List (Array.to_list (Array.map (fun n -> J.String n) a)) in
-  [ ("session", J.String (Session.name s));
-    ("epoch", J.Int epoch);
-    ("classes", strings classes);
-    ("members", strings members) ]
-
-let handle_metrics t =
-  (* render under the observation mutex: a scrape never sees a request
-     whose histogram bump landed but whose counter bump has not *)
-  let body =
-    Mutex.protect t.obs_mutex (fun () ->
-        Telemetry.Prometheus.render t.registry)
-  in
-  [ ("format", J.String "text/plain; version=0.0.4");
-    ("body", J.String body) ]
+  Ok (Symbols { session = Session.name s; epoch; classes; members })
 
 let render_metrics t =
+  (* under the observation mutex: a scrape never sees a request whose
+     histogram bump landed but whose counter bump has not *)
   Mutex.protect t.obs_mutex (fun () -> Telemetry.Prometheus.render t.registry)
+
+let handle_metrics t =
+  Ok
+    [ ("format", J.String "text/plain; version=0.0.4");
+      ("body", J.String (render_metrics t)) ]
 
 (* Per-verb and per-error-code views out of the registry: the same
    labelled series the exposition renders, re-shaped as a JSON object.
@@ -533,11 +575,12 @@ let labelled_counts t metric label =
 
 let handle_stats t = function
   | Some _ as sess ->
-    let s = session t sess in
-    [ ("protocol", J.String P.version);
-      ("session", J.String (Session.name s));
-      ("epoch", J.Int (Session.epoch s));
-      ("stats", Session.stats_json s) ]
+    let* s = session t sess in
+    Ok
+      [ ("protocol", J.String P.version);
+        ("session", J.String (Session.name s));
+        ("epoch", J.Int (Session.epoch s));
+        ("stats", Session.stats_json s) ]
   | None ->
     let open_sessions =
       List.filter (fun n -> Hashtbl.mem t.sessions n) t.session_order
@@ -553,40 +596,41 @@ let handle_stats t = function
                     (fun (k, v) -> (k, J.Int v))
                     (Store.counters store)) ) ]
     in
-    [ ("protocol", J.String P.version);
-      ( "service",
-        J.Obj
-          (List.map (fun (k, v) -> (k, J.Int v)) (counters t)
-           @ [ ("sessions_open", J.Int (Hashtbl.length t.sessions));
-               ("uptime_ns", J.Int (uptime_ns t));
-               ( "verbs",
-                 J.Obj
-                   (labelled_counts t "cxxlookup_server_requests_total"
-                      "verb") );
-               ( "error_codes",
-                 J.Obj
-                   (labelled_counts t "cxxlookup_server_errors_total"
-                      "code") );
-               ( "net",
-                 J.Obj
-                   [ ("connections_active", J.Int (Atomic.get t.net.net_active));
-                     ( "connections_accepted",
-                       J.Int (Telemetry.Counter.value t.net.net_accepted) );
-                     ( "connections_closed",
-                       J.Int (Telemetry.Counter.value t.net.net_closed) );
-                     ( "connections_timed_out",
-                       J.Int (Telemetry.Counter.value t.net.net_timed_out) );
-                     ( "admission_queue_depth",
-                       J.Int (Atomic.get t.net.net_admitted) );
-                     ( "overloaded",
-                       J.Int (Telemetry.Counter.value t.net.net_overloaded) )
-                   ] ) ]) );
-      ( "sessions",
-        J.List
-          (List.map
-             (fun n -> Session.stats_json (Hashtbl.find t.sessions n))
-             open_sessions) ) ]
-    @ store_fields
+    Ok
+      ([ ("protocol", J.String P.version);
+         ( "service",
+           J.Obj
+             (List.map (fun (k, v) -> (k, J.Int v)) (counters t)
+              @ [ ("sessions_open", J.Int (Hashtbl.length t.sessions));
+                  ("uptime_ns", J.Int (uptime_ns t));
+                  ( "verbs",
+                    J.Obj
+                      (labelled_counts t "cxxlookup_server_requests_total"
+                         "verb") );
+                  ( "error_codes",
+                    J.Obj
+                      (labelled_counts t "cxxlookup_server_errors_total"
+                         "code") );
+                  ( "net",
+                    J.Obj
+                      [ ("connections_active", J.Int (Atomic.get t.net.net_active));
+                        ( "connections_accepted",
+                          J.Int (Telemetry.Counter.value t.net.net_accepted) );
+                        ( "connections_closed",
+                          J.Int (Telemetry.Counter.value t.net.net_closed) );
+                        ( "connections_timed_out",
+                          J.Int (Telemetry.Counter.value t.net.net_timed_out) );
+                        ( "admission_queue_depth",
+                          J.Int (Atomic.get t.net.net_admitted) );
+                        ( "overloaded",
+                          J.Int (Telemetry.Counter.value t.net.net_overloaded) )
+                      ] ) ]) );
+         ( "sessions",
+           J.List
+             (List.map
+                (fun n -> Session.stats_json (Hashtbl.find t.sessions n))
+                open_sessions) ) ]
+      @ store_fields)
 
 let handle_close t s =
   let name = Session.name s in
@@ -594,20 +638,196 @@ let handle_close t s =
   Telemetry.Counter.incr t.sessions_closed;
   (* durable state outlives the close; make sure it is actually on disk *)
   (match t.store with None -> () | Some store -> Store.sync store);
-  [ ("session", J.String name); ("closed", J.Bool true) ]
+  Ok [ ("session", J.String name); ("closed", J.Bool true) ]
 
-let op_name = P.op_string
+let dispatch t rq =
+  let with_session f =
+    let* s = session t rq.rq_session in
+    f s
+  in
+  let fields r = Result.map (fun f -> Fields f) r in
+  match rq.rq_op with
+  | Named (P.Open { o_session; o_hierarchy }) ->
+    fields (handle_open t ~session:o_session o_hierarchy)
+  | Named (P.Lookup { lk_query; lk_semantics }) ->
+    with_session (fun s -> handle_lookup t s lk_semantics lk_query)
+  | Named (P.Batch_lookup { bl_queries; bl_semantics }) ->
+    with_session (fun s -> handle_batch t s bl_semantics bl_queries)
+  | Named (P.Mutate m) ->
+    with_session (fun s -> apply t s (store_mutation_of m))
+  | Named (P.Lint { l_rules; l_semantics }) ->
+    fields (with_session (fun s -> handle_lint t s l_semantics l_rules))
+  | Named P.Snapshot -> fields (with_session (handle_snapshot t))
+  | Named P.Restore -> fields (handle_restore t ~session:rq.rq_session)
+  | Named P.Stats -> fields (handle_stats t rq.rq_session)
+  | Named P.Metrics -> fields (handle_metrics t)
+  | Named P.Symbols -> with_session handle_symbols
+  | Named P.Close -> fields (with_session (handle_close t))
+  | Lookup_ids { cls; member } ->
+    with_session (fun s -> handle_lookup_ids t s ~cls ~member)
+  | Batch_ids pairs -> with_session (fun s -> handle_batch_ids t s pairs)
+  | Add_member_id { cls; member } ->
+    with_session (fun s ->
+        let g = Session.graph s in
+        if cls < 0 || cls >= G.num_classes g then
+          error P.Unknown_class "unknown class id %d" cls
+        else
+          apply t s
+            (Store.Mutation.Add_member { am_class = G.name g cls; am_member = member }))
+
+(* ---- codecs: the typed result in either framing -------------------- *)
+
+type 'a codec = {
+  encode : id:J.t -> (response, error) result -> 'a;
+  size : 'a -> int;  (* encoded bytes, for the request log *)
+}
+
+(* The verdict fields of one query — shared by lookup and every batch
+   entry. *)
+let answer_fields graph semantics a =
+  ("class", J.String a.a_query.P.q_class)
+  :: ("member", J.String a.a_query.P.q_member)
+  ::
+  (match a.a_verdict with
+  | Error msg ->
+    [ ("error", J.String "unknown_class"); ("message", J.String msg) ]
+  | Ok v ->
+    P.verdict_fields graph v
+    @ (match semantics with
+      | Mro.Cpp -> []
+      | Mro.Linearized v -> [ ("semantics", J.String (Mro.variant_string v)) ])
+    @ [ ("via", J.String a.a_via) ])
+
+let tally_fields { resolved; ambiguous; not_found } =
+  [ ("resolved", J.Int resolved);
+    ("ambiguous", J.Int ambiguous);
+    ("not_found", J.Int not_found) ]
+
+let json_fields = function
+  | Verdict { graph; semantics; answer } -> Ok (answer_fields graph semantics answer)
+  | Verdicts { graph; semantics; answers; tally } ->
+    Ok
+      (("results",
+        J.List (List.map (fun a -> J.Obj (answer_fields graph semantics a)) answers))
+       :: tally_fields tally)
+  | Member_added { session; cls; member; rows; invalidated; epoch; _ } ->
+    Ok
+      [ ("session", J.String session);
+        ("class", J.String cls);
+        ("member", J.String member);
+        ("rows_recomputed", J.Int rows);
+        ("table_invalidated", J.Bool invalidated);
+        ("epoch", J.Int epoch) ]
+  | Class_added { session; name; classes; epoch; _ } ->
+    Ok
+      [ ("session", J.String session);
+        ("added", J.String name);
+        ("classes", J.Int classes);
+        ("epoch", J.Int epoch) ]
+  | Symbols { session; epoch; classes; members } ->
+    let strings a = J.List (Array.to_list (Array.map (fun n -> J.String n) a)) in
+    Ok
+      [ ("session", J.String session);
+        ("epoch", J.Int epoch);
+        ("classes", strings classes);
+        ("members", strings members) ]
+  | Fields fields -> Ok fields
+  | Code _ | Codes _ -> error P.Internal "an id answer has no JSON encoding"
+
+let json =
+  { encode =
+      (fun ~id result ->
+        match Result.bind result json_fields with
+        | Ok fields -> P.ok_response ~id fields
+        | Error (code, msg) -> P.error_response ~id code msg);
+    size = (fun j -> String.length (J.to_string j)) }
+
+let frame_resp = function
+  | Code { code; _ } -> Frame.Ok_lookup code
+  | Codes { codes; tally = { resolved; ambiguous; not_found } } ->
+    Frame.Ok_batch
+      { ob_codes = codes; ob_resolved = resolved; ob_ambiguous = ambiguous;
+        ob_not_found = not_found }
+  | Member_added { member_id; rows; invalidated; epoch; new_symbols; _ } ->
+    Frame.Ok_add_member
+      { oam_member = member_id; oam_rows = rows; oam_invalidated = invalidated;
+        oam_epoch = epoch; oam_new_symbols = new_symbols }
+  | Class_added { cls_id; classes; epoch; new_symbols; _ } ->
+    Frame.Ok_add_class
+      { oac_class = cls_id; oac_classes = classes; oac_epoch = epoch;
+        oac_new_symbols = new_symbols }
+  | Symbols { epoch; classes; members; _ } ->
+    Frame.Ok_symbols { os_epoch = epoch; os_classes = classes; os_members = members }
+  | Verdict _ | Verdicts _ | Fields _ ->
+    Frame.Err (P.Internal, "a by-name answer has no 1b encoding")
+
+let frame =
+  { encode =
+      (fun ~id result ->
+        let id = match id with J.Int n -> n | _ -> 0 in
+        Frame.encode_response ~id
+          (match result with Ok r -> frame_resp r | Error (c, m) -> Frame.Err (c, m)));
+    size = String.length }
+
+(* ---- decoding ------------------------------------------------------ *)
+
+type decoded = (request, J.t * P.error_code * string) result
+
+let of_protocol (rq : P.request) =
+  { rq_id = rq.P.rq_id; rq_session = rq.P.rq_session; rq_op = Named rq.P.rq_op }
+
+let decode_line line = Result.map of_protocol (P.parse_request line)
+
+let of_frame (fr : Frame.request) =
+  { rq_id = J.Int fr.Frame.fr_id;
+    rq_session = Some fr.Frame.fr_session;
+    rq_op =
+      (match fr.Frame.fr_op with
+      | Frame.Lookup { lk_class; lk_member } ->
+        Lookup_ids { cls = lk_class; member = lk_member }
+      | Frame.Batch_lookup pairs -> Batch_ids pairs
+      | Frame.Add_member { am_class; am_member } ->
+        Add_member_id { cls = am_class; member = am_member }
+      | Frame.Add_class { ac_name; ac_bases; ac_members } ->
+        Named
+          (P.Mutate
+             (P.Add_class
+                { mc_name = ac_name; mc_bases = ac_bases; mc_members = ac_members }))
+      | Frame.Symbols -> Named P.Symbols) }
+
+(* A complete 1b frame (header + payload) to a request.  Failures echo
+   the request id when the [i64 id | string session] prefix survived; a
+   header the reader could not even frame is a [parse_error]. *)
+let request_of_frame f =
+  match Frame.parse_header f with
+  | Error msg -> Error (J.Int 0, P.Parse_error, msg)
+  | Ok (_, len) when String.length f <> Frame.header_len + len ->
+    Error (J.Int 0, P.Parse_error, "frame length disagrees with header")
+  | Ok (op, len) ->
+    let body = String.sub f Frame.header_len len in
+    (match Frame.decode_request ~op body with
+    | Ok fr -> Ok (of_frame fr)
+    | Error msg ->
+      let id =
+        match Frame.session_of_request body with Ok (id, _) -> id | Error _ -> 0
+      in
+      Error (J.Int id, P.Bad_request, msg))
+
+let decode_frame t f =
+  let t0 = Telemetry.Clock.now_ns () in
+  let decoded = request_of_frame f in
+  Telemetry.Histogram.record t.frame_decode_ns (Telemetry.Clock.elapsed_ns ~since:t0);
+  decoded
+
+(* ---- execution and accounting -------------------------------------- *)
 
 (* One finished request: per-verb latency histogram and request
    counter, per-error-code counter, slow-threshold accounting, a
    flight-recorder push, and (when configured) one JSON log line.
    Registry lookups are find-or-create — one hash probe each on the
-   steady path.  The response line's byte count is measured only when
-   the log is on: measuring means re-serializing the response. *)
-(* [frame_bytes]/[via] are the binary path's overrides: a frame response
-   is not a JSON document, so its byte count and serving layer arrive
-   precomputed instead of being re-derived from [resp]. *)
-let observe ?conn ?frame_bytes ?via t ~verb ~session ~id ~t0 ~outcome resp =
+   steady path.  [bytes] runs only when the log is on: for a JSON
+   response, measuring means serializing it a second time. *)
+let observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =
   let latency = Telemetry.Clock.elapsed_ns ~since:t0 in
   Mutex.protect t.obs_mutex @@ fun () ->
   Telemetry.Histogram.record
@@ -630,324 +850,102 @@ let observe ?conn ?frame_bytes ?via t ~verb ~session ~id ~t0 ~outcome resp =
   let slow = match t.slow_ns with Some s -> latency >= s | None -> false in
   if slow then Telemetry.Counter.incr t.slow_requests;
   t.next_seq <- t.next_seq + 1;
-  let bytes =
-    match (frame_bytes, t.request_log) with
-    | Some n, _ -> n
-    | None, Some _ -> String.length (J.to_string resp)
-    | None, None -> 0
-  in
-  let via =
-    match via with
-    | Some _ as v -> v
-    | None ->
-      (match J.member "via" resp with
-      | Ok (J.String v) -> Some v
-      | _ -> None)
-  in
   let entry =
     { Request_log.e_seq = t.next_seq; e_conn = conn; e_verb = verb;
       e_session = session;
       e_id = id; e_outcome = outcome; e_latency_ns = latency;
-      e_bytes = bytes; e_via = via; e_slow = slow }
+      e_bytes = (match t.request_log with Some _ -> bytes () | None -> 0);
+      e_via = via; e_slow = slow }
   in
   Telemetry.Ring.push t.flight entry;
   match t.request_log with
   | Some lg -> Request_log.log lg entry
   | None -> ()
 
-let handle_request ?conn t (rq : P.request) =
+(* Encode and account one answered (or refused) request. *)
+let finish ?conn t codec ~verb ~session ~id ~t0 result =
+  let outcome, via =
+    match result with
+    | Ok (Verdict { answer; _ }) -> ("ok", Some answer.a_via)
+    | Ok (Code { via; _ }) -> ("ok", Some via)
+    | Ok _ -> ("ok", None)
+    | Error (code, _) ->
+      Telemetry.Counter.incr t.errors;
+      (P.code_string code, None)
+  in
+  let out = codec.encode ~id result in
+  observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via
+    ~bytes:(fun () -> codec.size out);
+  out
+
+let execute ?conn t codec rq =
   Telemetry.Counter.incr t.requests;
-  let verb = op_name rq.P.rq_op in
+  let verb = verb rq.rq_op in
   let inflight = List.assoc_opt verb t.inflight in
   Option.iter Atomic.incr inflight;
   let t0 = Telemetry.Clock.now_ns () in
   let run () =
-    if t.role = Follower && not (P.read_only rq.P.rq_op) then
-      fail P.Not_leader
-        "this node is a read-only replica; send %S to the leader" verb;
-    match rq.P.rq_op with
-    | P.Open { o_session; o_hierarchy } ->
-      handle_open t ~session:o_session o_hierarchy
-    | P.Lookup { lk_query; lk_semantics } ->
-      handle_lookup t (session t rq.P.rq_session) lk_semantics lk_query
-    | P.Batch_lookup { bl_queries; bl_semantics } ->
-      handle_batch t (session t rq.P.rq_session) bl_semantics bl_queries
-    | P.Mutate m -> handle_mutate t (session t rq.P.rq_session) m
-    | P.Lint { l_rules; l_semantics } ->
-      handle_lint t (session t rq.P.rq_session) l_semantics l_rules
-    | P.Snapshot -> handle_snapshot t (session t rq.P.rq_session)
-    | P.Restore -> handle_restore t ~session:rq.P.rq_session
-    | P.Stats -> handle_stats t rq.P.rq_session
-    | P.Metrics -> handle_metrics t
-    | P.Symbols -> handle_symbols (session t rq.P.rq_session)
-    | P.Close -> handle_close t (session t rq.P.rq_session)
+    if t.role = Follower && not (read_only rq.rq_op) then
+      error P.Not_leader "this node is a read-only replica; send %S to the leader"
+        verb
+    else dispatch t rq
   in
   let run () =
     if Telemetry.Sink.enabled t.sink then begin
       Telemetry.Sink.emit t.sink "request"
         (("op", Telemetry.Event.Str verb)
          ::
-         (match rq.P.rq_session with
+         (match rq.rq_session with
          | Some s -> [ ("session", Telemetry.Event.Str s) ]
          | None -> []));
       Telemetry.Span.run t.spans ("rpc:" ^ verb) run
     end
     else run ()
   in
-  let outcome, internal, resp =
+  let result, internal =
+    (* an exception is a bug, not a bad request: answer [internal]
+       instead of dying, and dump the flight recorder below so the
+       requests leading here are preserved *)
     match run () with
-    | fields -> ("ok", false, P.ok_response ~id:rq.P.rq_id fields)
-    | exception Reply_error (code, msg) ->
-      Telemetry.Counter.incr t.errors;
-      (P.code_string code, false, P.error_response ~id:rq.P.rq_id code msg)
-    | exception exn ->
-      (* a bug, not a bad request: answer [internal] instead of dying,
-         and dump the flight recorder below so the requests leading
-         here are preserved *)
-      Telemetry.Counter.incr t.errors;
-      ( P.code_string P.Internal,
-        true,
-        P.error_response ~id:rq.P.rq_id P.Internal (Printexc.to_string exn) )
+    | r -> (r, false)
+    | exception exn -> (Error (P.Internal, Printexc.to_string exn), true)
   in
   Option.iter Atomic.decr inflight;
-  observe ?conn t ~verb ~session:rq.P.rq_session ~id:rq.P.rq_id ~t0 ~outcome
-    resp;
+  let out =
+    finish ?conn t codec ~verb ~session:rq.rq_session ~id:rq.rq_id ~t0 result
+  in
   (* after observe, so the failing request itself is in the ring *)
   if internal then dump_flight t stderr;
-  resp
-
-let observe_rejected ?conn t ~verb ~id ~code resp =
-  observe ?conn t ~verb ~session:None ~id
-    ~t0:(Telemetry.Clock.now_ns ())
-    ~outcome:(P.code_string code) resp
-
-(* A request refused without execution — the networked server's
-   admission control and framing guards (overload, oversized line)
-   answer through here so rejections still hit the request counters,
-   the flight recorder and the log. *)
-let reject ?conn t ~verb ~id code msg =
-  Telemetry.Counter.incr t.requests;
-  Telemetry.Counter.incr t.errors;
-  if code = P.Overloaded then Telemetry.Counter.incr t.net.net_overloaded;
-  let resp = P.error_response ~id code msg in
-  observe_rejected ?conn t ~verb ~id ~code resp;
-  resp
-
-let handle_json ?conn t j =
-  match P.request_of_json j with
-  | Ok rq -> handle_request ?conn t rq
-  | Error (id, code, msg) ->
-    Telemetry.Counter.incr t.requests;
-    Telemetry.Counter.incr t.errors;
-    let resp = P.error_response ~id code msg in
-    observe_rejected ?conn t ~verb:"invalid" ~id ~code resp;
-    resp
-
-let handle_line ?conn t line =
-  match P.parse_request line with
-  | Ok rq -> handle_request ?conn t rq
-  | Error (id, code, msg) ->
-    Telemetry.Counter.incr t.requests;
-    Telemetry.Counter.incr t.errors;
-    let resp = P.error_response ~id code msg in
-    observe_rejected ?conn t ~verb:"invalid" ~id ~code resp;
-    resp
-
-(* [reject]'s binary twin: refuse a frame without executing it (the
-   networked server's admission control and oversized-frame guard),
-   with identical accounting, answering a binary error frame. *)
-let reject_frame ?conn t ~verb ~id code msg =
-  Telemetry.Counter.incr t.requests;
-  Telemetry.Counter.incr t.errors;
-  if code = P.Overloaded then Telemetry.Counter.incr t.net.net_overloaded;
-  let out = Frame.encode_response ~id (Frame.Err (code, msg)) in
-  observe ?conn ~frame_bytes:(String.length out) t ~verb ~session:None
-    ~id:(J.Int id)
-    ~t0:(Telemetry.Clock.now_ns ())
-    ~outcome:(P.code_string code) (J.Obj []);
   out
 
-(* ---- the binary (cxxlookup-rpc/1b) hot path ------------------------
+(* A request refused without execution — undecodable input, and the
+   networked server's admission control and framing guards — still
+   hits the request counters, the flight recorder and the log. *)
+let reject ?conn t codec ~verb ~id code msg =
+  Telemetry.Counter.incr t.requests;
+  if code = P.Overloaded then Telemetry.Counter.incr t.net.net_overloaded;
+  finish ?conn t codec ~verb ~session:None ~id ~t0:(Telemetry.Clock.now_ns ())
+    (Error (code, msg))
 
-   Frames answer through the same accounting as the JSON verbs — the
-   shared per-verb histograms/counters, flight recorder and request log
-   — with classes and members addressed by interned ids (lib/service/
-   frame.ml has the wire format; session.mli the id assignment).  A
-   lookup whose member column is cached in the session symtab runs
-   int-only end to end: no JSON, no hashing, no allocation. *)
+let handle ?conn ?(around = fun _ run -> run ()) t codec = function
+  | Error (id, code, msg) -> reject ?conn t codec ~verb:"invalid" ~id code msg
+  | Ok rq -> around rq (fun () -> execute ?conn t codec rq)
 
-let frame_lookup t s ~cls ~member via =
-  Telemetry.Counter.incr t.lookups;
-  match Session.lookup_code s ~cls ~member with
-  | Ok (code, served) ->
-    via := Some (Session.served_string served);
-    Frame.Ok_lookup code
-  | Error `Bad_class -> fail P.Unknown_class "unknown class id %d" cls
-  | Error `Bad_member -> fail P.Bad_request "unknown member id %d" member
+let handle_request ?conn t rq = execute ?conn t json (of_protocol rq)
 
-(* Unlike the JSON batch (which embeds per-query error objects), a bad
-   id fails the whole binary batch: ids come from the server's own
-   symbols/delta stream, so an out-of-range id is a client bug, not
-   data-dependent drift worth per-query reporting. *)
-let frame_batch t s pairs =
-  Telemetry.Counter.incr t.batch_requests;
-  Telemetry.Counter.add t.batch_queries (Array.length pairs);
-  let resolved = ref 0 and ambiguous = ref 0 and not_found = ref 0 in
-  let codes =
-    Array.map
-      (fun (cls, member) ->
-        match Session.lookup_code s ~cls ~member with
-        | Ok (code, _) ->
-          if code >= 0 then incr resolved
-          else if code = -2 then incr ambiguous
-          else incr not_found;
-          code
-        | Error `Bad_class -> fail P.Unknown_class "unknown class id %d" cls
-        | Error `Bad_member ->
-          fail P.Bad_request "unknown member id %d" member)
-      pairs
-  in
-  Frame.Ok_batch
-    { ob_codes = codes; ob_resolved = !resolved; ob_ambiguous = !ambiguous;
-      ob_not_found = !not_found }
+let handle_json ?conn t j =
+  handle ?conn t json (Result.map of_protocol (P.request_of_json j))
 
-let frame_add_member t s ~cls:cid member =
-  Telemetry.Counter.incr t.mutations;
-  let g = Session.graph s in
-  if cid < 0 || cid >= G.num_classes g then
-    fail P.Unknown_class "unknown class id %d" cid;
-  let cls = G.name g cid in
-  let before = Session.num_member_symbols s in
-  try
-    let rows, invalidated = Session.add_member s ~cls member in
-    log_mutation t s (P.Add_member { mm_class = cls; mm_member = member });
-    let oam_member =
-      match Session.member_symbol s member.G.m_name with
-      | Some id -> id
-      | None -> fail P.Internal "member %S not interned" member.G.m_name
-    in
-    Frame.Ok_add_member
-      { oam_member; oam_rows = rows; oam_invalidated = invalidated;
-        oam_epoch = Session.epoch s;
-        oam_new_symbols = Session.member_symbols_from s before }
-  with G.Error e ->
-    let code =
-      match e with G.Unknown_class _ -> P.Unknown_class | _ -> P.Bad_hierarchy
-    in
-    fail code "%s" (G.error_to_string e)
+let handle_line ?conn t line = handle ?conn t json (decode_line line)
 
-let frame_add_class t s ~name ~bases ~members =
-  Telemetry.Counter.incr t.mutations;
-  let before = Session.num_member_symbols s in
-  try
-    let cid = Session.add_class s ~cls:name ~bases ~members in
-    log_mutation t s
-      (P.Add_class { mc_name = name; mc_bases = bases; mc_members = members });
-    Frame.Ok_add_class
-      { oac_class = cid;
-        oac_classes = G.num_classes (Session.graph s);
-        oac_epoch = Session.epoch s;
-        oac_new_symbols = Session.member_symbols_from s before }
-  with G.Error e ->
-    let code =
-      match e with
-      | G.Unknown_class _ | G.Unknown_base _ -> P.Unknown_class
-      | _ -> P.Bad_hierarchy
-    in
-    fail code "%s" (G.error_to_string e)
-
-let frame_symbols s =
-  let epoch, classes, members = Session.symbols s in
-  Frame.Ok_symbols
-    { os_epoch = epoch; os_classes = classes; os_members = members }
-
-(* [handle_frame t frame] answers one complete binary request frame
-   (header + payload, exactly as read off the wire) with a complete
-   response frame.  Decode failures answer [bad_request] — echoing the
-   request id when the [i64 id | string session] prefix survived —
-   never an exception; the length prefix already bounded the read, so a
-   bad payload cannot desynchronize the connection. *)
-let handle_frame ?conn t frame =
-  let t_decode = Telemetry.Clock.now_ns () in
-  let decoded =
-    match Frame.parse_header frame with
-    | Error msg -> Error (0, P.Parse_error, msg)
-    | Ok (op, len) ->
-      if String.length frame <> Frame.header_len + len then
-        Error (0, P.Parse_error, "frame length disagrees with header")
-      else
-        let body = String.sub frame Frame.header_len len in
-        (match Frame.decode_request ~op body with
-        | Ok rq -> Ok rq
-        | Error msg ->
-          let id =
-            match Frame.session_of_request body with
-            | Ok (id, _) -> id
-            | Error _ -> 0
-          in
-          Error (id, P.Bad_request, msg))
-  in
-  Telemetry.Histogram.record t.frame_decode_ns
-    (Telemetry.Clock.elapsed_ns ~since:t_decode);
-  match decoded with
-  | Error (id, code, msg) ->
-    Telemetry.Counter.incr t.requests;
-    Telemetry.Counter.incr t.errors;
-    let out = Frame.encode_response ~id (Frame.Err (code, msg)) in
-    observe ?conn ~frame_bytes:(String.length out) t ~verb:"invalid"
-      ~session:None ~id:(J.Int id)
-      ~t0:(Telemetry.Clock.now_ns ())
-      ~outcome:(P.code_string code) (J.Obj []);
-    out
-  | Ok rq ->
-    Telemetry.Counter.incr t.requests;
-    let verb = Frame.op_string rq.Frame.fr_op in
-    let inflight = List.assoc_opt verb t.inflight in
-    Option.iter Atomic.incr inflight;
-    let t0 = Telemetry.Clock.now_ns () in
-    let via = ref None in
-    let run () =
-      if t.role = Follower && not (Frame.read_only rq.Frame.fr_op) then
-        fail P.Not_leader
-          "this node is a read-only replica; send %S to the leader" verb;
-      let s = session t (Some rq.Frame.fr_session) in
-      match rq.Frame.fr_op with
-      | Frame.Lookup { lk_class; lk_member } ->
-        frame_lookup t s ~cls:lk_class ~member:lk_member via
-      | Frame.Batch_lookup pairs -> frame_batch t s pairs
-      | Frame.Add_member { am_class; am_member } ->
-        frame_add_member t s ~cls:am_class am_member
-      | Frame.Add_class { ac_name; ac_bases; ac_members } ->
-        frame_add_class t s ~name:ac_name ~bases:ac_bases
-          ~members:ac_members
-      | Frame.Symbols -> frame_symbols s
-    in
-    let outcome, internal, resp =
-      match run () with
-      | r -> ("ok", false, r)
-      | exception Reply_error (code, msg) ->
-        Telemetry.Counter.incr t.errors;
-        (P.code_string code, false, Frame.Err (code, msg))
-      | exception exn ->
-        Telemetry.Counter.incr t.errors;
-        ( P.code_string P.Internal,
-          true,
-          Frame.Err (P.Internal, Printexc.to_string exn) )
-    in
-    Option.iter Atomic.decr inflight;
-    let out = Frame.encode_response ~id:rq.Frame.fr_id resp in
-    observe ?conn ~frame_bytes:(String.length out) ?via:!via t ~verb
-      ~session:(Some rq.Frame.fr_session) ~id:(J.Int rq.Frame.fr_id) ~t0
-      ~outcome (J.Obj []);
-    if internal then dump_flight t stderr;
-    out
+let handle_frame ?conn t f = handle ?conn t frame (decode_frame t f)
 
 (* ---- replication entry points --------------------------------------
 
    The follower's applier mutates sessions through here, not through
-   [handle_request]: the [not_leader] gate is for clients, while these
-   mirror the leader's stream.  Both re-persist into the follower's own
-   store (when configured) so a restarted replica recovers locally and
+   [execute]: the [not_leader] gate is for clients, while these mirror
+   the leader's stream.  Both re-persist into the follower's own store
+   (when configured) so a restarted replica recovers locally and
    resumes from its last applied epoch instead of re-bootstrapping. *)
 
 let open_sessions t =
@@ -968,53 +966,36 @@ let install_snapshot t (snap : Store.Snapshot.t) =
   with
   | exception exn -> Error (Printexc.to_string exn)
   | s ->
-    (match t.store with
-    | None -> ()
-    | Some store ->
-      Store.reset_session store name;
-      ignore (write_snapshot store s));
-    if not (Hashtbl.mem t.sessions name) then
-      Telemetry.Counter.incr t.sessions_opened;
-    if not (List.mem name t.session_order) then
-      t.session_order <- t.session_order @ [ name ];
-    Hashtbl.replace t.sessions name s;
-    Session.register s t.registry;
-    Ok ()
+    let written =
+      match t.store with
+      | None -> Ok 0
+      | Some store ->
+        Store.reset_session store name;
+        write_snapshot store s
+    in
+    (match written with
+    | Error (_, msg) -> Error msg
+    | Ok _ ->
+      if not (Hashtbl.mem t.sessions name) then
+        Telemetry.Counter.incr t.sessions_opened;
+      if not (List.mem name t.session_order) then
+        t.session_order <- t.session_order @ [ name ];
+      Hashtbl.replace t.sessions name s;
+      Session.register s t.registry;
+      Ok ())
 
 (* Apply one replicated WAL record.  The epoch must extend the session
    exactly — same strictly-consecutive contract recovery enforces — or
    the caller must resynchronize from a snapshot. *)
-let apply_replicated t ~session:name ~epoch (m : Store.Mutation.t) =
+let apply_replicated t ~session:name ~epoch m =
   match Hashtbl.find_opt t.sessions name with
   | None -> Error (Printf.sprintf "no session %S to apply epoch %d to" name epoch)
+  | Some s when epoch <> Session.epoch s + 1 ->
+    Error
+      (Printf.sprintf "session %S: epoch gap (at %d, record %d)" name
+         (Session.epoch s) epoch)
   | Some s ->
-    if epoch <> Session.epoch s + 1 then
-      Error
-        (Printf.sprintf "session %S: epoch gap (at %d, record %d)" name
-           (Session.epoch s) epoch)
-    else begin
-      match
-        (match m with
-        | Store.Mutation.Add_class { ac_name; ac_bases; ac_members } ->
-          ignore
-            (Session.add_class s ~cls:ac_name ~bases:ac_bases
-               ~members:ac_members)
-        | Store.Mutation.Add_member { am_class; am_member } ->
-          ignore (Session.add_member s ~cls:am_class am_member))
-      with
-      | exception G.Error e -> Error (G.error_to_string e)
-      | () ->
-        Telemetry.Counter.incr t.mutations;
-        (match t.store with
-        | None -> ()
-        | Some store ->
-          Store.log_mutation store ~session:name ~epoch m;
-          if Store.needs_compaction store ~session:name then begin
-            Store.note_compaction store;
-            ignore (write_snapshot store s)
-          end);
-        Ok ()
-    end
+    (match apply t s m with Ok _ -> Ok () | Error (_, msg) -> Error msg)
 
 (* ---- startup recovery ---------------------------------------------- *)
 
@@ -1041,7 +1022,7 @@ let recover_sessions t =
             Some (Recovery_failed { r_session = name; r_error = msg })
           | Ok (Some rv) ->
             (match session_of_recovery t name rv with
-            | s ->
+            | Ok s ->
               register_session t s;
               Some
                 (Recovered
@@ -1049,10 +1030,8 @@ let recover_sessions t =
                      r_epoch = Session.epoch s;
                      r_replayed = List.length rv.Store.rv_replayed;
                      r_torn = rv.Store.rv_torn })
-            | exception G.Error e ->
-              Some
-                (Recovery_failed
-                   { r_session = name; r_error = G.error_to_string e })))
+            | Error msg ->
+              Some (Recovery_failed { r_session = name; r_error = msg })))
       (Store.sessions store)
 
 let serve ?(after_response = fun () -> ()) t ic oc =

@@ -13,9 +13,9 @@
 type t
 
 (** A [Follower] answers the read-only verbs ([lookup], [batch_lookup],
-    [lint], [stats], [metrics]) normally and every mutating verb with a
-    [not_leader] error; its sessions change only through the
-    replication entry points below. *)
+    [lint], [symbols], [stats], [metrics]) normally and every mutating
+    verb, in either framing, with a [not_leader] error; its sessions
+    change only through the replication entry points below. *)
 type role = Leader | Follower
 
 (** Connection-level accounting, owned by the server so the
@@ -129,10 +129,78 @@ val apply_replicated :
     [mutations]. *)
 val counters : t -> (string * int) list
 
+(** {1 The request core}
+
+    Both framings decode into one {!request}; one internal [execute]
+    answers it — the follower gate, the in-flight gauge, error mapping,
+    the flight-recorder dump on [internal], and the per-request
+    accounting all happen there and nowhere else — and a {!codec}
+    encodes the typed result in the caller's framing.  Errors are
+    values ([ok:false] responses / error frames), never exceptions. *)
+
+(** JSON verbs travel as {!Protocol.op} (1b [add_class] and [symbols]
+    name their classes, so they decode to the same variants); the rest
+    are the 1b requests addressed by interned ids. *)
+type op =
+  | Named of Protocol.op
+  | Lookup_ids of { cls : int; member : int }
+  | Batch_ids of (int * int) array  (** (class id, member id) pairs *)
+  | Add_member_id of { cls : int; member : Chg.Graph.member }
+
+(** [rq_id] is the echoed id: any JSON value, or [Int] for a frame. *)
+type request = { rq_id : Chg.Json.t; rq_session : string option; rq_op : op }
+
+(** A decoded request, or the id to echo plus a structured error. *)
+type decoded = (request, Chg.Json.t * Protocol.error_code * string) result
+
+(** The verb name metric labels use — the same for both framings. *)
+val verb : op -> string
+
+(** Whether the networked server may run the request concurrently with
+    other reads (the rest take its single writer path). *)
+val read_only : op -> bool
+
+(** One JSON line, as {!Protocol.parse_request} types it. *)
+val decode_line : string -> decoded
+
+(** One complete 1b frame (header + payload, as read off the wire).
+    Failures echo the request id when the [i64 id | string session]
+    prefix survived; a header that does not frame is a [parse_error]. *)
+val request_of_frame : string -> decoded
+
+(** {!request_of_frame}, timed into [cxxlookup_server_frame_decode_ns]. *)
+val decode_frame : t -> string -> decoded
+
+(** An encoder of typed results into one framing. *)
+type 'a codec
+
+(** JSON-lines responses (the document, without its newline). *)
+val json : Chg.Json.t codec
+
+(** 1b response frames. *)
+val frame : string codec
+
+(** [reject t codec ~verb ~id code msg] — refuse a request without
+    executing it: counts as a request and an error, bumps the overload
+    rejection counter when [code] is [Overloaded], passes through the
+    flight recorder and request log, and returns the encoded error.
+    Undecodable input ([verb] ["invalid"]) and the networked server's
+    admission control and framing guards answer through here. *)
+val reject :
+  ?conn:int -> t -> 'a codec -> verb:string -> id:Chg.Json.t ->
+  Protocol.error_code -> string -> 'a
+
+(** [handle ?around t codec d] — {!reject} a decoding failure as
+    [invalid], or execute the request inside [around] (default: run
+    it directly).  The networked server passes its admission control
+    and verb-class lock as [around]. *)
+val handle :
+  ?conn:int -> ?around:(request -> (unit -> 'a) -> 'a) -> t -> 'a codec ->
+  decoded -> 'a
+
 (** [handle_request t rq] / [handle_json t j] / [handle_line t line] —
-    one request at the corresponding decoding stage; always returns the
-    response document (errors travel as [ok:false] responses, never
-    exceptions). *)
+    one JSON request at the corresponding decoding stage, answered with
+    its response document. *)
 val handle_request : ?conn:int -> t -> Protocol.request -> Chg.Json.t
 
 val handle_json : ?conn:int -> t -> Chg.Json.t -> Chg.Json.t
@@ -140,30 +208,10 @@ val handle_json : ?conn:int -> t -> Chg.Json.t -> Chg.Json.t
 val handle_line : ?conn:int -> t -> string -> Chg.Json.t
 
 (** [handle_frame t frame] — one complete binary ([cxxlookup-rpc/1b])
-    request frame (header + payload, as read off the wire) in, one
-    complete response frame out.  Shares the JSON path's per-verb
-    accounting (histograms, counters, flight recorder, request log) and
-    records the decode time in [cxxlookup_server_frame_decode_ns].
-    Malformed frames answer [bad_request] (a header the reader could
-    not even frame, [parse_error]); never raises. *)
+    request frame in, one complete response frame out.  Malformed
+    frames answer [bad_request] (a header the reader could not even
+    frame, [parse_error]); never raises. *)
 val handle_frame : ?conn:int -> t -> string -> string
-
-(** [reject t ~verb ~id code msg] — refuse a request without executing
-    it: counts as a request and an error, bumps the overload rejection
-    counter when [code] is [Overloaded], passes through the flight
-    recorder and request log, and returns the error response.  The
-    networked server's admission control and framing guards answer
-    through here. *)
-val reject :
-  ?conn:int -> t -> verb:string -> id:Chg.Json.t -> Protocol.error_code ->
-  string -> Chg.Json.t
-
-(** [reject_frame t ~verb ~id code msg] — {!reject}'s binary twin:
-    refuse a frame without executing it, with identical accounting,
-    returning the encoded error response frame. *)
-val reject_frame :
-  ?conn:int -> t -> verb:string -> id:int -> Protocol.error_code ->
-  string -> string
 
 (** [serve ?after_response t ic oc] — the JSON-lines loop: read a
     request per line from [ic], write its response line to [oc]

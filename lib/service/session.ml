@@ -209,7 +209,8 @@ let lookup t cls member =
    construction); members by the session's dense intern ids.  Both are
    what the binary framing carries, so the resolved hot path below is
    int-only: bounds checks, one array read into the published symtab,
-   one packed probe, no allocation. *)
+   one packed probe, no hashing.  Its one allocation is the boxed
+   [Ok (code, Compiled)] result, 5 minor words per call. *)
 
 let symtab t =
   let st = Atomic.get t.symtab in
@@ -258,7 +259,7 @@ let count_code t code =
    absent, [-2] ambiguous, else the declaring class id), by interned
    ids.  Counter accounting is identical to {!lookup} for the same
    query.  On the path where the member's compiled column is cached in
-   the symtab, this performs zero allocation. *)
+   the symtab, the result box is the only allocation. *)
 let lookup_code t ~cls ~member =
   if cls < 0 || cls >= G.num_classes t.graph then Error `Bad_class
   else if member < 0 || member >= t.member_count then Error `Bad_member

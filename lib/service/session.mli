@@ -106,12 +106,17 @@ val member_symbols_from : t -> int -> (int * string) list
 
 (** [lookup_code t ~cls ~member] answers by interned ids with a resolve
     code: [-1] absent, [-2] ambiguous, else the declaring class id.
-    Counter accounting matches {!lookup}; when the member's compiled
-    column is cached in the session's symbol table the path allocates
-    nothing. *)
+    Counter accounting matches {!lookup}.  When the member's compiled
+    column is cached in the session's symbol table the path does no
+    hashing and builds no verdict, but it is not allocation-free: the
+    [Ok (code, Compiled)] result is boxed, 5 minor words per call
+    (measured over 100k warm calls on a 200-class [random_dag]). *)
 val lookup_code :
   t -> cls:int -> member:int ->
   (int * served, [ `Bad_class | `Bad_member ]) result
+
+(** The resolve code of a verdict, in {!lookup_code}'s convention. *)
+val code_of_verdict : Lookup_core.Engine.verdict option -> int
 
 (** [mro_lookup t v cls member] serves one query under the linearized
     semantics [v] (the protocol's opt-in ["semantics"] field): the

@@ -221,6 +221,122 @@ let test_frame_mutations () =
       oam_new_symbols
   | _ -> Alcotest.fail "add_member did not answer Ok_add_member"
 
+(* ---- codec parity: one request core behind both framings ----------- *)
+
+let labelled srv metric label =
+  List.filter_map
+    (fun (labels, v) ->
+      Option.map (fun k -> (k, v)) (List.assoc_opt label labels))
+    (Telemetry.Registry.find_values (Server.registry srv) metric)
+
+(* (verb, outcome, session, via) of every flight-recorder entry *)
+let flight srv =
+  let path = Filename.temp_file "cxxparity" ".txt" in
+  Out_channel.with_open_text path (fun oc -> Server.dump_flight srv oc);
+  let lines = In_channel.with_open_text path In_channel.input_lines in
+  Sys.remove path;
+  List.filter_map
+    (fun l ->
+      match J.of_string l with
+      | Error _ -> None  (* header / footer markers *)
+      | Ok j ->
+        let str k =
+          match J.member k j with Ok (J.String s) -> s | _ -> "-"
+        in
+        Some (str "verb", str "outcome", str "session", str "via"))
+    lines
+
+(* The same trace over JSON lines on one fresh server and over 1b frames
+   on another (both open over JSON).  One step differs by design: a
+   member name the session never declared is an ordinary query over
+   JSON (verdict none), but a member id past the intern table is a
+   client bug in 1b and fails [bad_request].  Everything else — verb
+   counts, error codes, in-flight gauges and flight-recorder entries —
+   must agree exactly. *)
+let test_codec_parity () =
+  let g = Hiergen.Figures.fig3 () in
+  let session = "s" in
+  let by_json = server_with g ~session in
+  let by_frame = server_with g ~session in
+  let mids = member_ids by_frame ~session in
+  let m = Hashtbl.find mids "foo" in
+  let c = G.num_classes g - 1 and a = 0 in
+  let cname = G.name g c and aname = G.name g a in
+  let line fields =
+    ignore
+      (Server.handle_line by_json
+         (J.to_string (J.Obj (("id", J.Int 1) :: fields))))
+  in
+  let sess = ("session", J.String session) in
+  let q cls mem = J.Obj [ ("class", J.String cls); ("member", J.String mem) ] in
+  let frame ?(session = session) op =
+    ignore (frame_request by_frame { Frame.fr_id = 1; fr_session = session; fr_op = op })
+  in
+  (* the member_ids bootstrap above was one symbols frame: mirror it *)
+  line [ ("op", J.String "symbols"); sess ];
+  let verbs0 = labelled by_frame "cxxlookup_server_requests_total" "verb" in
+  Alcotest.(check (list (pair string int))) "same start"
+    (labelled by_json "cxxlookup_server_requests_total" "verb") verbs0;
+  line [ ("op", J.String "lookup"); sess; ("class", J.String cname); ("member", J.String "foo") ];
+  frame (Frame.Lookup { lk_class = c; lk_member = m });
+  line
+    [ ("op", J.String "batch_lookup"); sess;
+      ("queries", J.List [ q cname "foo"; q aname "foo" ]) ];
+  frame (Frame.Batch_lookup [| (c, m); (a, m) |]);
+  line
+    [ ("op", J.String "mutate"); sess;
+      ( "add_member",
+        J.Obj [ ("class", J.String aname); ("member", J.Obj [ ("name", J.String "fresh") ]) ] ) ];
+  frame (Frame.Add_member { am_class = a; am_member = G.member "fresh" });
+  line
+    [ ("op", J.String "mutate"); sess;
+      ( "add_class",
+        J.Obj
+          [ ("name", J.String "Z");
+            ("bases", J.List [ J.Obj [ ("class", J.String aname) ] ]);
+            ("members", J.List [ J.Obj [ ("name", J.String "zonly") ] ]) ] ) ];
+  frame
+    (Frame.Add_class
+       { ac_name = "Z"; ac_bases = [ (aname, G.Non_virtual, G.Public) ];
+         ac_members = [ G.member "zonly" ] });
+  line [ ("op", J.String "symbols"); sess ];
+  frame Frame.Symbols;
+  line [ ("op", J.String "lookup"); sess; ("class", J.String cname); ("member", J.String "nosuch") ];
+  frame (Frame.Lookup { lk_class = c; lk_member = 1000 });
+  line
+    [ ("op", J.String "lookup"); ("session", J.String "gone");
+      ("class", J.String cname); ("member", J.String "foo") ];
+  frame ~session:"gone" (Frame.Lookup { lk_class = c; lk_member = m });
+  Alcotest.(check (list (pair string int))) "requests_total{verb}"
+    (labelled by_json "cxxlookup_server_requests_total" "verb")
+    (labelled by_frame "cxxlookup_server_requests_total" "verb");
+  Alcotest.(check (list (pair string int))) "errors_total{code}, JSON"
+    [ ("unknown_session", 1) ]
+    (labelled by_json "cxxlookup_server_errors_total" "code");
+  Alcotest.(check (list (pair string int))) "errors_total{code}, 1b"
+    [ ("bad_request", 1); ("unknown_session", 1) ]
+    (labelled by_frame "cxxlookup_server_errors_total" "code");
+  List.iter
+    (fun srv ->
+      List.iter
+        (fun (verb, v) -> Alcotest.(check int) ("inflight " ^ verb) 0 v)
+        (labelled srv "cxxlookup_server_inflight" "verb"))
+    [ by_json; by_frame ];
+  let fj = flight by_json and ff = flight by_frame in
+  Alcotest.(check int) "flight entries" (List.length fj) (List.length ff);
+  let show (v, o, s, via) = String.concat " " [ v; o; s; via ] in
+  List.iteri
+    (fun i (ej, ef) ->
+      let ej =
+        (* the one by-design difference: the unknown member step *)
+        match ej with
+        | ("lookup", "ok", s, _) when i = List.length fj - 2 ->
+          ("lookup", "bad_request", s, "-")
+        | e -> e
+      in
+      Alcotest.(check string) (Printf.sprintf "flight entry %d" i) (show ej) (show ef))
+    (List.combine fj ff)
+
 (* ---- fuzz: mangled frames are errors, never exceptions -------------- *)
 
 (* Every fuzz case mangles one of these valid frames. *)
@@ -618,7 +734,8 @@ let suite =
     Alcotest.test_case "under-length frame answers parse_error" `Quick
       test_frame_length_mismatch;
     Alcotest.test_case "legacy snapshot falls back to decode" `Quick
-      test_legacy_snapshot_falls_back_to_decode ]
+      test_legacy_snapshot_falls_back_to_decode;
+    Alcotest.test_case "JSON and 1b account alike" `Quick test_codec_parity ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_frames_match_oracle;
         prop_mangled_frames;
