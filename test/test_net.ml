@@ -1,7 +1,8 @@
 (* Tests for the networked server: the backpressure primitives
    (Bqueue, Rwlock), protocol hardening over real sockets (pipelining
    order, oversized lines, torn lines at the idle timeout, explicit
-   overload), and a QCheck property that concurrent read mixes over K
+   overload, a slow consumer isolated by TCP backpressure, connection
+   churn accounting), and a QCheck property that concurrent read mixes over K
    connections match the spec oracle. *)
 
 module G = Chg.Graph
@@ -149,6 +150,11 @@ let must_recv cl =
   | Some l -> l
   | None -> Alcotest.fail "server closed unexpectedly"
 
+let must_recv_request cl line =
+  match Net.Client.request cl line with
+  | Some l -> l
+  | None -> Alcotest.fail "server closed unexpectedly"
+
 (* ---- protocol hardening over real sockets ---- *)
 
 let test_pipelining_order () =
@@ -268,6 +274,128 @@ let test_overload_counter_visible () =
     (net_stat stats "overloaded");
   Net.Client.close cl
 
+(* ---- slow consumers and connection churn ---- *)
+
+(* Raw sockets, so a test can shrink the kernel buffers and tell a
+   blocked send from a slow one. *)
+let raw_connect ?bufsize addr =
+  match addr with
+  | Net.Server.Tcp (host, port) ->
+    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Option.iter
+      (fun n ->
+        Unix.setsockopt_int fd Unix.SO_RCVBUF n;
+        Unix.setsockopt_int fd Unix.SO_SNDBUF n)
+      bufsize;
+    Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+    fd
+  | Net.Server.Unix_path _ -> Alcotest.fail "tests listen on TCP"
+
+(* One response line, or a failure once [within] seconds pass. *)
+let raw_request ~within fd line =
+  let line = line ^ "\n" in
+  ignore (Unix.write_substring fd line 0 (String.length line));
+  let deadline = Unix.gettimeofday () +. within in
+  let acc = Buffer.create 1024 in
+  let chunk = Bytes.create 4096 in
+  let rec go () =
+    let wait = deadline -. Unix.gettimeofday () in
+    if wait <= 0. then Alcotest.failf "no response within %.1f s" within;
+    match Unix.select [ fd ] [] [] wait with
+    | [], _, _ -> go ()
+    | _ ->
+      let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+      if n = 0 then Alcotest.fail "server closed unexpectedly";
+      Buffer.add_subbytes acc chunk 0 n;
+      (match String.index_opt (Buffer.contents acc) '\n' with
+      | Some i -> Buffer.sub acc 0 i
+      | None -> go ())
+  in
+  go ()
+
+(* Poll [stats] until [pred] holds on it (a close is counted when the
+   server sees EOF, not when the client returns from close). *)
+let await_stats ~within fd pred =
+  let deadline = Unix.gettimeofday () +. within in
+  let rec go () =
+    let stats = raw_request ~within fd {|{"id":9,"op":"stats"}|} in
+    if pred stats then stats
+    else if Unix.gettimeofday () > deadline then stats
+    else (Thread.delay 0.05; go ())
+  in
+  go ()
+
+let test_slow_consumer_isolated () =
+  (* one worker domain: both connections share it, so a connection
+     stuck writing to a client that never reads must not starve the
+     other one *)
+  let config = { Net.Server.default_config with workers = 1 } in
+  with_server ~config @@ fun addr ->
+  let a = raw_connect ~bufsize:4096 addr in
+  let burst =
+    String.concat "" (List.init 64 (fun _ -> {|{"id":1,"op":"stats"}|} ^ "\n"))
+  in
+  let sent = Atomic.make 0 in
+  let sender =
+    Thread.create
+      (fun () ->
+        try
+          while true do
+            ignore (Unix.write_substring a burst 0 (String.length burst));
+            ignore (Atomic.fetch_and_add sent (String.length burst))
+          done
+        with Unix.Unix_error _ -> ())
+      ()
+  in
+  (* A never reads: its responses fill the socket, the server stops
+     reading A, and TCP pushes back until A's sends block *)
+  let give_up = Unix.gettimeofday () +. 20. in
+  let rec await_blocked last still =
+    Thread.delay 0.1;
+    let now = Atomic.get sent in
+    if now > 0 && now = last && still >= 3 then ()
+    else if Unix.gettimeofday () > give_up then
+      Alcotest.fail "the pipelining client's sends never blocked"
+    else await_blocked now (if now = last then still + 1 else 0)
+  in
+  await_blocked (-1) 0;
+  let b = raw_connect addr in
+  Alcotest.(check bool) "B answered while A is stalled" true
+    (ok_resp (raw_request ~within:2. b {|{"id":2,"op":"stats"}|}));
+  (* close A: its sender unblocks, and the server thread writing to it
+     must notice, count the close and let stop return *)
+  (try Unix.shutdown a Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+  Thread.join sender;
+  Unix.close a;
+  let stats =
+    await_stats ~within:5. b (fun s -> net_stat s "connections_closed" = 1)
+  in
+  Alcotest.(check int) "A's close counted" 1
+    (net_stat stats "connections_closed");
+  Unix.close b
+
+let test_connection_churn () =
+  with_server @@ fun addr ->
+  let cycles = 300 in
+  for i = 1 to cycles do
+    let cl = Net.Client.connect addr in
+    Alcotest.(check bool) (Printf.sprintf "cycle %d answered" i) true
+      (ok_resp (must_recv_request cl {|{"id":1,"op":"stats"}|}));
+    Net.Client.close cl
+  done;
+  let probe = raw_connect addr in
+  let stats =
+    await_stats ~within:5. probe (fun s ->
+        net_stat s "connections_closed" = cycles)
+  in
+  Alcotest.(check int) "every connection closed" cycles
+    (net_stat stats "connections_closed");
+  Alcotest.(check int) "only the probe still active" 1
+    (net_stat stats "connections_active");
+  Alcotest.(check int) "every connection accepted" (cycles + 1)
+    (net_stat stats "connections_accepted");
+  Unix.close probe
+
 (* ---- QCheck: concurrent read mixes match the spec oracle ---- *)
 
 let qc_members = [ "m"; "n"; "p" ]
@@ -368,5 +496,9 @@ let suite =
     Alcotest.test_case "queue_depth exhaustion answers overloaded" `Quick
       test_overload_explicit;
     Alcotest.test_case "connection gauges visible in stats" `Quick
-      test_overload_counter_visible ]
+      test_overload_counter_visible;
+    Alcotest.test_case "slow consumer stalls only its own connection"
+      `Quick test_slow_consumer_isolated;
+    Alcotest.test_case "300 connection cycles: accounting and clean stop"
+      `Quick test_connection_churn ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_concurrent_reads_match_spec ]
