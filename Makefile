@@ -77,11 +77,17 @@ raw-smoke: build
 # generator's seed-purity self-test, then one traced run per framing.
 # A traced run replays every request in-process through
 # Service.Server.handle_line / handle_frame and checks each verdict
-# against Subobject.Spec.lookup; a wrong verdict exits 1.
+# against Subobject.Spec.lookup; a wrong verdict exits 1.  The two
+# untraced runs pipeline 8 deep on two connections through the real
+# server loop — a single serve process, then leader + replica behind
+# the router — and check every answer against the same oracle; a wrong
+# or lost answer exits 1.
 perf-smoke: build
 	python3 perfbench/run.py --selftest
 	python3 perfbench/run.py --workload read-json --seed 1 --seconds 2 --trace 1
 	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 1
+	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload routed-read --seed 1 --seconds 2 --trace 0
 
 # CI entry point: full build, full test suite, a smoke run of the
 # telemetry pipeline end to end (parse -> all three engines -> JSON),

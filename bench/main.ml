@@ -32,11 +32,11 @@ let write_metrics ?entries () =
   Format.printf "@.wrote BENCH_lookup.json (%d sweep points)@."
     (List.length entries)
 
-(* The `raw` quick mode reruns only RAW1 but keeps every other
-   experiment's rows: the existing file's entries minus stale RAW1 ones,
-   plus the fresh records.  A missing or unparseable file degrades to
-   the fresh rows alone. *)
-let merge_raw_entries fresh =
+(* A quick mode reruns one experiment but keeps every other
+   experiment's rows: the existing file's entries minus that
+   experiment's stale ones, plus the fresh records.  A missing or
+   unparseable file degrades to the fresh rows alone. *)
+let merge_entries ~experiment fresh =
   let kept =
     match
       In_channel.with_open_text "BENCH_lookup.json" In_channel.input_all
@@ -46,9 +46,9 @@ let merge_raw_entries fresh =
       (match Raw_bench.Reader.parse text with
       | exception Raw_bench.Reader.Bad msg ->
         Format.printf
-          "  note: BENCH_lookup.json unparseable (%s); keeping RAW1 rows \
+          "  note: BENCH_lookup.json unparseable (%s); keeping %s rows \
            only@."
-          msg;
+          msg experiment;
         []
       | Telemetry.Json.Obj fields ->
         (match List.assoc_opt "entries" fields with
@@ -57,13 +57,26 @@ let merge_raw_entries fresh =
             (function
               | Telemetry.Json.Obj fs ->
                 List.assoc_opt "experiment" fs
-                <> Some (Telemetry.Json.String "RAW1")
+                <> Some (Telemetry.Json.String experiment)
               | _ -> true)
             l
         | _ -> [])
       | _ -> [])
   in
   kept @ fresh
+
+(* Run one experiment, merge its rows into BENCH_lookup.json in place
+   and exit with its checks' verdict. *)
+let quick_mode ~experiment run =
+  run ();
+  write_metrics
+    ~entries:(merge_entries ~experiment (List.rev !Scaling.bench_records)) ();
+  Format.printf "@.%s@."
+    (if !Fig_tables.checks_failed = 0 then experiment ^ " checks passed."
+     else
+       Printf.sprintf "%d CHECKS FAILED — see MISMATCH lines above."
+         !Fig_tables.checks_failed);
+  exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
 
 let () =
   Format.printf "cxxlookup benchmark harness — ";
@@ -81,34 +94,19 @@ let () =
            !Fig_tables.checks_failed);
     exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
   end;
-  (* `srv` runs only the networked-server experiment (seconds, for
-     iterating on the server) and leaves BENCH_lookup.json alone; the
-     full run below includes it and regenerates the file. *)
-  if Array.exists (String.equal "srv") Sys.argv then begin
-    Srv_bench.run ();
-    exit 0
-  end;
-  (* `clu` runs only the cluster experiment (router + replicas), for
-     iterating on the cluster layer; the full run includes it too. *)
-  if Array.exists (String.equal "clu") Sys.argv then begin
-    Cluster_bench.run ();
-    exit 0
-  end;
-  (* `raw` runs only the raw-speed-floor experiment and merges its rows
-     into BENCH_lookup.json in place (other experiments' entries are
-     kept); rows where mmap cannot engage are reported as skipped, not
-     failed. *)
-  if Array.exists (String.equal "raw") Sys.argv then begin
-    Raw_bench.run ();
-    write_metrics
-      ~entries:(merge_raw_entries (List.rev !Scaling.bench_records)) ();
-    Format.printf "@.%s@."
-      (if !Fig_tables.checks_failed = 0 then "RAW1 checks passed."
-       else
-         Printf.sprintf "%d CHECKS FAILED — see MISMATCH lines above."
-           !Fig_tables.checks_failed);
-    exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
-  end;
+  (* The quick modes each rerun one experiment and merge its rows into
+     BENCH_lookup.json in place (other experiments' entries are kept):
+     `srv` the networked server, for iterating on the server; `clu` the
+     cluster (router + replicas); `raw` the raw speed floor, where rows
+     mmap cannot engage are reported as skipped, not failed.  The full
+     run below includes all three and regenerates the file. *)
+  List.iter
+    (fun (mode, experiment, run) ->
+      if Array.exists (String.equal mode) Sys.argv then
+        quick_mode ~experiment run)
+    [ ("srv", "SRV1", Srv_bench.run);
+      ("clu", "CLU1", Cluster_bench.run);
+      ("raw", "RAW1", Raw_bench.run) ];
   Fig_tables.run ();
   Scaling.run ();
   Ablation.run ();

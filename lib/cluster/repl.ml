@@ -31,9 +31,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Net.Server.addr;
   stop : bool Atomic.t;
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  next_conn : int Atomic.t;
+  conns : Net.Conns.t;
   followers : int Atomic.t;
   snapshots_sent : Telemetry.Counter.t;
   records_sent : Telemetry.Counter.t;
@@ -56,9 +54,7 @@ let create ?(poll_ms = 20) srv addr =
       listen_fd;
       bound;
       stop = Atomic.make false;
-      conns = Hashtbl.create 4;
-      conns_mutex = Mutex.create ();
-      next_conn = Atomic.make 0;
+      conns = Net.Conns.create ();
       followers = Atomic.make 0;
       snapshots_sent = Telemetry.Counter.make "repl_snapshots_sent";
       records_sent = Telemetry.Counter.make "repl_records_sent";
@@ -222,8 +218,7 @@ let handle_follower t conn fd =
   Fun.protect
     ~finally:(fun () ->
       Atomic.decr t.followers;
-      Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns conn);
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      Net.Conns.close t.conns conn fd)
     (fun () ->
       try sender t fd with
       | Sys_error _ | Unix.Unix_error _ | End_of_file -> ())
@@ -231,7 +226,6 @@ let handle_follower t conn fd =
 let stop t = Atomic.set t.stop true
 
 let run t =
-  let threads = ref [] in
   while not (Atomic.get t.stop) do
     match Unix.select [ t.listen_fd ] [] [] 0.2 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -240,18 +234,11 @@ let run t =
       (match Unix.accept t.listen_fd with
       | exception Unix.Unix_error _ -> ()
       | fd, _ ->
-        let conn = Atomic.fetch_and_add t.next_conn 1 in
-        Mutex.protect t.conns_mutex (fun () -> Hashtbl.add t.conns conn fd);
-        threads :=
-          Thread.create (fun () -> handle_follower t conn fd) () :: !threads)
+        let conn = Net.Conns.add t.conns fd in
+        ignore (Thread.create (fun () -> handle_follower t conn fd) ()))
   done;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.bound with
   | Net.Server.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
   | Net.Server.Tcp _ -> ());
-  Mutex.protect t.conns_mutex (fun () ->
-      Hashtbl.iter
-        (fun _ fd ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.conns);
-  List.iter Thread.join !threads
+  Net.Conns.drain t.conns

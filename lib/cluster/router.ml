@@ -48,9 +48,7 @@ type t = {
   listen_fd : Unix.file_descr;
   bound : Net.Server.addr;
   stop : bool Atomic.t;
-  conns : (int, Unix.file_descr) Hashtbl.t;
-  conns_mutex : Mutex.t;
-  next_conn : int Atomic.t;
+  conns : Net.Conns.t;
   alive : bool array;  (* last-known backend health, feeds the gauges *)
   be_hist : Telemetry.Histogram.t array;  (* per-backend round-trip ns *)
   requests : Telemetry.Counter.t;
@@ -78,9 +76,7 @@ let create ?(config = default_config) ~leader backends =
         listen_fd;
         bound;
         stop = Atomic.make false;
-        conns = Hashtbl.create 16;
-        conns_mutex = Mutex.create ();
-        next_conn = Atomic.make 0;
+        conns = Net.Conns.create ();
         alive = Array.make (Array.length backends) true;
         be_hist = Array.init (Array.length backends) (fun _ -> Telemetry.Histogram.create ());
         requests = Telemetry.Counter.make "router_requests";
@@ -504,8 +500,7 @@ let handle_conn t conn fd =
   Fun.protect
     ~finally:(fun () ->
       close_pool p;
-      Mutex.protect t.conns_mutex (fun () -> Hashtbl.remove t.conns conn);
-      try Unix.close fd with Unix.Unix_error _ -> ())
+      Net.Conns.close t.conns conn fd)
     (fun () ->
       try
         let ic = Unix.in_channel_of_descr fd in
@@ -536,7 +531,6 @@ let handle_conn t conn fd =
 let stop t = Atomic.set t.stop true
 
 let run t =
-  let threads = ref [] in
   while not (Atomic.get t.stop) do
     match Unix.select [ t.listen_fd ] [] [] 0.2 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
@@ -545,18 +539,11 @@ let run t =
       (match Unix.accept t.listen_fd with
       | exception Unix.Unix_error _ -> ()
       | fd, _ ->
-        let conn = Atomic.fetch_and_add t.next_conn 1 in
-        Mutex.protect t.conns_mutex (fun () -> Hashtbl.add t.conns conn fd);
-        threads :=
-          Thread.create (fun () -> handle_conn t conn fd) () :: !threads)
+        let conn = Net.Conns.add t.conns fd in
+        ignore (Thread.create (fun () -> handle_conn t conn fd) ()))
   done;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (match t.bound with
   | Net.Server.Unix_path pth -> (try Unix.unlink pth with Unix.Unix_error _ -> ())
   | Net.Server.Tcp _ -> ());
-  Mutex.protect t.conns_mutex (fun () ->
-      Hashtbl.iter
-        (fun _ fd ->
-          try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-        t.conns);
-  List.iter Thread.join !threads
+  Net.Conns.drain t.conns

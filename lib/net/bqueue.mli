@@ -1,8 +1,6 @@
-(** A bounded blocking queue — the server's backpressure primitive.
+(** A bounded blocking queue — the server's worker mailboxes.
 
-    Hard capacity: a full queue blocks the producer (the reader thread
-    stops consuming bytes, so TCP pushes back; the executor stalls
-    behind a slow consumer).  [close] refuses further pushes while
+    Hard capacity: a full queue blocks the producer.  [close] refuses further pushes while
     consumers drain what is queued, then pop [None]. *)
 
 type 'a t

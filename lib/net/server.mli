@@ -4,28 +4,31 @@
 
     Topology: the accept loop runs on the calling domain and hands
     connections round-robin to [workers] spawned domains; each
-    connection runs a reader → executor → writer systhread pipeline on
-    its worker's domain.  Read verbs execute concurrently under a
-    shared {!Rwlock}; mutations serialize through its exclusive side —
-    the single writer path owning the session table and WAL.
+    connection is served start to finish — read, decode, execute,
+    write — by one systhread on its worker's domain.  Read verbs
+    execute concurrently under a shared {!Rwlock}; mutations serialize
+    through its exclusive side — the single writer path owning the
+    session table and WAL.
 
-    Ordering: per-connection execution is serial, so pipelined
-    responses leave in request order and a single-connection
+    Ordering: a connection executes one request at a time, so
+    pipelined responses leave in request order and a single-connection
     transcript is byte-identical to stdin/stdout mode.
 
-    Backpressure: bounded per-connection job/output queues (a full job
-    queue stops socket reads, so TCP pushes back; a slow consumer
-    stalls only its own executor) plus a global admission bound of
-    [queue_depth] executing requests — past it, requests are answered
-    with explicit [overloaded] protocol errors, never buffered without
-    limit.  [max_conns] is enforced at accept: the excess connection
-    receives one [overloaded] line and is closed.
+    Backpressure: responses are written once per socket read, so a
+    connection holds at most the answers to one read; a client that
+    stops reading blocks its own thread in [write], which stops that
+    connection's reads, so TCP pushes back on it alone.  A global
+    admission bound of [queue_depth] executing requests answers the
+    excess with explicit [overloaded] protocol errors, never buffered
+    without limit — with one request per connection in flight it can
+    only refuse when it is below the number of open connections.
+    [max_conns] is enforced at accept: the excess connection receives
+    one [overloaded] line and is closed.
 
     Timeouts: a connection silent — or dribbling a partial line
-    (slowloris) — for [idle_timeout] seconds is closed cleanly after
-    its pending responses drain.  Lines over [max_line] bytes are
-    discarded to their newline and answered [bad_request] in arrival
-    order without killing the connection. *)
+    (slowloris) — for [idle_timeout] seconds is closed cleanly.  Lines
+    over [max_line] bytes are discarded to their newline and answered
+    [bad_request] in arrival order without killing the connection. *)
 
 type addr = Tcp of string * int | Unix_path of string
 
@@ -33,7 +36,6 @@ type config = {
   workers : int;  (** worker domains executing requests *)
   max_conns : int;  (** connections accepted concurrently *)
   queue_depth : int;  (** global admission bound (requests in flight) *)
-  conn_queue : int;  (** per-connection job / output queue bound *)
   idle_timeout : float;  (** seconds; also the slowloris deadline *)
   max_line : int;  (** request line length bound, bytes *)
 }
@@ -72,7 +74,8 @@ val exclusively : t -> (unit -> 'a) -> 'a
 
 (** [run t] spawns the worker domains and runs the accept loop on the
     calling domain until {!stop}; then it closes the listener, wakes
-    every open connection, drains the pipelines and joins the
+    every open connection (a thread blocked reading or writing its
+    socket included), waits until each has closed and joins the
     workers. *)
 val run : t -> unit
 
