@@ -51,6 +51,9 @@ type t = {
       (* time to parse + type one binary (1b) frame, recorded for every
          frame whether or not it decodes — the framing-overhead series
          the JSON path's parse cost is compared against *)
+  mutation_stage_ns : (string * Telemetry.Histogram.t) list;
+      (* per-stage time of each applied mutation: the session's stages
+         plus [wal] (the WAL append, including any compaction snapshot) *)
   net : net_stats;
   inflight : (string * int Atomic.t) list;  (* per-verb, fixed at create *)
   obs_mutex : Mutex.t;
@@ -77,6 +80,15 @@ let create ?(role = Leader) ?(config = Session.default_config)
     Telemetry.Registry.histogram registry
       ~help:"Binary (cxxlookup-rpc/1b) frame decode time, nanoseconds."
       "cxxlookup_server_frame_decode_ns"
+  in
+  let mutation_stage_ns =
+    List.map
+      (fun stage ->
+        ( stage,
+          Telemetry.Registry.histogram registry ~labels:[ ("stage", stage) ]
+            ~help:"Time spent in one stage of a session mutation, nanoseconds."
+            "cxxlookup_server_mutation_stage_ns" ))
+      (Session.mutation_stages @ [ "wal" ])
   in
   let net =
     { net_active = Atomic.make 0;
@@ -112,6 +124,7 @@ let create ?(role = Leader) ?(config = Session.default_config)
       slow_requests;
       flight = Telemetry.Ring.create Request_log.default_flight_capacity;
       frame_decode_ns;
+      mutation_stage_ns;
       net;
       inflight = List.map (fun v -> (v, Atomic.make 0)) verbs;
       obs_mutex = Mutex.create () }
@@ -339,8 +352,18 @@ let apply ?(replay = false) t s (m : Store.Mutation.t) =
       | _ -> P.Bad_hierarchy
     in
     Error (code, G.error_to_string e)
+  | resp when replay -> Ok resp
   | resp ->
-    let* () = if replay then Ok () else log_mutation t s m in
+    let t0 = Telemetry.Clock.now_ns () in
+    let logged = log_mutation t s m in
+    let stage_ns =
+      ("wal", Telemetry.Clock.elapsed_ns ~since:t0) :: Session.last_mutation_ns s
+    in
+    List.iter
+      (fun (stage, ns) ->
+        Telemetry.Histogram.record (List.assoc stage t.mutation_stage_ns) ns)
+      stage_ns;
+    let* () = logged in
     Ok resp
 
 let register_session t s =

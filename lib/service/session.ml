@@ -68,6 +68,10 @@ type t = {
   ambiguous : Telemetry.Counter.t;
   not_found : Telemetry.Counter.t;
   mutations : Telemetry.Counter.t;
+  stage_ns : int array;
+      (* per-stage wall time of the most recent mutation, indexed like
+         [mutation_stages]; written only under the mutation path's
+         exclusivity *)
   lock : Mutex.t;
       (* guards the memo path and cache promotion under the networked
          server, where read verbs run on several worker domains at
@@ -79,9 +83,22 @@ type t = {
 
 let fresh_memo t cl = Memo.create ?max_entries:t.config.memo_max_entries cl
 
+let mutation_stages = [ "freeze"; "closure"; "rows"; "columns"; "mro" ]
+let st_freeze = 0 and st_closure = 1 and st_rows = 2 and st_columns = 3
+and st_mro = 4
+
+let timed t stage f =
+  let t0 = Telemetry.Clock.now_ns () in
+  let r = f () in
+  t.stage_ns.(stage) <- Telemetry.Clock.elapsed_ns ~since:t0;
+  r
+
+let last_mutation_ns t = List.combine mutation_stages (Array.to_list t.stage_ns)
+
 let refresh t =
-  t.graph <- Incremental.snapshot (Lazy.force t.inc);
-  t.closure <- Chg.Closure.compute t.graph;
+  timed t st_freeze (fun () ->
+      t.graph <- Incremental.snapshot (Lazy.force t.inc));
+  timed t st_closure (fun () -> t.closure <- Chg.Closure.compute t.graph);
   t.memo <- fresh_memo t t.closure
 
 let replay_into_incremental g =
@@ -143,6 +160,7 @@ let make ?(config = default_config) ~name ~epoch g =
       ambiguous = Telemetry.Counter.make "ambiguous";
       not_found = Telemetry.Counter.make "not_found";
       mutations = Telemetry.Counter.make "mutations";
+      stage_ns = Array.make (List.length mutation_stages) 0;
       lock = Mutex.create () }
   in
   intern_graph t g;
@@ -322,9 +340,14 @@ let mro_lookup t v cls member =
    old memo's entries would be reindexed anyway; the compiled tables
    carry the warmth across mutations). *)
 
+let drop_mro t = timed t st_mro (fun () -> t.mro <- [])
+
 let add_class t ~cls ~bases ~members =
-  let inc = Lazy.force t.inc in
-  let id = Incremental.add_class inc cls ~bases ~members in
+  let inc, id =
+    timed t st_rows (fun () ->
+        let inc = Lazy.force t.inc in
+        (inc, Incremental.add_class inc cls ~bases ~members))
+  in
   List.iter (fun (m : G.member) -> ignore (intern t m.G.m_name)) members;
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
@@ -332,18 +355,27 @@ let add_class t ~cls ~bases ~members =
   (* Every resident column gains exactly one entry: the new class's
      verdict, already computed by the incremental row — extension, not
      invalidation. *)
-  Table_cache.update_columns t.cache (fun m col ->
-      Some (Packed.column_append col (Incremental.lookup inc id m)));
+  timed t st_columns (fun () ->
+      Table_cache.update_columns t.cache (fun m col ->
+          Some (Packed.column_append col (Incremental.lookup inc id m))));
+  drop_mro t;
   id
 
 let add_member t ~cls member =
-  let rows = Incremental.add_member (Lazy.force t.inc) cls member in
+  let rows =
+    timed t st_rows (fun () ->
+        Incremental.add_member (Lazy.force t.inc) cls member)
+  in
   ignore (intern t member.G.m_name);
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
   refresh t;
   (* Only the mutated member's column can have changed; drop exactly it. *)
-  let invalidated = Table_cache.invalidate t.cache member.G.m_name in
+  let invalidated =
+    timed t st_columns (fun () ->
+        Table_cache.invalidate t.cache member.G.m_name)
+  in
+  drop_mro t;
   (rows, invalidated)
 
 let counters t =

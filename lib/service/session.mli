@@ -145,6 +145,17 @@ val add_class :
     @raise Chg.Graph.Error like {!Lookup_core.Incremental.add_member}. *)
 val add_member : t -> cls:string -> Chg.Graph.member -> int * bool
 
+(** The stages of one mutation, in execution order: ["freeze"] (the
+    new frozen graph and memo), ["closure"], ["rows"] (the incremental
+    engine's row or column sweep), ["columns"] (compiled-table repair)
+    and ["mro"] (linearization tables). *)
+val mutation_stages : string list
+
+(** [last_mutation_ns t] — wall-clock nanoseconds each of
+    {!mutation_stages} took in the most recent mutation, in that
+    order (all zero before the first). *)
+val last_mutation_ns : t -> (string * int) list
+
 (** [counters t] — [lookups], [resolved], [ambiguous], [not_found],
     [mutations]. *)
 val counters : t -> (string * int) list
