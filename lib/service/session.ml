@@ -179,6 +179,7 @@ let restore ?config ~name ~epoch ~columns g =
 
 let name t = t.name
 let graph t = t.graph
+let closure t = t.closure
 let epoch t = t.epoch
 let cache t = t.cache
 let compiled_columns t = Table_cache.columns t.cache

@@ -67,6 +67,10 @@ val name : t -> string
 (** [graph t] is the current frozen snapshot (refreshed per mutation). *)
 val graph : t -> Chg.Graph.t
 
+(** [closure t] is the closure the session serves from; its graph is
+    {!graph}[ t].  Read-only: for checks and diagnostics. *)
+val closure : t -> Chg.Closure.t
+
 (** [epoch t] counts mutations applied so far. *)
 val epoch : t -> int
 

@@ -677,6 +677,154 @@ let prop_serve_sessions_promote =
       in
       run () = run ())
 
+(* ---- QCheck: a mutation trace against the spec oracle ----
+
+   A random hierarchy (virtual edges, names redeclared across classes,
+   some static) takes a random interleaving of add_class and
+   add_member.  With promote_threshold = 1 every member queried once is
+   compiled, so each add_class extends resident columns and each
+   add_member invalidates one.  After every mutation each (class,
+   member) pair is answered three ways and checked against the oracle on
+   the session's own graph: by name, by interned id, and under C3 against
+   a from-scratch Mro table.  The session's closure must also agree bit
+   for bit with one computed from scratch. *)
+
+let trace_members = [ "m"; "n"; "p"; "q" ]
+
+type trace_op =
+  | T_class of { t_bases : (int * bool) list; t_members : (int * bool) list }
+      (** base indices (mod the class count, virtual?) and member
+          indices (into [trace_members], static?) *)
+  | T_member of { t_cls : int; t_member : int; t_static : bool }
+
+let pp_trace_op = function
+  | T_class { t_bases; t_members } ->
+    Printf.sprintf "add_class bases=[%s] members=[%s]"
+      (String.concat ";"
+         (List.map (fun (b, v) -> Printf.sprintf "%d%s" b (if v then "v" else "")) t_bases))
+      (String.concat ";"
+         (List.map (fun (m, st) -> Printf.sprintf "%d%s" m (if st then "s" else "")) t_members))
+  | T_member { t_cls; t_member; t_static } ->
+    Printf.sprintf "add_member %d %d%s" t_cls t_member (if t_static then "s" else "")
+
+let trace_gen =
+  QCheck.Gen.(
+    let op =
+      frequency
+        [ ( 2,
+            map2
+              (fun bases members -> T_class { t_bases = bases; t_members = members })
+              (list_size (int_range 0 3) (pair (int_bound 1000) bool))
+              (list_size (int_range 0 2)
+                 (pair (int_bound (List.length trace_members - 1)) bool)) );
+          ( 3,
+            map3
+              (fun c m st -> T_member { t_cls = c; t_member = m; t_static = st })
+              (int_bound 1000)
+              (int_bound (List.length trace_members - 1))
+              bool ) ]
+    in
+    pair
+      (map
+         (fun (n, vp, seed) ->
+           Hiergen.Families.random_static_dag ~n ~max_bases:3
+             ~virtual_prob:(float_of_int vp /. 10.)
+             ~declare_prob:0.3 ~static_prob:0.25
+             ~members:[ "m"; "n"; "p" ] ~seed)
+         (triple (int_range 1 10) (int_range 0 10) (int_range 0 10000)))
+      (list_size (int_range 1 10) op))
+
+let trace_arb =
+  QCheck.make trace_gen ~print:(fun (i, ops) ->
+      Format.asprintf "%a" G.pp i.Hiergen.Families.graph
+      ^ String.concat "\n" (List.map pp_trace_op ops))
+
+let expect_code g c m =
+  match Spec.lookup_static g c m with
+  | Spec.Resolved p -> Path.ldc p
+  | Spec.Ambiguous _ -> -2
+  | Spec.Undeclared -> -1
+
+(* Applies one op; ops that would be rejected (a duplicate member) are
+   skipped, so every trace stays well-formed. *)
+let apply_trace_op s k op =
+  let g = Session.graph s in
+  let n = G.num_classes g in
+  let decl (m, static) = G.member ~static (List.nth trace_members m) in
+  match op with
+  | T_class { t_bases; t_members } ->
+    let bases =
+      List.sort_uniq compare (List.map (fun (b, v) -> (b mod n, v)) t_bases)
+      |> List.fold_left
+           (fun acc (b, v) -> if List.mem_assoc b acc then acc else (b, v) :: acc)
+           []
+      |> List.rev_map (fun (b, v) ->
+             (G.name g b, (if v then G.Virtual else G.Non_virtual), G.Public))
+    in
+    let members =
+      List.sort_uniq (fun (a, _) (b, _) -> compare a b) t_members
+      |> List.map decl
+    in
+    ignore
+      (Session.add_class s ~cls:(Printf.sprintf "T%d" k) ~bases ~members)
+  | T_member { t_cls; t_member; t_static } ->
+    let c = t_cls mod n in
+    let m = decl (t_member, t_static) in
+    if not (G.declares g c m.G.m_name) then
+      ignore (Session.add_member s ~cls:(G.name g c) m)
+
+let session_matches_oracle s =
+  let g = Session.graph s in
+  let n = G.num_classes g in
+  let c3 = Mro.compute Mro.C3 g in
+  let cl = Chg.Closure.compute g and scl = Session.closure s in
+  let closure_ok =
+    List.for_all
+      (fun y ->
+        List.for_all
+          (fun x ->
+            Chg.Closure.is_base scl x y = Chg.Closure.is_base cl x y
+            && Chg.Closure.is_virtual_base scl x y
+               = Chg.Closure.is_virtual_base cl x y)
+          (G.classes g))
+      (G.classes g)
+  in
+  closure_ok
+  && Chg.Closure.graph scl == g
+  && List.for_all
+       (fun m ->
+         let id = Option.get (Session.member_symbol s m) in
+         List.for_all
+           (fun c ->
+             let want = expect_code g c m in
+             let by_id () =
+               match Session.lookup_code s ~cls:c ~member:id with
+               | Ok (code, _) -> code = want
+               | Error _ -> false
+             in
+             by_id ()
+             && (match Session.lookup s (G.name g c) m with
+                | Ok (v, _) -> Session.code_of_verdict v = want
+                | Error _ -> false)
+             && by_id ()
+             && Session.mro_lookup s Mro.C3 (G.name g c) m
+                = Ok (Mro.lookup c3 c m))
+           (List.init n Fun.id))
+       (G.member_names g)
+
+let prop_mutation_trace_matches_spec =
+  QCheck.Test.make ~count:200
+    ~name:"mutation trace: lookup, lookup_code, C3 and closure = oracle"
+    trace_arb (fun ({ Hiergen.Families.graph = g; _ }, ops) ->
+      let config = { Session.default_config with promote_threshold = 1 } in
+      let s = Session.create ~config ~name:"trace" g in
+      session_matches_oracle s
+      && List.for_all
+           (fun (k, op) ->
+             apply_trace_op s k op;
+             session_matches_oracle s)
+           (List.mapi (fun k op -> (k, op)) ops))
+
 let suite =
   [ Alcotest.test_case "memo cap keeps verdicts intact" `Quick
       test_memo_cap_and_correctness;
@@ -717,4 +865,5 @@ let suite =
     Alcotest.test_case "request log and flight recorder" `Quick
       test_server_request_log_and_flight ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_batch_matches_spec; prop_serve_sessions_promote ]
+      [ prop_batch_matches_spec; prop_serve_sessions_promote;
+        prop_mutation_trace_matches_spec ]
