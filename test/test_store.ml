@@ -740,6 +740,131 @@ let prop_crash_recovery =
           Store.close st;
           result))
 
+(* ---- replay through the service's recovery path ---------------------
+
+   Server-level recovery (startup [recover_sessions] and the [restore]
+   verb) replays the WAL tail into a restored session.  A record that
+   cannot apply fails the recovery with that record's own message; a
+   clean tail recovers a session that keeps mutating like a live one. *)
+
+let lookup_matches_spec srv ~session og c m =
+  let line =
+    Printf.sprintf
+      "{\"op\":\"lookup\",\"session\":%S,\"class\":%S,\"member\":%S}"
+      session (G.name og c) m
+  in
+  let r = Service.Server.handle_line srv line in
+  let field k = match Chg.Json.member k r with Ok v -> v | Error _ -> Chg.Json.Null in
+  match (Spec.lookup_static og c m, field "verdict") with
+  | Spec.Resolved p, Chg.Json.String "red" ->
+    field "resolves_to" = Chg.Json.String (G.name og (Path.ldc p))
+  | Spec.Ambiguous _, Chg.Json.String "blue" -> true
+  | Spec.Undeclared, Chg.Json.String "none" -> true
+  | _ -> false
+
+let test_replay_failure_message () =
+  with_temp_dir (fun dir ->
+      let g = graph () in
+      let st = Store.open_dir dir in
+      let log session records =
+        ignore
+          (Store.write_snapshot st
+             { (snap ~epoch:0 g) with Store.Snapshot.s_session = session });
+        List.iteri
+          (fun i m -> Store.log_mutation st ~session ~epoch:(i + 1) m)
+          records
+      in
+      let unknown_member =
+        Store.Mutation.Add_member { am_class = "Nope"; am_member = G.member "x" }
+      and unknown_base =
+        Store.Mutation.Add_class
+          { ac_name = "Z9"; ac_bases = [ ("Nope", G.Virtual, G.Public) ];
+            ac_members = [] }
+      in
+      (* the bad record is the third of four: two good records apply
+         before it, one after it never does *)
+      let with_bad bad = [ List.nth mutations 0; List.nth mutations 1; bad;
+                           List.nth mutations 2 ] in
+      log "a" (with_bad unknown_member);
+      log "b" (with_bad unknown_base);
+      Store.close st;
+      let srv = Service.Server.create ~store:(Store.open_dir dir) () in
+      let failed =
+        List.map
+          (function
+            | Service.Server.Recovery_failed { r_session; r_error } ->
+              (r_session, r_error)
+            | Service.Server.Recovered { r_session; _ } -> (r_session, "recovered"))
+          (Service.Server.recover_sessions srv)
+      in
+      Alcotest.(check (list (pair string string)))
+        "each recovery fails with its bad record's message"
+        [ ("a", "class Nope is not declared");
+          ("b", "class Z9 inherits from undeclared class Nope") ]
+        failed;
+      Alcotest.(check (list (pair string int))) "no session opened" []
+        (Service.Server.open_sessions srv);
+      (* the restore verb reports the same message under store_error *)
+      let r =
+        Service.Server.handle_line srv "{\"id\":1,\"op\":\"restore\",\"session\":\"a\"}"
+      in
+      let field k = match Chg.Json.member k r with Ok v -> v | Error _ -> Chg.Json.Null in
+      Alcotest.(check bool) "restore fails" true (field "ok" = Chg.Json.Bool false);
+      Alcotest.(check string) "restore error"
+        {|{"code":"store_error","message":"replay failed: class Nope is not declared"}|}
+        (Chg.Json.to_string (field "error")))
+
+let replay_then_mutate_gen =
+  QCheck.Gen.(tup2 instance_gen (int_range 0 1000))
+
+let prop_replay_then_mutate =
+  QCheck.Test.make ~count:40
+    ~name:"recovered WAL tail, then more mutations = spec oracle"
+    (QCheck.make replay_then_mutate_gen ~print:(fun (i, cut) ->
+         Printf.sprintf "replay %d/1000 of the mutations of\n%s" cut
+           (Format.asprintf "%a" G.pp i.Hiergen.Families.graph)))
+    (fun (inst, cut) ->
+      let base, muts = split_instance inst in
+      let k = List.length muts * cut / 1000 in
+      let logged = List.filteri (fun i _ -> i < k) muts
+      and later = List.filteri (fun i _ -> i >= k) muts in
+      with_temp_dir (fun dir ->
+          let session = "q" in
+          let st = Store.open_dir dir in
+          ignore
+            (Store.write_snapshot st
+               { Store.Snapshot.s_session = session;
+                 s_epoch = 0;
+                 s_protocol = Service.Protocol.version;
+                 s_graph = base;
+                 s_columns = compiled_columns base });
+          List.iteri
+            (fun i m -> Store.log_mutation st ~session ~epoch:(i + 1) m)
+            logged;
+          Store.close st;
+          let st = Store.open_dir dir in
+          let srv = Service.Server.create ~store:st () in
+          let ok =
+            (match Service.Server.recover_sessions srv with
+            | [ Service.Server.Recovered { r_replayed; r_epoch; _ } ] ->
+              r_replayed = k && r_epoch = k
+            | _ -> false)
+            && List.for_all
+                 (fun (i, m) ->
+                   Service.Server.apply_replicated srv ~session ~epoch:(k + i + 1) m
+                   = Ok ())
+                 (List.mapi (fun i m -> (i, m)) later)
+            &&
+            let og = oracle_graph base muts in
+            List.for_all
+              (fun c ->
+                List.for_all (lookup_matches_spec srv ~session og c)
+                  (G.member_names og))
+              (G.classes og)
+          in
+          Store.close st;
+          ok))
+
 let suite =
   [ Alcotest.test_case "crc32 vectors" `Quick test_crc32;
     Alcotest.test_case "writer/reader round-trip" `Quick
@@ -772,6 +897,8 @@ let suite =
     Alcotest.test_case "store recover cycle" `Quick test_store_recover_cycle;
     Alcotest.test_case "store stale-snapshot fallback" `Quick
       test_store_stale_snapshot_fallback;
+    Alcotest.test_case "replay failure names the bad record" `Quick
+      test_replay_failure_message;
     Alcotest.test_case "store torn final record" `Quick
       test_store_torn_final_record ]
-  @ List.map QCheck_alcotest.to_alcotest [ prop_crash_recovery ]
+  @ List.map QCheck_alcotest.to_alcotest [ prop_crash_recovery; prop_replay_then_mutate ]
