@@ -157,9 +157,51 @@ let test_parallel_metrics_merge () =
         reference (counters jobs))
     [ 2; 4 ]
 
+(* column_append re-bases codes in integers (the add_class path); it
+   must produce exactly the column a fresh pack of the extended boxed
+   column would — same entries, same arena words — through a chain of
+   appends, with Ω in immediates, groups and blue slices. *)
+let column_append_gen =
+  QCheck.Gen.(
+    let lv n = oneof [ return A.Omega; map (fun c -> A.Lv c) (int_bound (n - 1)) ] in
+    let verdict n =
+      frequency
+        [ (2, return None);
+          ( 3,
+            map2
+              (fun ldc l -> Some (Engine.Red { A.r_ldc = ldc; r_lvs = [ l ] }))
+              (int_bound (n - 1)) (lv n) );
+          ( 1,
+            map2
+              (fun ldc ls -> Some (Engine.Red { A.r_ldc = ldc; r_lvs = ls }))
+              (int_bound (n - 1))
+              (list_size (int_range 2 3) (lv n)) );
+          (1, map (fun ls -> Some (Engine.Blue ls)) (list_size (int_range 0 3) (lv n))) ]
+    in
+    int_range 1 12 >>= fun n ->
+    int_range 1 4 >>= fun k ->
+    pair (array_size (return n) (verdict n))
+      (flatten_l (List.init k (fun i -> verdict (n + i + 1)))))
+
+let prop_column_append =
+  QCheck.Test.make ~count:500 ~name:"column_append = repack of the extended column"
+    (QCheck.make column_append_gen) (fun (boxed, appended) ->
+      let _, ok =
+        List.fold_left
+          (fun (boxed, ok) v ->
+            let boxed' = Array.append boxed [| v |] in
+            let col = Packed.column_append (Packed.pack_column boxed) v in
+            ( boxed',
+              ok
+              && Packed.column_equal col (Packed.pack_column boxed')
+              && Packed.unpack_column col = boxed' ))
+          (boxed, true) appended
+      in
+      ok)
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_packed_matches_eager_and_spec; prop_roundtrip ]
+    [ prop_packed_matches_eager_and_spec; prop_roundtrip; prop_column_append ]
   @ [ Alcotest.test_case "Ω coding edge cases" `Quick test_omega_edge_cases;
       Alcotest.test_case "parallel determinism" `Quick
         test_parallel_determinism;

@@ -263,6 +263,51 @@ let test_session_add_member_invalidates () =
   Alcotest.(check bool) "nothing resident to invalidate" false invalidated2;
   check_all_lookups s
 
+(* A mutation never changes what the session handed out before it: the
+   old graph, closure and compiled columns stay as they were, though the
+   new ones share storage with them. *)
+let test_published_values_persist () =
+  let g = graph () in
+  let s = Session.create ~config:session_config ~name:"t" g in
+  ignore (Session.lookup s "H" "foo");
+  ignore (Session.lookup s "G" "foo");
+  let g0 = Session.graph s and cl0 = Session.closure s in
+  let doc0 = Chg.Serialize.to_string g0 in
+  let bits cl =
+    List.concat_map
+      (fun y ->
+        List.map
+          (fun x -> (Chg.Closure.is_base cl x y, Chg.Closure.is_virtual_base cl x y))
+          (G.classes g0))
+      (G.classes g0)
+  in
+  let bits0 = bits cl0 in
+  let cols0 =
+    List.map (fun (m, col) -> (m, Packed.unpack_column col)) (Session.compiled_columns s)
+  in
+  let published0 = Session.compiled_columns s in
+  ignore (Session.add_member s ~cls:"B" (G.member "zip"));
+  let g1 = Session.graph s in
+  ignore
+    (Session.add_class s ~cls:"Z"
+       ~bases:[ ("H", G.Virtual, G.Public) ]
+       ~members:[ G.member "foo" ]);
+  ignore (Session.add_member s ~cls:"A" (G.member "zap"));
+  Alcotest.(check string) "first graph unchanged" doc0 (Chg.Serialize.to_string g0);
+  Alcotest.(check (option int)) "first graph has no Z" None (G.find_opt g0 "Z");
+  Alcotest.(check bool) "first closure unchanged" true (bits cl0 = bits0);
+  Alcotest.(check bool) "first closure keeps its graph" true
+    (Chg.Closure.graph cl0 == g0);
+  Alcotest.(check int) "second graph keeps its classes" (G.num_classes g0)
+    (G.num_classes g1);
+  Alcotest.(check bool) "second graph has B::zip, not A::zap" true
+    (G.declares g1 (G.find g1 "B") "zip" && not (G.declares g1 (G.find g1 "A") "zap"));
+  Alcotest.(check bool) "compiled columns handed out unchanged" true
+    (List.for_all2
+       (fun (m, boxed) (m', col) -> m = m' && Packed.unpack_column col = boxed)
+       cols0 published0);
+  check_all_lookups s
+
 (* ---- Protocol codec ---- *)
 
 let parse line =
@@ -685,9 +730,11 @@ let prop_serve_sessions_promote =
    compiled, so each add_class extends resident columns and each
    add_member invalidates one.  After every mutation each (class,
    member) pair is answered three ways and checked against the oracle on
-   the session's own graph: by name, by interned id, and under C3 against
-   a from-scratch Mro table.  The session's closure must also agree bit
-   for bit with one computed from scratch. *)
+   the session's own graph: by name (also against the full verdict of a
+   from-scratch eager engine, which pins the leastVirtual sets the
+   oracle's resolve code does not show), by interned id, and under C3
+   against a from-scratch Mro table.  The session's closure must also
+   agree bit for bit with one computed from scratch. *)
 
 let trace_members = [ "m"; "n"; "p"; "q" ]
 
@@ -778,6 +825,7 @@ let session_matches_oracle s =
   let n = G.num_classes g in
   let c3 = Mro.compute Mro.C3 g in
   let cl = Chg.Closure.compute g and scl = Session.closure s in
+  let eager = Engine.build cl in
   let closure_ok =
     List.for_all
       (fun y ->
@@ -804,7 +852,8 @@ let session_matches_oracle s =
              in
              by_id ()
              && (match Session.lookup s (G.name g c) m with
-                | Ok (v, _) -> Session.code_of_verdict v = want
+                | Ok (v, _) ->
+                  Session.code_of_verdict v = want && v = Engine.lookup eager c m
                 | Error _ -> false)
              && by_id ()
              && Session.mro_lookup s Mro.C3 (G.name g c) m
@@ -846,6 +895,8 @@ let suite =
       test_session_add_class_extends_columns;
     Alcotest.test_case "add_member invalidates its column" `Quick
       test_session_add_member_invalidates;
+    Alcotest.test_case "published values survive later mutations" `Quick
+      test_published_values_persist;
     Alcotest.test_case "protocol parses every verb" `Quick
       test_protocol_parse_ok;
     Alcotest.test_case "protocol error codes" `Quick

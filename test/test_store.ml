@@ -745,7 +745,8 @@ let prop_crash_recovery =
    Server-level recovery (startup [recover_sessions] and the [restore]
    verb) replays the WAL tail into a restored session.  A record that
    cannot apply fails the recovery with that record's own message; a
-   clean tail recovers a session that keeps mutating like a live one. *)
+   clean tail recovers a session that answers like the oracle on the
+   replayed prefix, then keeps mutating like a live one. *)
 
 let lookup_matches_spec srv ~session og c m =
   let line =
@@ -844,23 +845,25 @@ let prop_replay_then_mutate =
           Store.close st;
           let st = Store.open_dir dir in
           let srv = Service.Server.create ~store:st () in
-          let ok =
-            (match Service.Server.recover_sessions srv with
-            | [ Service.Server.Recovered { r_replayed; r_epoch; _ } ] ->
-              r_replayed = k && r_epoch = k
-            | _ -> false)
-            && List.for_all
-                 (fun (i, m) ->
-                   Service.Server.apply_replicated srv ~session ~epoch:(k + i + 1) m
-                   = Ok ())
-                 (List.mapi (fun i m -> (i, m)) later)
-            &&
-            let og = oracle_graph base muts in
+          let matches og =
             List.for_all
               (fun c ->
                 List.for_all (lookup_matches_spec srv ~session og c)
                   (G.member_names og))
               (G.classes og)
+          in
+          let ok =
+            (match Service.Server.recover_sessions srv with
+            | [ Service.Server.Recovered { r_replayed; r_epoch; _ } ] ->
+              r_replayed = k && r_epoch = k
+            | _ -> false)
+            && matches (oracle_graph base logged)
+            && List.for_all
+                 (fun (i, m) ->
+                   Service.Server.apply_replicated srv ~session ~epoch:(k + i + 1) m
+                   = Ok ())
+                 (List.mapi (fun i m -> (i, m)) later)
+            && matches (oracle_graph base muts)
           in
           Store.close st;
           ok))
