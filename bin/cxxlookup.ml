@@ -369,15 +369,7 @@ let run_instrumented g cl ~member =
         List.iter (fun m -> ignore (Memo.lookup memo c m)) names)
   done;
   let im = Metrics.create () in
-  let inc = Incremental.create ~metrics:im () in
-  G.iter_classes g (fun c ->
-      ignore
-        (Incremental.add_class inc (G.name g c)
-           ~bases:
-             (List.map
-                (fun (b : G.base) -> (G.name g b.b_class, b.b_kind, b.b_access))
-                (G.bases g c))
-           ~members:(G.members g c)));
+  ignore (Incremental.of_closure ~metrics:im cl);
   (engine, em, memo, mm, im)
 
 let verdict_json g = function

@@ -27,6 +27,10 @@ let mem s i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   s.words.(w) land (1 lsl b) <> 0
 
+let mem_or_false s i =
+  i >= 0 && i < s.len
+  && s.words.(i / bits_per_word) land (1 lsl (i mod bits_per_word)) <> 0
+
 let union_into ~into src =
   if into.len <> src.len then invalid_arg "Bitset.union_into: universe mismatch";
   let changed = ref false in
@@ -38,6 +42,13 @@ let union_into ~into src =
     end
   done;
   !changed
+
+let union_prefix_into ~into src =
+  if src.len > into.len then
+    invalid_arg "Bitset.union_prefix_into: universe is not a prefix";
+  for w = 0 to Array.length src.words - 1 do
+    into.words.(w) <- into.words.(w) lor src.words.(w)
+  done
 
 let inter a b =
   if a.len <> b.len then invalid_arg "Bitset.inter: universe mismatch";

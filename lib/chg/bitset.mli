@@ -25,10 +25,21 @@ val remove : t -> int -> unit
 (** [mem s i] is [true] iff [i] is in [s]. *)
 val mem : t -> int -> bool
 
+(** [mem_or_false s i] is [mem s i] for [i] in the universe and [false]
+    for any [i] outside it — a probe into a set over a prefix of a
+    larger universe. *)
+val mem_or_false : t -> int -> bool
+
 (** [union_into ~into src] adds every element of [src] to [into];
     returns [true] iff [into] changed.
     @raise Invalid_argument on universe mismatch. *)
 val union_into : into:t -> t -> bool
+
+(** [union_prefix_into ~into src] adds every element of [src] to [into],
+    where [src]'s universe is a prefix of [into]'s — one word-level pass
+    over [src].
+    @raise Invalid_argument if [length src > length into]. *)
+val union_prefix_into : into:t -> t -> unit
 
 (** [inter a b] is a fresh set holding the intersection. *)
 val inter : t -> t -> t

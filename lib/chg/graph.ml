@@ -18,12 +18,41 @@ let member_is_static_like m =
 type base = { b_class : int; b_kind : edge_kind; b_access : access }
 type class_id = int
 
+(* Per-class member arrays, in chunks of [chunk] classes: replacing one
+   class's array ({!with_member}) copies the short outer array and one
+   chunk, not one pointer per class.  Monomorphic, so an access compiles
+   to plain loads. *)
+let chunk_bits = 5
+let chunk = 1 lsl chunk_bits
+
+type chunked = member array array array
+
+let chunked_get (a : chunked) i = a.(i lsr chunk_bits).(i land (chunk - 1))
+
+let chunked_of_array arr : chunked =
+  let n = Array.length arr in
+  Array.init ((n + chunk - 1) / chunk) (fun k ->
+      Array.sub arr (k * chunk) (min chunk (n - (k * chunk))))
+
+(* [chunked_set a i v], or an append when [i] is the length *)
+let chunked_set (a : chunked) i v : chunked =
+  let k = i lsr chunk_bits and j = i land (chunk - 1) in
+  if k = Array.length a then Array.append a [| [| v |] |]
+  else begin
+    let old = a.(k) in
+    let ch = if j = Array.length old then Array.append old [| v |] else Array.copy old in
+    ch.(j) <- v;
+    let a = Array.copy a in
+    a.(k) <- ch;
+    a
+  end
+
 type t = {
   names : string array;
   ids : (string, int) Hashtbl.t;
   base_edges : base array array;
   derived_edges : (int * edge_kind) list array;  (* reversed adjacency *)
-  member_arrays : member array array;
+  member_arrays : chunked;
   num_edges : int;
 }
 
@@ -75,12 +104,15 @@ let check_members cls members =
       Hashtbl.add seen m.m_name ())
     members
 
-let add_class b name ~bases ~members =
-  if Hashtbl.mem b.b_ids name then raise (Error (Duplicate_class name));
+(* The checks every class declaration passes, against the ids declared
+   so far: a fresh name, distinct members, declared and distinct bases.
+   Returns the resolved bases. *)
+let resolve_class ids name ~bases ~members =
+  if Hashtbl.mem ids name then raise (Error (Duplicate_class name));
   check_members name members;
   let seen_bases = Hashtbl.create 4 in
   let resolve (base_name, kind, acc) =
-    match Hashtbl.find_opt b.b_ids base_name with
+    match Hashtbl.find_opt ids base_name with
     | None -> raise (Error (Unknown_base { cls = name; base = base_name }))
     | Some id ->
       if Hashtbl.mem seen_bases base_name then
@@ -88,7 +120,10 @@ let add_class b name ~bases ~members =
       Hashtbl.add seen_bases base_name ();
       { b_class = id; b_kind = kind; b_access = acc }
   in
-  let resolved = List.map resolve bases in
+  List.map resolve bases
+
+let add_class b name ~bases ~members =
+  let resolved = resolve_class b.b_ids name ~bases ~members in
   let id = b.count in
   Hashtbl.add b.b_ids name id;
   b.count <- b.count + 1;
@@ -115,7 +150,9 @@ let freeze b =
   let names = Array.map (fun r -> r.r_name) recs in
   let ids = Hashtbl.copy b.b_ids in
   let base_edges = Array.map (fun r -> Array.of_list r.r_bases) recs in
-  let member_arrays = Array.map (fun r -> Array.of_list r.r_members) recs in
+  let member_arrays =
+    chunked_of_array (Array.map (fun r -> Array.of_list r.r_members) recs)
+  in
   let derived_edges = Array.make n [] in
   let num_edges = ref 0 in
   (* Walk derived classes in reverse so each adjacency list ends up in
@@ -128,6 +165,41 @@ let freeze b =
       base_edges.(c)
   done;
   { names; ids; base_edges; derived_edges; member_arrays; num_edges = !num_edges }
+
+let empty = freeze (create_builder ())
+
+(* Persistent extension: the new graph shares every inner array with [g]
+   except those it replaces — [g] itself never changes.  A new class
+   copies the outer per-class arrays (one pointer per class) and the id
+   table; a new member copies one chunk of member arrays. *)
+let extend g name ~bases ~members =
+  let resolved = resolve_class g.ids name ~bases ~members in
+  let id = Array.length g.names in
+  let ids = Hashtbl.copy g.ids in
+  Hashtbl.add ids name id;
+  let derived_edges = Array.append g.derived_edges [| [] |] in
+  List.iter
+    (fun e ->
+      derived_edges.(e.b_class) <-
+        derived_edges.(e.b_class) @ [ (id, e.b_kind) ])
+    resolved;
+  ( { names = Array.append g.names [| name |];
+      ids;
+      base_edges = Array.append g.base_edges [| Array.of_list resolved |];
+      derived_edges;
+      member_arrays = chunked_set g.member_arrays id (Array.of_list members);
+      num_edges = g.num_edges + List.length resolved },
+    id )
+
+let with_member g cls m =
+  match Hashtbl.find_opt g.ids cls with
+  | None -> raise (Error (Unknown_class cls))
+  | Some c ->
+    let own = chunked_get g.member_arrays c in
+    if Array.exists (fun m' -> String.equal m'.m_name m.m_name) own then
+      raise (Error (Duplicate_member { cls; member = m.m_name }));
+    { g with
+      member_arrays = chunked_set g.member_arrays c (Array.append own [| m |]) }
 
 type decl = {
   d_name : string;
@@ -198,12 +270,25 @@ let find g n = Hashtbl.find g.ids n
 let find_opt g n = Hashtbl.find_opt g.ids n
 let bases g c = Array.to_list g.base_edges.(c)
 let derived g c = g.derived_edges.(c)
-let members g c = Array.to_list g.member_arrays.(c)
+let members g c = Array.to_list (chunked_get g.member_arrays c)
+
+(* index of [m] among [c]'s own members, or -1: a plain loop, since
+   lookups probe this once per combine *)
+let member_index g c m =
+  let ms = chunked_get g.member_arrays c in
+  let rec go i =
+    if i = Array.length ms then -1
+    else if String.equal ms.(i).m_name m then i
+    else go (i + 1)
+  in
+  go 0
 
 let find_member g c m =
-  Array.find_opt (fun mem -> String.equal mem.m_name m) g.member_arrays.(c)
+  match member_index g c m with
+  | -1 -> None
+  | i -> Some (chunked_get g.member_arrays c).(i)
 
-let declares g c m = Option.is_some (find_member g c m)
+let declares g c m = member_index g c m >= 0
 
 let member_names g =
   let seen = Hashtbl.create 16 in
@@ -217,7 +302,7 @@ let member_names g =
             out := m.m_name :: !out
           end)
         ms)
-    g.member_arrays;
+    (Array.concat (Array.to_list g.member_arrays));
   List.rev !out
 
 let classes g = List.init (num_classes g) Fun.id

@@ -93,6 +93,34 @@ val add_member : builder -> string -> member -> unit
     extended afterwards; frozen graphs are snapshots. *)
 val freeze : builder -> t
 
+(** {1 Persistent extension}
+
+    A service that mutates a resident hierarchy moves from one frozen
+    graph to the next without a builder.  Both operations leave their
+    argument unchanged and share every per-class array they do not
+    replace — no rebuild of edges or member lists.  {!extend} copies
+    the outer per-class arrays (one pointer per class) and the name
+    table; {!with_member} copies one class's member array and a chunk
+    of 32 pointers to such arrays. *)
+
+(** The graph with no classes. *)
+val empty : t
+
+(** [extend g name ~bases ~members] is [g] plus one class, with the
+    next id (returned), validated exactly like {!add_class}.
+    @raise Error like {!add_class}. *)
+val extend :
+  t ->
+  string ->
+  bases:(string * edge_kind * access) list ->
+  members:member list ->
+  t * class_id
+
+(** [with_member g cls m] is [g] with [m] appended to [cls]'s members,
+    validated exactly like {!add_member}.
+    @raise Error on unknown class or duplicate member name. *)
+val with_member : t -> string -> member -> t
+
 (** A declaration, for order-independent construction. *)
 type decl = {
   d_name : string;

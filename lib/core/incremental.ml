@@ -4,67 +4,44 @@ type row = {
   r_bases : (int * Chg.Graph.edge_kind) list;  (* resolved direct bases *)
   r_members : (string, Chg.Graph.member) Hashtbl.t;  (* declared here *)
   r_verdicts : (string, Engine.verdict) Hashtbl.t;  (* Members[C] keyed *)
-  r_vbases : Chg.Bitset.t;  (* virtual bases of this class *)
-  r_bases_set : Chg.Bitset.t;  (* strict bases *)
 }
 
 type t = {
   static_rule : bool;
-  builder : Chg.Graph.builder;  (* kept in lockstep for snapshots *)
+  mutable cl : Chg.Closure.t;
+      (* closure of the current hierarchy; its graph is the snapshot.
+         Both are persistent values: a mutation installs new ones and
+         never changes a value already handed out. *)
   mutable rows : row array;  (* grow-doubling; first [count] are live *)
   mutable count : int;
-  ids : (string, int) Hashtbl.t;
-  mutable capacity : int;
   metrics : Metrics.t;
 }
 
-let create ?(static_rule = true) ?(metrics = Metrics.disabled) () =
-  { static_rule;
-    builder = Chg.Graph.create_builder ();
-    rows = [||];
-    count = 0;
-    ids = Hashtbl.create 16;
-    capacity = 0;
-    metrics }
-
 let num_classes t = t.count
-let find t name = Hashtbl.find t.ids name
+let closure t = t.cl
+let snapshot t = Chg.Closure.graph t.cl
+let find t name = Chg.Graph.find (snapshot t) name
 
 let row t c =
   if c < 0 || c >= t.count then invalid_arg "Incremental: bad class id";
   t.rows.(c)
 
-(* Bitsets are fixed-capacity; classes only ever refer to earlier classes,
-   so per-row sets sized to the row's own id suffice: row i's sets live in
-   universe [0..i]. *)
-let is_virtual_base t x y =
-  if y >= t.count || x >= t.count then false
-  else x < Chg.Bitset.length (row t y).r_vbases
-       && Chg.Bitset.mem (row t y).r_vbases x
+(* placeholder for slots beyond [count]; never read *)
+let no_row =
+  { r_bases = []; r_members = Hashtbl.create 1; r_verdicts = Hashtbl.create 1 }
 
-let ensure_capacity t =
-  if t.count = t.capacity then begin
-    let cap = max 8 (t.capacity * 2) in
-    let fresh = Array.make cap None in
-    Array.iteri (fun i r -> fresh.(i) <- Some r) (Array.sub t.rows 0 t.count);
-    t.rows <-
-      Array.map
-        (function
-          | Some r -> r
-          | None ->
-            (* placeholder rows beyond [count] are never read *)
-            { r_bases = [];
-              r_members = Hashtbl.create 1;
-              r_verdicts = Hashtbl.create 1;
-              r_vbases = Chg.Bitset.create 0;
-              r_bases_set = Chg.Bitset.create 0 })
-        fresh;
-    t.capacity <- cap
-  end
+let push_row t r =
+  if t.count = Array.length t.rows then begin
+    let fresh = Array.make (max 8 (2 * t.count)) no_row in
+    Array.blit t.rows 0 fresh 0 t.count;
+    t.rows <- fresh
+  end;
+  t.rows.(t.count) <- r;
+  t.count <- t.count + 1
 
 (* One Figure-8 combine for member [mname] at live row [id], reading the
    current verdicts of the row's direct bases.  Shared between the
-   add_class path (fresh row, verdicts computed once) and the add_member
+   new-row path (fresh row, verdicts computed once) and the add_member
    path (existing rows whose column must be recomputed). *)
 let recompute_member t id mname =
   let r = row t id in
@@ -106,39 +83,25 @@ let recompute_member t id mname =
       in
       let v, _ =
         Engine.combine_incoming ~metrics:t.metrics
-          ~vbase:(is_virtual_base t) ~is_static_at incoming
+          ~vbase:(Chg.Closure.is_virtual_base t.cl) ~is_static_at incoming
       in
       Hashtbl.replace r.r_verdicts mname v
   end
 
-let add_class t name ~bases ~members =
-  (* Validate + record through the ordinary builder so all Graph.Error
-     cases behave identically. *)
-  let id = Chg.Graph.add_class t.builder name ~bases ~members in
-  assert (id = t.count);
-  ensure_capacity t;
-  Hashtbl.add t.ids name id;
-  let resolved_bases =
-    List.map (fun (bname, kind, _) -> (Hashtbl.find t.ids bname, kind)) bases
+(* The row of class [t.count], whose closure row [t.cl] already holds.
+   Members[C] = M[C] ∪ bases' Members; one combine per member name. *)
+let add_row t =
+  let g = snapshot t in
+  let id = t.count in
+  let members = Chg.Graph.members g id in
+  let r_bases =
+    List.map (fun (b : Chg.Graph.base) -> (b.b_class, b.b_kind))
+      (Chg.Graph.bases g id)
   in
-  (* closure rows, universe [0..id] *)
-  let vbases = Chg.Bitset.create (id + 1) in
-  let bases_set = Chg.Bitset.create (id + 1) in
-  List.iter
-    (fun (b, kind) ->
-      Chg.Bitset.add bases_set b;
-      Chg.Bitset.iter (fun x -> Chg.Bitset.add bases_set x)
-        (row t b).r_bases_set;
-      (match kind with
-      | Chg.Graph.Virtual -> Chg.Bitset.add vbases b
-      | Chg.Graph.Non_virtual -> ());
-      Chg.Bitset.iter (fun x -> Chg.Bitset.add vbases x) (row t b).r_vbases)
-    resolved_bases;
   let member_tbl = Hashtbl.create (max 4 (List.length members)) in
   List.iter (fun (m : Chg.Graph.member) ->
       Hashtbl.replace member_tbl m.m_name m)
     members;
-  (* Members[C] = M[C] ∪ bases' Members; one combine per member name. *)
   let member_names = Hashtbl.create 16 in
   List.iter (fun (m : Chg.Graph.member) ->
       Hashtbl.replace member_names m.m_name ())
@@ -148,44 +111,55 @@ let add_class t name ~bases ~members =
       Hashtbl.iter
         (fun mname _ -> Hashtbl.replace member_names mname ())
         (row t b).r_verdicts)
-    resolved_bases;
+    r_bases;
   Metrics.bump t.metrics t.metrics.Metrics.incr_rows;
   Metrics.bump_n t.metrics t.metrics.Metrics.incr_closure_bits
-    (Chg.Bitset.cardinal bases_set + Chg.Bitset.cardinal vbases);
-  let r =
-    { r_bases = resolved_bases;
-      r_members = member_tbl;
-      r_verdicts = Hashtbl.create 16;
-      r_vbases = vbases;
-      r_bases_set = bases_set }
-  in
-  t.rows.(id) <- r;
-  t.count <- t.count + 1;
+    (Chg.Bitset.cardinal (Chg.Closure.bases_of t.cl id)
+     + Chg.Bitset.cardinal (Chg.Closure.virtual_bases_of t.cl id));
+  push_row t { r_bases; r_members = member_tbl; r_verdicts = Hashtbl.create 16 };
   Hashtbl.iter (fun mname () -> recompute_member t id mname) member_names;
   id
 
-let add_member t cls (m : Chg.Graph.member) =
-  (* Validate + record through the builder (unknown class, duplicate
-     member) so snapshots stay in lockstep. *)
-  Chg.Graph.add_member t.builder cls m;
-  let c = Hashtbl.find t.ids cls in
+let of_closure ?(static_rule = true) ?(metrics = Metrics.disabled) cl =
+  let t = { static_rule; cl; rows = [||]; count = 0; metrics } in
+  for _ = 1 to Chg.Graph.num_classes (Chg.Closure.graph cl) do
+    ignore (add_row t)
+  done;
+  t
+
+let create ?static_rule ?metrics () =
+  of_closure ?static_rule ?metrics (Chg.Closure.compute Chg.Graph.empty)
+
+let class_added t cl =
+  if Chg.Graph.num_classes (Chg.Closure.graph cl) <> t.count + 1 then
+    invalid_arg "Incremental.class_added: the closure must add one class";
+  t.cl <- cl;
+  add_row t
+
+let member_added t cl c (m : Chg.Graph.member) =
+  if Chg.Graph.num_classes (Chg.Closure.graph cl) <> t.count then
+    invalid_arg "Incremental.member_added: the closure must keep the classes";
+  t.cl <- cl;
   Hashtbl.replace (row t c).r_members m.m_name m;
-  (* Only [cls] and the classes derived from it can see the new
+  (* Only [c] and the classes derived from it can see the new
      declaration; their ids are all > c (topological id order), so one
      increasing sweep recomputes the member's column bases-first. *)
   let affected = ref 0 in
   for j = c to t.count - 1 do
-    let rj = row t j in
-    if
-      j = c
-      || (c < Chg.Bitset.length rj.r_bases_set
-          && Chg.Bitset.mem rj.r_bases_set c)
-    then begin
+    if j = c || Chg.Closure.is_base cl c j then begin
       incr affected;
       recompute_member t j m.m_name
     end
   done;
   !affected
+
+let add_class t name ~bases ~members =
+  let g, _ = Chg.Graph.extend (snapshot t) name ~bases ~members in
+  class_added t (Chg.Closure.extend t.cl g)
+
+let add_member t cls (m : Chg.Graph.member) =
+  let g = Chg.Graph.with_member (snapshot t) cls m in
+  member_added t (Chg.Closure.rebind t.cl g) (Chg.Graph.find g cls) m
 
 let lookup t c m = Hashtbl.find_opt (row t c).r_verdicts m
 
@@ -193,5 +167,3 @@ let resolves_to t c m =
   match lookup t c m with
   | Some (Engine.Red r) -> Some r.r_ldc
   | Some (Engine.Blue _) | None -> None
-
-let snapshot t = Chg.Graph.freeze t.builder

@@ -81,48 +81,53 @@ let lv_code n = function
 
 let lv_of_code n k = if k = n then Omega else Lv k
 
+(* A growable int sequence: the arena under construction. *)
+type ivec = { mutable iv : int array; mutable ilen : int }
+
+let ivec_push v x =
+  if v.ilen = Array.length v.iv then begin
+    let fresh = Array.make (max 16 (2 * v.ilen)) 0 in
+    Array.blit v.iv 0 fresh 0 v.ilen;
+    v.iv <- fresh
+  end;
+  v.iv.(v.ilen) <- x;
+  v.ilen <- v.ilen + 1
+
+let ivec_contents v =
+  if v.ilen = Array.length v.iv then v.iv else Array.sub v.iv 0 v.ilen
+
+(* The entry of verdict [v] in an n-class column; a group or blue
+   verdict appends its slice to [arena]. *)
+let encode_entry n arena v =
+  match v with
+  | None -> tag_absent
+  | Some (Engine.Red { r_ldc; r_lvs = [ lv ] }) ->
+    if r_ldc < 0 || r_ldc >= n then invalid_arg "Packed: ldc out of range";
+    (((r_ldc * (n + 1)) + lv_code n lv) lsl 2) lor tag_red
+  | Some (Engine.Red { r_ldc; r_lvs }) ->
+    if r_ldc < 0 || r_ldc >= n then invalid_arg "Packed: ldc out of range";
+    let off = arena.ilen in
+    ivec_push arena r_ldc;
+    ivec_push arena (List.length r_lvs);
+    List.iter (fun lv -> ivec_push arena (lv_code n lv)) r_lvs;
+    (off lsl 2) lor tag_red_group
+  | Some (Engine.Blue lvs) ->
+    let off = arena.ilen in
+    ivec_push arena (List.length lvs);
+    List.iter (fun lv -> ivec_push arena (lv_code n lv)) lvs;
+    (off lsl 2) lor tag_blue
+
+let check_classes n =
+  (* (n+1)^2 must fit in an immediate int once shifted past the tag *)
+  if n >= 1 lsl 30 then invalid_arg "Packed.pack_column: too many classes"
+
 let pack_column col =
   let n = Array.length col in
-  (* (n+1)^2 must fit in an immediate int once shifted past the tag *)
-  if n >= 1 lsl 30 then invalid_arg "Packed.pack_column: too many classes";
-  let entries = Array.make n 0 in
-  let arena = ref [||] in
-  let alen = ref 0 in
-  let push v =
-    if !alen = Array.length !arena then begin
-      let fresh = Array.make (max 16 (2 * !alen)) 0 in
-      Array.blit !arena 0 fresh 0 !alen;
-      arena := fresh
-    end;
-    !arena.(!alen) <- v;
-    incr alen
-  in
-  Array.iteri
-    (fun c v ->
-      entries.(c) <-
-        (match v with
-        | None -> tag_absent
-        | Some (Engine.Red { r_ldc; r_lvs = [ lv ] }) ->
-          if r_ldc < 0 || r_ldc >= n then
-            invalid_arg "Packed: ldc out of range";
-          (((r_ldc * (n + 1)) + lv_code n lv) lsl 2) lor tag_red
-        | Some (Engine.Red { r_ldc; r_lvs }) ->
-          if r_ldc < 0 || r_ldc >= n then
-            invalid_arg "Packed: ldc out of range";
-          let off = !alen in
-          push r_ldc;
-          push (List.length r_lvs);
-          List.iter (fun lv -> push (lv_code n lv)) r_lvs;
-          (off lsl 2) lor tag_red_group
-        | Some (Engine.Blue lvs) ->
-          let off = !alen in
-          push (List.length lvs);
-          List.iter (fun lv -> push (lv_code n lv)) lvs;
-          (off lsl 2) lor tag_blue))
-    col;
-  { pc_classes = n;
-    pc_entries = Arr entries;
-    pc_arena = Arr (Array.sub !arena 0 !alen) }
+  check_classes n;
+  let arena = { iv = [||]; ilen = 0 } in
+  let entries = Array.make n tag_absent in
+  Array.iteri (fun c v -> entries.(c) <- encode_entry n arena v) col;
+  { pc_classes = n; pc_entries = Arr entries; pc_arena = Arr (ivec_contents arena) }
 
 let column_get col c =
   let e = vget col.pc_entries c in
@@ -174,13 +179,48 @@ let column_resolve_code col c =
 
 let unpack_column col = Array.init col.pc_classes (column_get col)
 
-(* Appends are the add_class mutation path: the lv/ldc coding base is
-   the class count, so growing the universe re-encodes the column.  One
-   O(n) pass per mutation — the boxed representation's Array.append was
-   already O(n).  A mapped view materializes to the heap here: mutations
-   never write through to a snapshot file. *)
+(* Appends are the add_class mutation path.  The coding base is the
+   class count, so growing the universe from n to n+1 re-bases every
+   code in integers: a red immediate ldc·(n+1)+lv becomes ldc·(n+2)+lv',
+   and Ω, coded as n, becomes n+1 wherever an lv code sits — in red
+   immediates and in arena lv slots.  Every other arena word (ldcs,
+   lengths, lv class ids) and every slice offset is copied as it is.
+   One O(entries + arena) pass, no verdict is built.  A mapped view
+   materializes to the heap here: mutations never write through to a
+   snapshot file. *)
 let column_append col v =
-  pack_column (Array.append (unpack_column col) [| v |])
+  let n = col.pc_classes in
+  let n' = n + 1 in
+  check_classes n';
+  (* plain heap arrays to read from: a heap column's own (read-only
+     here), a mapped view's copied out once *)
+  let ints = function Arr a -> a | Big _ as b -> Array.init (vlen b) (vget b) in
+  let src = ints col.pc_arena and old = ints col.pc_entries in
+  let arena = Array.copy src in
+  let entries = Array.make n' tag_absent in
+  for c = 0 to n - 1 do
+    let e = old.(c) in
+    match e land 3 with
+    | 0 -> ()
+    | 1 ->
+      let k = e lsr 2 in
+      let ldc = k / (n + 1) in
+      let lv = k - (ldc * (n + 1)) in
+      let lv = if lv = n then n' else lv in
+      entries.(c) <- (((ldc * (n' + 1)) + lv) lsl 2) lor tag_red
+    | tag ->
+      (* recode from the source, so a slice shared by several entries
+         is recoded to the same words however often it is visited *)
+      let off = e lsr 2 in
+      let lvs = if tag = tag_red_group then off + 2 else off + 1 in
+      for i = lvs to lvs + src.(lvs - 1) - 1 do
+        if src.(i) = n then arena.(i) <- n'
+      done;
+      entries.(c) <- e
+  done;
+  let arena = { iv = arena; ilen = Array.length arena } in
+  entries.(n) <- encode_entry n' arena v;
+  { pc_classes = n'; pc_entries = Arr entries; pc_arena = Arr (ivec_contents arena) }
 
 (* Budgeted size: two flat int sequences plus the record, in bytes.
    Deliberately representation-independent — a mapped view charges the

@@ -88,9 +88,11 @@ val column_resolve_code : column -> Chg.Graph.class_id -> int
 val column_is_view : column -> bool
 
 (** [column_append col v] extends the column with one more class's
-    verdict (the service's add_class path).  Lv/ldc codes are
-    base-[n+1], so this re-encodes: O(n), same as the boxed
-    [Array.append] it replaces. *)
+    verdict (the service's add_class path).  Codes are base-[n+1], so
+    this re-bases every red immediate and every Ω lv code to base
+    [n+2] in integers — one O(entries + arena) pass that builds no
+    verdict — and encodes [v].  The result equals [pack_column] of the
+    extended verdict array. *)
 val column_append : column -> Engine.verdict option -> column
 
 (** [column_bytes col] is the column's real resident size in bytes (its

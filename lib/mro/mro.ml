@@ -186,6 +186,12 @@ let compute variant g =
   done;
   { mro_variant = variant; mro_graph = g; mro_lin = lin }
 
+let rebind t g =
+  if G.num_classes g <> Array.length t.mro_lin
+     || G.num_edges g <> G.num_edges t.mro_graph
+  then invalid_arg "Mro.rebind: the class structure differs";
+  { t with mro_graph = g }
+
 let variant t = t.mro_variant
 let graph t = t.mro_graph
 let linearization t c = t.mro_lin.(c)

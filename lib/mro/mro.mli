@@ -63,6 +63,13 @@ type t
 
 val compute : variant -> Chg.Graph.t -> t
 
+(** [rebind t g] is [t] over [g], which must have the same classes and
+    edges as [graph t] — a member addition ({!Chg.Graph.with_member}).
+    Linearizations depend only on the class structure, never on
+    members, so every one is kept; lookups read members from [g].
+    @raise Invalid_argument when the class or edge count differs. *)
+val rebind : t -> Chg.Graph.t -> t
+
 val variant : t -> variant
 val graph : t -> Chg.Graph.t
 

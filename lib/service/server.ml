@@ -316,12 +316,12 @@ let log_mutation t s m =
     end
     else Ok ()
 
-(* The one road into a session mutation: the JSON mutate verb, the 1b
-   add_member/add_class frames, the replication applier and recovery
-   replay all apply here.  Outside a replay the mutation is counted and
-   logged (the WAL already holds replayed records). *)
-let apply ?(replay = false) t s (m : Store.Mutation.t) =
-  if not replay then Telemetry.Counter.incr t.mutations;
+(* The one road into a live session mutation: the JSON mutate verb, the
+   1b add_member/add_class frames and the replication applier all apply
+   here; the mutation is counted, logged and timed by stage.  Recovery
+   replays the WAL through {!Session.replay} instead. *)
+let apply t s (m : Store.Mutation.t) =
+  Telemetry.Counter.incr t.mutations;
   let before = Session.num_member_symbols s in
   let applied () =
     match m with
@@ -352,7 +352,6 @@ let apply ?(replay = false) t s (m : Store.Mutation.t) =
       | _ -> P.Bad_hierarchy
     in
     Error (code, G.error_to_string e)
-  | resp when replay -> Ok resp
   | resp ->
     let t0 = Telemetry.Clock.now_ns () in
     let logged = log_mutation t s m in
@@ -526,9 +525,9 @@ let handle_snapshot t s =
         ("bytes", J.Int bytes) ]
 
 (* Rebuild a session from a recovery: restore the snapshot (graph +
-   compiled columns), then replay the WAL tail through {!apply} — never
-   back into the WAL, which already holds these records.  [Error] is
-   the first replay failure's message. *)
+   compiled columns), then replay the WAL tail in one batch — never back
+   into the WAL, which already holds these records.  [Error] is the
+   first failing record's message. *)
 let session_of_recovery t name rv =
   let snap = rv.Store.rv_snapshot in
   let s =
@@ -536,14 +535,11 @@ let session_of_recovery t name rv =
       ~epoch:snap.Store.Snapshot.s_epoch
       ~columns:snap.Store.Snapshot.s_columns snap.Store.Snapshot.s_graph
   in
-  let rec replay = function
-    | [] -> Ok s
-    | (r : Store.Wal.record) :: rest ->
-      (match apply ~replay:true t s r.Store.Wal.rc_mutation with
-      | Ok _ -> replay rest
-      | Error (_, msg) -> Error msg)
-  in
-  replay rv.Store.rv_replayed
+  Session.replay s
+    (List.map (fun (r : Store.Wal.record) -> r.Store.Wal.rc_mutation)
+       rv.Store.rv_replayed)
+  |> Result.map (fun () -> s)
+  |> Result.map_error G.error_to_string
 
 let handle_restore t ~session:requested =
   match (t.store, requested) with

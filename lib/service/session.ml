@@ -42,19 +42,20 @@ type t = {
   inc : Incremental.t Lazy.t;
       (* resident source of truth, mutated in place.  Lazy so that a
          session restored from a snapshot (or one that is never mutated)
-         does not pay the class-by-class replay at open time: the first
-         mutation forces it; lookups are served by the memo and the
-         compiled tables, which need only the frozen graph. *)
+         does not pay the row computation at open time: the first
+         mutation forces it, over the closure the session opened with;
+         lookups are served by the memo and the compiled tables, which
+         need only the frozen graph. *)
   cache : Table_cache.t;
-  mutable graph : G.t;  (* snapshot of [inc], refreshed per mutation *)
-  mutable closure : Chg.Closure.t;
+  mutable graph : G.t;  (* = the closure's graph, published per mutation *)
+  mutable closure : Chg.Closure.t;  (* the engine's, published per mutation *)
   mutable memo : Memo.t;  (* read-through engine over the snapshot *)
   mutable epoch : int;  (* mutations applied so far *)
-  mutable mro : (int * Mro.variant * Mro.t) list;
+  mutable mro : (Mro.variant * Mro.t) list;
       (* linearization tables for the opt-in MRO semantics, one per
-         variant, keyed by the epoch they were computed at; mutations
-         invalidate by epoch mismatch (stale entries are dropped on the
-         next fill) *)
+         requested variant, over [graph]: rebound across add_member
+         (a linearization depends only on the class structure), dropped
+         by add_class *)
   member_syms : (string, int) Hashtbl.t;
       (* member name -> dense id; append-only, written only under the
          mutation path's exclusivity *)
@@ -87,31 +88,14 @@ let mutation_stages = [ "freeze"; "closure"; "rows"; "columns"; "mro" ]
 let st_freeze = 0 and st_closure = 1 and st_rows = 2 and st_columns = 3
 and st_mro = 4
 
+(* a stage may run in several pieces; the pieces add up *)
 let timed t stage f =
   let t0 = Telemetry.Clock.now_ns () in
   let r = f () in
-  t.stage_ns.(stage) <- Telemetry.Clock.elapsed_ns ~since:t0;
+  t.stage_ns.(stage) <- t.stage_ns.(stage) + Telemetry.Clock.elapsed_ns ~since:t0;
   r
 
 let last_mutation_ns t = List.combine mutation_stages (Array.to_list t.stage_ns)
-
-let refresh t =
-  timed t st_freeze (fun () ->
-      t.graph <- Incremental.snapshot (Lazy.force t.inc));
-  timed t st_closure (fun () -> t.closure <- Chg.Closure.compute t.graph);
-  t.memo <- fresh_memo t t.closure
-
-let replay_into_incremental g =
-  let inc = Incremental.create () in
-  G.iter_classes g (fun c ->
-      ignore
-        (Incremental.add_class inc (G.name g c)
-           ~bases:
-             (List.map
-                (fun (b : G.base) -> (G.name g b.b_class, b.b_kind, b.b_access))
-                (G.bases g c))
-           ~members:(G.members g c)));
-  inc
 
 let intern t name =
   match Hashtbl.find_opt t.member_syms name with
@@ -141,7 +125,7 @@ let make ?(config = default_config) ~name ~epoch g =
   let t =
     { name;
       config;
-      inc = lazy (replay_into_incremental g);
+      inc = lazy (Incremental.of_closure closure);
       cache =
         Table_cache.create ~max_entries:config.table_max_entries
           ?max_bytes:config.table_max_bytes ();
@@ -314,15 +298,11 @@ let lookup_code t ~cls ~member =
    the only write. *)
 let mro_table t v =
   Mutex.protect t.lock @@ fun () ->
-  match
-    List.find_opt (fun (e, v', _) -> e = t.epoch && v' = v) t.mro
-  with
-  | Some (_, _, tbl) -> tbl
+  match List.assoc_opt v t.mro with
+  | Some tbl -> tbl
   | None ->
     let tbl = Mro.compute v t.graph in
-    t.mro <-
-      (t.epoch, v, tbl)
-      :: List.filter (fun (e, _, _) -> e = t.epoch) t.mro;
+    t.mro <- (v, tbl) :: t.mro;
     tbl
 
 let mro_lookup t v cls member =
@@ -335,49 +315,110 @@ let mro_lookup t v cls member =
     count_verdict t verdict;
     Ok verdict
 
-(* Mutations go to the incremental engine — its rows update in place,
-   never recomputed from scratch — then the snapshot-facing state
-   refreshes: a new frozen graph, its closure, and an empty memo (the
-   old memo's entries would be reindexed anyway; the compiled tables
-   carry the warmth across mutations). *)
+(* ---- mutations ------------------------------------------------------
 
-let drop_mro t = timed t st_mro (fun () -> t.mro <- [])
+   A mutation moves the incremental engine first — the frozen graph
+   ({!G.extend} / {!G.with_member}: new outer arrays, shared inner
+   ones), the closure ({!Chg.Closure.extend}: one new row, or
+   {!Chg.Closure.rebind}: no change at all), then the rows — and repairs
+   the compiled columns.  Publication then points the read-facing state
+   at the engine's new graph and closure, with an empty memo (the old
+   memo's entries belong to the old graph; the compiled tables carry
+   the warmth across mutations).  Nothing published earlier changes:
+   every value above is persistent. *)
 
-let add_class t ~cls ~bases ~members =
-  let inc, id =
-    timed t st_rows (fun () ->
-        let inc = Lazy.force t.inc in
-        (inc, Incremental.add_class inc cls ~bases ~members))
+let mutate_class t inc ~cls ~bases ~members =
+  let g, _ =
+    timed t st_freeze (fun () ->
+        G.extend (Incremental.snapshot inc) cls ~bases ~members)
   in
+  let cl =
+    timed t st_closure (fun () -> Chg.Closure.extend (Incremental.closure inc) g)
+  in
+  let id = timed t st_rows (fun () -> Incremental.class_added inc cl) in
   List.iter (fun (m : G.member) -> ignore (intern t m.G.m_name)) members;
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  refresh t;
   (* Every resident column gains exactly one entry: the new class's
      verdict, already computed by the incremental row — extension, not
      invalidation. *)
   timed t st_columns (fun () ->
       Table_cache.update_columns t.cache (fun m col ->
           Some (Packed.column_append col (Incremental.lookup inc id m))));
-  drop_mro t;
+  (* a new class changes the structure linearizations are built from *)
+  timed t st_mro (fun () -> t.mro <- []);
   id
 
-let add_member t ~cls member =
+let mutate_member t inc ~cls member =
+  let g =
+    timed t st_freeze (fun () ->
+        G.with_member (Incremental.snapshot inc) cls member)
+  in
+  let cl =
+    timed t st_closure (fun () -> Chg.Closure.rebind (Incremental.closure inc) g)
+  in
   let rows =
     timed t st_rows (fun () ->
-        Incremental.add_member (Lazy.force t.inc) cls member)
+        Incremental.member_added inc cl (G.find g cls) member)
   in
   ignore (intern t member.G.m_name);
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  refresh t;
   (* Only the mutated member's column can have changed; drop exactly it. *)
   let invalidated =
     timed t st_columns (fun () ->
         Table_cache.invalidate t.cache member.G.m_name)
   in
-  drop_mro t;
   (rows, invalidated)
+
+let publish t inc =
+  timed t st_freeze (fun () ->
+      t.closure <- Incremental.closure inc;
+      t.graph <- Chg.Closure.graph t.closure;
+      t.memo <- fresh_memo t t.closure);
+  timed t st_mro (fun () ->
+      t.mro <- List.map (fun (v, tbl) -> (v, Mro.rebind tbl t.graph)) t.mro)
+
+(* The engine, forced (on the first mutation) under the rows stage. *)
+let engine t =
+  Array.fill t.stage_ns 0 (Array.length t.stage_ns) 0;
+  timed t st_rows (fun () -> Lazy.force t.inc)
+
+let add_class t ~cls ~bases ~members =
+  let inc = engine t in
+  let id = mutate_class t inc ~cls ~bases ~members in
+  publish t inc;
+  id
+
+let add_member t ~cls member =
+  let inc = engine t in
+  let r = mutate_member t inc ~cls member in
+  publish t inc;
+  r
+
+let replay t records =
+  match records with
+  | [] -> Ok ()
+  | _ ->
+    let inc = engine t in
+    let rec go = function
+      | [] -> Ok ()
+      | m :: rest ->
+        (match
+           match m with
+           | Store.Mutation.Add_class { ac_name; ac_bases; ac_members } ->
+             ignore
+               (mutate_class t inc ~cls:ac_name ~bases:ac_bases
+                  ~members:ac_members)
+           | Store.Mutation.Add_member { am_class; am_member } ->
+             ignore (mutate_member t inc ~cls:am_class am_member)
+         with
+        | exception G.Error e -> Error e
+        | () -> go rest)
+    in
+    let result = go records in
+    publish t inc;
+    result
 
 let counters t =
   List.map

@@ -13,12 +13,24 @@
       [add_class] / [add_member] update it in place instead of rebuilding
       the table.
 
-    Mutations refresh the snapshot-facing state (frozen graph, closure,
-    an empty memo) and repair the compiled tables precisely: [add_class]
-    {e extends} every resident column by the new class's
-    already-computed verdict; [add_member] {e invalidates} exactly the
-    mutated member's column.  See DESIGN.md, "The compiled-table
-    cache". *)
+    A mutation costs what the incremental engine costs, and never
+    recomputes anything whole:
+    - [add_member] keeps the class structure: the new frozen graph
+      shares every per-class array but the mutated class's member
+      array, the closure and the MRO linearizations are kept (rebound
+      to the new graph), the engine recomputes only the member's column
+      at the class and its derived classes, and exactly that member's
+      compiled column is invalidated;
+    - [add_class] extends: the graph by one class, the closure by one
+      row (the union over the direct bases; earlier rows are shared),
+      the engine by one row, and every resident compiled column by the
+      new class's verdict, re-encoded in integers.  MRO tables are
+      dropped and recomputed on the next linearized query;
+    - both publish an empty memo over the new graph.
+    Values handed out earlier ({!graph}, {!closure}, MRO tables,
+    compiled columns) are persistent: no later mutation changes them.
+    {!replay} applies a run of WAL records the same way and publishes
+    once.  See DESIGN.md, "The compiled-table cache". *)
 
 type config = {
   promote_threshold : int;
@@ -43,9 +55,10 @@ val served_string : served -> string
 type t
 
 (** [create ?config ~name g] opens a session over [g].  The incremental
-    engine is materialized lazily — the class-by-class replay runs on
-    the first mutation, not at open time — so opening (and restoring
-    from a snapshot) costs only the closure computation. *)
+    engine is materialized lazily — its rows are computed, over the
+    session's closure, on the first mutation, not at open time — so
+    opening (and restoring from a snapshot) costs only the closure
+    computation. *)
 val create : ?config:config -> name:string -> Chg.Graph.t -> t
 
 (** [restore ?config ~name ~epoch ~columns g] reopens a session from
@@ -64,7 +77,7 @@ val restore :
 
 val name : t -> string
 
-(** [graph t] is the current frozen snapshot (refreshed per mutation). *)
+(** [graph t] is the current frozen snapshot (published per mutation). *)
 val graph : t -> Chg.Graph.t
 
 (** [closure t] is the closure the session serves from; its graph is
@@ -125,8 +138,8 @@ val code_of_verdict : Lookup_core.Engine.verdict option -> int
 (** [mro_lookup t v cls member] serves one query under the linearized
     semantics [v] (the protocol's opt-in ["semantics"] field): the
     session keeps one {!Mro.t} per requested variant, computed from the
-    current snapshot and invalidated by mutation epoch.  [Error cls]
-    when the class is unknown. *)
+    current snapshot on first use, kept across [add_member] and dropped
+    by [add_class].  [Error cls] when the class is unknown. *)
 val mro_lookup :
   t -> Mro.variant -> string -> string ->
   (Lookup_core.Engine.verdict option, string) result
@@ -159,6 +172,14 @@ val mutation_stages : string list
     {!mutation_stages} took in the most recent mutation, in that
     order (all zero before the first). *)
 val last_mutation_ns : t -> (string * int) list
+
+(** [replay t records] applies WAL records in order, each as
+    {!add_class} / {!add_member} would (epoch, interning, column
+    repair), and publishes the read-facing state once at the end.  The
+    first record that fails stops the replay with its error; the
+    records before it stay applied.  The caller owns epoch continuity
+    ({!Store.recover} hands over only consecutive records). *)
+val replay : t -> Store.Mutation.t list -> (unit, Chg.Graph.error) result
 
 (** [counters t] — [lookups], [resolved], [ambiguous], [not_found],
     [mutations]. *)

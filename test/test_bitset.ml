@@ -74,6 +74,23 @@ let test_universe_mismatch () =
     (Invalid_argument "Bitset.union_into: universe mismatch") (fun () ->
       ignore (Chg.Bitset.union_into ~into:a b))
 
+(* A prefix universe: union_prefix_into ORs a shorter set into a longer
+   one, and mem_or_false answers false past the universe instead of
+   raising. *)
+let test_prefix_universe () =
+  let short = Chg.Bitset.create 70 and long = Chg.Bitset.create 130 in
+  List.iter (Chg.Bitset.add short) [ 0; 63; 64; 69 ];
+  Chg.Bitset.add long 129;
+  Chg.Bitset.union_prefix_into ~into:long short;
+  Alcotest.(check (list int)) "prefix union" [ 0; 63; 64; 69; 129 ]
+    (Chg.Bitset.elements long);
+  Alcotest.check_raises "longer source"
+    (Invalid_argument "Bitset.union_prefix_into: universe is not a prefix")
+    (fun () -> Chg.Bitset.union_prefix_into ~into:short long);
+  Alcotest.(check (list bool)) "mem_or_false in and out of the universe"
+    [ true; false; true; false; false ]
+    (List.map (Chg.Bitset.mem_or_false short) [ 69; 68; 0; 70; -1 ])
+
 let test_fold_order () =
   let s = Chg.Bitset.create 100 in
   List.iter (Chg.Bitset.add s) [ 99; 0; 50 ];
@@ -90,4 +107,5 @@ let suite =
     Alcotest.test_case "copy is independent" `Quick test_copy_independent;
     Alcotest.test_case "bounds checking" `Quick test_bounds;
     Alcotest.test_case "universe mismatch" `Quick test_universe_mismatch;
-    Alcotest.test_case "fold order" `Quick test_fold_order ]
+    Alcotest.test_case "fold order" `Quick test_fold_order;
+    Alcotest.test_case "prefix universe" `Quick test_prefix_universe ]
