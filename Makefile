@@ -78,16 +78,20 @@ raw-smoke: build
 # A traced run replays every request in-process through
 # Service.Server.handle_line / handle_frame and checks each verdict
 # against Subobject.Spec.lookup; a wrong verdict exits 1.  The two
-# untraced runs pipeline 8 deep on two connections through the real
-# server loop — a single serve process, then leader + replica behind
-# the router — and check every answer against the same oracle; a wrong
-# or lost answer exits 1.
+# untraced read runs pipeline 8 deep on two connections through the
+# real server loop — a single serve process, then leader + replica
+# behind the router — and check every answer against the same oracle;
+# a wrong or lost answer exits 1.  The last run is the only one that
+# sends writes to a real `serve --store`: it SIGKILLs and restarts the
+# server three times, so the WAL replay at recovery is checked against
+# the oracle on the mutated hierarchy.
 perf-smoke: build
 	python3 perfbench/run.py --selftest
 	python3 perfbench/run.py --workload read-json --seed 1 --seconds 2 --trace 1
 	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 1
 	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload routed-read --seed 1 --seconds 2 --trace 0
+	python3 perfbench/run.py --workload edit-durable --seed 1 --seconds 2 --trace 0
 
 # CI entry point: full build, full test suite, a smoke run of the
 # telemetry pipeline end to end (parse -> all three engines -> JSON),
