@@ -726,17 +726,21 @@ let prop_serve_sessions_promote =
 
    A random hierarchy (virtual edges, names redeclared across classes,
    some static) takes a random interleaving of add_class and
-   add_member.  With promote_threshold = 1 every member queried once is
-   compiled, so each add_class extends resident columns and each
-   add_member invalidates one.  After every mutation each (class,
-   member) pair is answered three ways and checked against the oracle on
-   the session's own graph: by name (also against the full verdict of a
-   from-scratch eager engine, which pins the leastVirtual sets the
-   oracle's resolve code does not show), by interned id, and under C3
-   against a from-scratch Mro table.  The session's closure must also
-   agree bit for bit with one computed from scratch. *)
+   add_member.  Before the first mutation only [warm_members] are
+   queried, so their columns are compiled (promote_threshold = 1) while
+   the hierarchy's other names are first asked for after it, and names
+   the trace adds only after that.  Each add_class then extends the
+   resident columns, and an add_member of a warm name replaces a
+   resident column.  After every mutation each (class, member) pair is
+   answered three ways and checked against the oracle on the session's
+   own graph: by name (also against the full verdict of a from-scratch
+   eager engine, which pins the leastVirtual sets the oracle's resolve
+   code does not show), by interned id, and under C3 against a
+   from-scratch Mro table.  The session's closure must also agree bit
+   for bit with one computed from scratch. *)
 
 let trace_members = [ "m"; "n"; "p"; "q" ]
+let warm_members = [ "m"; "n" ]
 
 type trace_op =
   | T_class of { t_bases : (int * bool) list; t_members : (int * bool) list }
@@ -820,7 +824,7 @@ let apply_trace_op s k op =
     if not (G.declares g c m.G.m_name) then
       ignore (Session.add_member s ~cls:(G.name g c) m)
 
-let session_matches_oracle s =
+let session_matches_oracle ?(only = fun _ -> true) s =
   let g = Session.graph s in
   let n = G.num_classes g in
   let c3 = Mro.compute Mro.C3 g in
@@ -859,7 +863,7 @@ let session_matches_oracle s =
              && Session.mro_lookup s Mro.C3 (G.name g c) m
                 = Ok (Mro.lookup c3 c m))
            (List.init n Fun.id))
-       (G.member_names g)
+       (List.filter only (G.member_names g))
 
 let prop_mutation_trace_matches_spec =
   QCheck.Test.make ~count:200
@@ -867,7 +871,7 @@ let prop_mutation_trace_matches_spec =
     trace_arb (fun ({ Hiergen.Families.graph = g; _ }, ops) ->
       let config = { Session.default_config with promote_threshold = 1 } in
       let s = Session.create ~config ~name:"trace" g in
-      session_matches_oracle s
+      session_matches_oracle ~only:(fun m -> List.mem m warm_members) s
       && List.for_all
            (fun (k, op) ->
              apply_trace_op s k op;
