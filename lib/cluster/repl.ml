@@ -226,19 +226,7 @@ let handle_follower t conn fd =
 let stop t = Atomic.set t.stop true
 
 let run t =
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ ->
-      (match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        let conn = Net.Conns.add t.conns fd in
-        ignore (Thread.create (fun () -> handle_follower t conn fd) ()))
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.bound with
-  | Net.Server.Unix_path p -> (try Unix.unlink p with Unix.Unix_error _ -> ())
-  | Net.Server.Tcp _ -> ());
+  Net.Server.accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->
+      let conn = Net.Conns.add t.conns fd in
+      ignore (Thread.create (fun () -> handle_follower t conn fd) ()));
   Net.Conns.drain t.conns

@@ -363,6 +363,31 @@ let worker_loop t mailbox () =
 
 let stop t = Atomic.set t.stop true
 
+(* The accept loop every listener shares: poll [stop] every 0.2 s,
+   accept, turn Nagle off on TCP (a pipelined client otherwise waits on
+   delayed ACKs for each small response), hand the socket to [f]; on
+   stop, close the listener and unlink a Unix socket path. *)
+let accept_loop ~stop listen_fd bound f =
+  while not (Atomic.get stop) do
+    match Unix.select [ listen_fd ] [] [] 0.2 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | [], _, _ -> ()
+    | _ ->
+      (match Unix.accept listen_fd with
+      | exception Unix.Unix_error _ -> ()
+      | fd, _ ->
+        (match bound with
+        | Tcp _ ->
+          (try Unix.setsockopt fd Unix.TCP_NODELAY true
+           with Unix.Unix_error _ -> ())
+        | Unix_path _ -> ());
+        f fd)
+  done;
+  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
+  match bound with
+  | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
+  | Tcp _ -> ()
+
 let run t =
   let net = Service.Server.net t.srv in
   let workers =
@@ -374,38 +399,20 @@ let run t =
          (Printf.sprintf "connection limit reached (%d)" t.cfg.max_conns))
     ^ "\n"
   in
-  while not (Atomic.get t.stop) do
-    match Unix.select [ t.listen_fd ] [] [] 0.2 with
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    | [], _, _ -> ()
-    | _ ->
-      (match Unix.accept t.listen_fd with
-      | exception Unix.Unix_error _ -> ()
-      | fd, _ ->
-        (match t.bound with
-        | Tcp _ ->
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ())
-        | Unix_path _ -> ());
-        if Atomic.get net.Service.Server.net_active >= t.cfg.max_conns
-        then begin
-          (* refuse at the door, in-band: one overloaded line, close *)
-          Telemetry.Counter.incr net.Service.Server.net_overloaded;
-          (try write_all fd overload_line with Unix.Unix_error _ -> ());
-          (try Unix.close fd with Unix.Unix_error _ -> ())
-        end
-        else begin
-          let conn = Conns.add t.conns fd in
-          Atomic.incr net.Service.Server.net_active;
-          Telemetry.Counter.incr net.Service.Server.net_accepted;
-          let mb = t.mailboxes.((conn - 1) mod Array.length t.mailboxes) in
-          if not (Bqueue.push mb (conn, fd)) then Conns.close t.conns conn fd
-        end)
-  done;
-  (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (match t.bound with
-  | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Tcp _ -> ());
+  accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->
+      if Atomic.get net.Service.Server.net_active >= t.cfg.max_conns then begin
+        (* refuse at the door, in-band: one overloaded line, close *)
+        Telemetry.Counter.incr net.Service.Server.net_overloaded;
+        (try write_all fd overload_line with Unix.Unix_error _ -> ());
+        (try Unix.close fd with Unix.Unix_error _ -> ())
+      end
+      else begin
+        let conn = Conns.add t.conns fd in
+        Atomic.incr net.Service.Server.net_active;
+        Telemetry.Counter.incr net.Service.Server.net_accepted;
+        let mb = t.mailboxes.((conn - 1) mod Array.length t.mailboxes) in
+        if not (Bqueue.push mb (conn, fd)) then Conns.close t.conns conn fd
+      end);
   (* wake every connection — a thread blocked in [select] sees EOF, one
      blocked in [write] an error — and wait until each has closed; the
      workers then find their mailboxes closed and exit *)

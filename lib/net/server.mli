@@ -66,6 +66,15 @@ val ignore_sigpipe : unit -> unit
     server and the cluster layer's replication / router listeners. *)
 val listen_on : addr -> Unix.file_descr * addr
 
+(** [accept_loop ~stop fd bound f] accepts connections on the listener
+    [fd] (bound at [bound]) until [stop] is set, polling it every
+    0.2 s, and hands each socket to [f], with [TCP_NODELAY] set on TCP.
+    Then it closes the listener and unlinks a Unix socket path.  The
+    accept loop of this server and of the cluster layer's replication
+    and router listeners. *)
+val accept_loop :
+  stop:bool Atomic.t -> Unix.file_descr -> addr -> (Unix.file_descr -> unit) -> unit
+
 (** [exclusively t f] runs [f] under the exclusive (writer) side of the
     server's verb-class lock — how the replication applier mutates
     sessions without racing the read verbs executing on worker
