@@ -96,15 +96,16 @@ let () =
   end;
   (* The quick modes each rerun one experiment and merge its rows into
      BENCH_lookup.json in place (other experiments' entries are kept):
-     `srv` the networked server, for iterating on the server; `clu` the
+     `svc` the session read path, `srv` the networked server, for iterating on the server; `clu` the
      cluster (router + replicas); `raw` the raw speed floor, where rows
      mmap cannot engage are reported as skipped, not failed.  The full
-     run below includes all three and regenerates the file. *)
+     run below includes all four and regenerates the file. *)
   List.iter
     (fun (mode, experiment, run) ->
       if Array.exists (String.equal mode) Sys.argv then
         quick_mode ~experiment run)
-    [ ("srv", "SRV1", Srv_bench.run);
+    [ ("svc", "SVC1", Throughput.run);
+      ("srv", "SRV1", Srv_bench.run);
       ("clu", "CLU1", Cluster_bench.run);
       ("raw", "RAW1", Raw_bench.run) ];
   Fig_tables.run ();

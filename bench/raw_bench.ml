@@ -54,12 +54,7 @@ let qps () =
   let g = i.graph in
   let size = G.num_classes g + G.num_edges g in
   let members = G.member_names g in
-  let config =
-    { Session.default_config with
-      promote_threshold = 1;
-      table_max_entries = List.length members }
-  in
-  let srv = Server.create ~config () in
+  let srv = Server.create () in
   let session = "raw" in
   let expect what j =
     if not (response_ok j) then
@@ -123,8 +118,8 @@ let qps () =
                  let c, m = q (k * 13) in
                  (Hashtbl.find class_ids c, Hashtbl.find member_ids m))) }
   in
-  (* warm: with promote_threshold 1 the first pass compiles every
-     queried column, so both timed loops run against packed tables *)
+  (* warm: the first pass compiles every queried column, so both timed
+     loops run against packed tables *)
   expect "warmup batch" (Server.handle_line srv json_line);
   let fresp = Server.handle_frame srv frame in
   (match Frame.decode_response ~op:Frame.op_batch_lookup fresp with
@@ -233,12 +228,7 @@ let restore () =
   in
   let g = i.graph in
   let size = G.num_classes g + G.num_edges g in
-  let config =
-    { Session.default_config with
-      promote_threshold = 1;
-      table_max_entries = List.length (G.member_names g) }
-  in
-  let donor = Session.create ~config ~name:"donor" g in
+  let donor = Session.create ~name:"donor" g in
   compile_columns donor g;
   let base_columns = Session.compiled_columns donor in
   (* (mode_name, multiplier) -> (time, skipped) for the sweep check *)

@@ -27,9 +27,8 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
-(* One lookup per member from the root class: with promote_threshold 1
-   every column compiles, which is exactly the state a snapshot
-   persists. *)
+(* One lookup per member from the root class compiles every column,
+   which is exactly the state a snapshot persists. *)
 let compile_columns s g =
   let root = G.name g 0 in
   List.iter
@@ -52,18 +51,13 @@ let run () =
   let g = i.graph in
   let size = G.num_classes g + G.num_edges g in
   let members = G.member_names g in
-  let config =
-    { Session.default_config with
-      promote_threshold = 1;
-      table_max_entries = List.length members }
-  in
   (* Durable state: a donor session with every column compiled,
      snapshotted into a scratch store.  The second lineage carries the
      same snapshot plus a WAL tail of add_member mutations. *)
   let dir = Filename.temp_file "cxxlookup-bench" ".store" in
   Sys.remove dir;
   let store = Store.open_dir dir in
-  let donor = Session.create ~config ~name:"donor" g in
+  let donor = Session.create ~name:"donor" g in
   compile_columns donor g;
   let snapshot_of name =
     { Store.Snapshot.s_session = name;
@@ -86,7 +80,7 @@ let run () =
      tail: %d records@."
     (G.num_classes g) (List.length members) snapshot_bytes wal_tail;
   let cold_open () =
-    let s = Session.create ~config ~name:"cold" g in
+    let s = Session.create ~name:"cold" g in
     compile_columns s g;
     s
   in
@@ -95,7 +89,7 @@ let run () =
     | Ok (Some rv) ->
       let snap = rv.Store.rv_snapshot in
       let s =
-        Session.restore ~config ~name ~epoch:snap.Store.Snapshot.s_epoch
+        Session.restore ~name ~epoch:snap.Store.Snapshot.s_epoch
           ~columns:snap.Store.Snapshot.s_columns
           snap.Store.Snapshot.s_graph
       in

@@ -1,14 +1,14 @@
-(* SVC1: service-layer throughput — compiled-table columns vs per-query
-   memo lookups on a repeated-query workload.
+(* SVC1: service-layer throughput — the two ways a session answers a
+   repeated-query workload.
 
-   The service promotes a member's verdict column out of the memo engine
-   once it has been asked about often enough; a compiled lookup is then
-   one array read instead of a hash probe per query.  This experiment
-   replays the same sparse workload through two sessions over the same
-   hierarchy — one with promotion disabled (every query served by the
-   memo), one with promotion on the first query (every repeat served by
-   a compiled column) — and a third with a deliberately tight column
-   budget so the eviction path shows up in the counters. *)
+   Before its first mutation a session compiles a member's verdict
+   column on the first query and serves every repeat with one array
+   read.  After a mutation it compiles nothing more: members without a
+   resident column are answered from the incremental engine's rows, one
+   hash probe per query.  This experiment replays the same sparse
+   workload through two sessions over the same hierarchy — one mutated
+   before any query (every query served by the engine rows), one never
+   mutated (every repeat served by a compiled column). *)
 
 module G = Chg.Graph
 module Families = Hiergen.Families
@@ -22,8 +22,7 @@ let counters_json pairs =
   Telemetry.Json.Obj
     (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) pairs)
 
-(* Replay every query through the session's serving stack (table, then
-   memo).  Workload classes always come from the graph, so lookup can't
+(* Replay every query through the session's read path.  Workload classes always come from the graph, so lookup can't
    fail; raise loudly if the service disagrees. *)
 let replay s g ws =
   List.iter
@@ -53,16 +52,10 @@ let replay_recorded s g ws hist =
    per-query nanoseconds. *)
 let slow_query_ns = 10_000
 
-let session ~threshold ?(table_entries = 64) g =
-  let config =
-    { Session.default_config with
-      promote_threshold = threshold;
-      table_max_entries = table_entries }
-  in
-  Session.create ~config ~name:"bench" g
+let session g = Session.create ~name:"bench" g
 
 let run () =
-  header "SVC1" "service throughput: compiled table vs per-query memo";
+  header "SVC1" "service throughput: compiled columns vs engine rows";
   let i =
     Families.random_dag ~n:800 ~max_bases:3 ~virtual_prob:0.2
       ~declare_prob:0.25
@@ -77,27 +70,29 @@ let run () =
     (G.num_classes g)
     (List.length (G.member_names g))
     (List.length ws);
-  (* memo-only session: promotion threshold no workload can reach *)
-  let memo_s = session ~threshold:max_int g in
-  replay memo_s g ws (* warm the memo so both paths run resident *);
-  let t_memo = Timing.seconds_per_call (fun () -> replay memo_s g ws) in
-  (* compiled session: first root query promotes the whole column *)
-  let table_s = session ~threshold:1 g in
+  (* engine-row session: a mutation of a name the workload never asks
+     for forces the engine before the first query, so nothing compiles *)
+  let rows_s = session g in
+  ignore (Session.add_member rows_s ~cls:(G.name g 0) (G.member "svc1_probe"));
+  replay rows_s g ws;
+  let t_rows = Timing.seconds_per_call (fun () -> replay rows_s g ws) in
+  (* compiled session: the first query of a member compiles its column *)
+  let table_s = session g in
   replay table_s g ws (* warm: every queried member gets compiled *);
   let t_table = Timing.seconds_per_call (fun () -> replay table_s g ws) in
   let per_query t = t *. 1e9 /. float_of_int (List.length ws) in
-  Format.printf "  %-34s %a  (%6.1f ns/query)@." "memo engine per query"
-    Timing.pp_time t_memo (per_query t_memo);
+  Format.printf "  %-34s %a  (%6.1f ns/query)@." "engine rows per query"
+    Timing.pp_time t_rows (per_query t_rows);
   Format.printf "  %-34s %a  (%6.1f ns/query)@." "compiled-table columns"
     Timing.pp_time t_table (per_query t_table);
-  Format.printf "  speedup: %.2fx@." (t_memo /. t_table);
+  Format.printf "  speedup: %.2fx@." (t_rows /. t_table);
   (* recorded passes: per-query latency distributions, and the recording
      overhead itself against the plain replays above *)
-  let lat_memo = Telemetry.Histogram.create () in
-  let t_memo_rec =
+  let lat_rows = Telemetry.Histogram.create () in
+  let t_rows_rec =
     Timing.seconds_per_call (fun () ->
-        Telemetry.Histogram.reset lat_memo;
-        replay_recorded memo_s g ws lat_memo)
+        Telemetry.Histogram.reset lat_rows;
+        replay_recorded rows_s g ws lat_rows)
   in
   let lat_table = Telemetry.Histogram.create () in
   let t_table_rec =
@@ -113,39 +108,24 @@ let run () =
       name (pq h 0.5) (pq h 0.99) (pq h 1.0) (slow h)
       (Telemetry.Histogram.count h) slow_query_ns
   in
-  report "memo per-query latency" lat_memo;
+  report "engine-row per-query latency" lat_rows;
   report "compiled-table per-query latency" lat_table;
   let overhead plain timed = (timed -. plain) /. plain *. 100.0 in
   Format.printf
-    "  per-query recording overhead: memo %+.1f%%, table %+.1f%% (clock + \
+    "  per-query recording overhead: rows %+.1f%%, table %+.1f%% (clock + \
      record per query; the service pays this once per request)@."
-    (overhead t_memo t_memo_rec)
+    (overhead t_rows t_rows_rec)
     (overhead t_table t_table_rec);
   let table_counters =
     Session.counters table_s
     @ Table_cache.counters (Session.cache table_s)
   in
-  Scaling.record ~experiment:"SVC1" ~family:"memo per-query (no promotion)"
-    ~n_plus_e:size ~time_ns:(per_query t_memo) ~latency:lat_memo
+  Scaling.record ~experiment:"SVC1" ~family:"engine rows (after a mutation)"
+    ~n_plus_e:size ~time_ns:(per_query t_rows) ~latency:lat_rows
     (counters_json
-       (Session.counters memo_s @ [ ("slow_queries", slow lat_memo) ]));
-  Scaling.record ~experiment:"SVC1" ~family:"compiled-table (threshold 1)"
+       (Session.counters rows_s
+        @ Table_cache.counters (Session.cache rows_s)
+        @ [ ("slow_queries", slow lat_rows) ]));
+  Scaling.record ~experiment:"SVC1" ~family:"compiled columns"
     ~n_plus_e:size ~time_ns:(per_query t_table) ~latency:lat_table
-    (counters_json (table_counters @ [ ("slow_queries", slow lat_table) ]));
-  (* tight column budget: 8 columns for 24 member names forces the LRU
-     eviction path; counters land in BENCH_lookup.json *)
-  let tight_s = session ~threshold:1 ~table_entries:8 g in
-  let t_tight = Timing.seconds_per_call (fun () -> replay tight_s g ws) in
-  let lat_tight = Telemetry.Histogram.create () in
-  replay_recorded tight_s g ws lat_tight (* one untimed recorded pass *);
-  let tight_counters = Table_cache.counters (Session.cache tight_s) in
-  Format.printf "  %-34s %a  (%6.1f ns/query)@."
-    "tight budget (8 columns, LRU)" Timing.pp_time t_tight
-    (per_query t_tight);
-  report "tight-budget per-query latency" lat_tight;
-  Format.printf "  tight-budget cache counters:";
-  List.iter (fun (k, v) -> Format.printf " %s=%d" k v) tight_counters;
-  Format.printf "@.";
-  Scaling.record ~experiment:"SVC1" ~family:"compiled-table (8-column budget)"
-    ~n_plus_e:size ~time_ns:(per_query t_tight) ~latency:lat_tight
-    (counters_json (tight_counters @ [ ("slow_queries", slow lat_tight) ]))
+    (counters_json (table_counters @ [ ("slow_queries", slow lat_table) ]))

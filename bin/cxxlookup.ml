@@ -669,41 +669,9 @@ let check_metrics_cmd =
 (* -- the resident lookup service: serve & batch --------------------- *)
 
 let service_config_term =
-  let threshold =
-    Arg.(
-      value & opt int 3
-      & info [ "promote-threshold" ] ~docv:"N"
-          ~doc:
-            "Root queries of a member name before its full verdict column \
-             is compiled into the table cache.")
-  in
-  let table_entries =
-    Arg.(
-      value & opt int 64
-      & info [ "table-entries" ] ~docv:"N"
-          ~doc:"Compiled-table cache budget: max resident columns.")
-  in
-  let table_bytes =
-    Arg.(
-      value & opt (some int) None
-      & info [ "table-bytes" ] ~docv:"BYTES"
-          ~doc:"Compiled-table cache budget: max estimated bytes.")
-  in
-  let memo_cap =
-    Arg.(
-      value & opt (some int) None
-      & info [ "memo-cap" ] ~docv:"N"
-          ~doc:"Memo engine residency cap (entries), per session.")
-  in
-  let make threshold entries bytes memo_cap jobs =
-    { Service.Session.promote_threshold = threshold;
-      table_max_entries = entries;
-      table_max_bytes = bytes;
-      memo_max_entries = memo_cap;
-      jobs = resolve_jobs jobs }
-  in
-  Term.(const make $ threshold $ table_entries $ table_bytes $ memo_cap
-        $ jobs_term)
+  Term.(
+    const (fun jobs -> { Service.Session.jobs = resolve_jobs jobs })
+    $ jobs_term)
 
 (* -- durability options ---------------------------------------------- *)
 
@@ -1055,9 +1023,10 @@ let serve_cmd =
          "Run the resident lookup service: cxxlookup-rpc/1 requests as \
           JSON lines on stdin, responses on stdout (open, lookup, \
           batch_lookup, mutate, snapshot, restore, stats, metrics, \
-          close).  Sessions keep a parsed hierarchy, an incremental \
-          engine, a memo engine and a compiled-table cache resident \
-          across requests.  With --store, sessions survive restarts: \
+          close).  Sessions keep a parsed hierarchy and one store of \
+          compiled per-member verdict columns resident across \
+          requests; after the first mutation an incremental engine \
+          answers members that were not compiled before it.  With --store, sessions survive restarts: \
           every open writes a snapshot, every mutation appends to a \
           write-ahead log, and startup recovers whatever the store \
           holds.  Observability: --metrics-file exposes the Prometheus \
@@ -1419,9 +1388,8 @@ let loadgen_cmd =
       value & opt int 3
       & info [ "warmup" ] ~docv:"ROUNDS"
           ~doc:
-            "Serial passes over every query before measuring (promotes \
-             hot columns into the compiled table at the default \
-             threshold).")
+            "Serial passes over every query before measuring (the first \
+             compiles every queried member's column).")
   in
   let session =
     Arg.(

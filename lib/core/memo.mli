@@ -9,9 +9,9 @@
     the total work over any query sequence never exceeds the eager
     table's.
 
-    Long-running callers (notably the {!Service} layer) can cap residency:
-    the cache is pure memoisation, so evicting any entry is always
-    correct — a later query just recomputes it. *)
+    Long-running callers can cap residency: the cache is pure
+    memoisation, so evicting any entry is always correct — a later query
+    just recomputes it. *)
 
 type t
 
@@ -38,15 +38,14 @@ val create :
 val lookup : t -> Chg.Graph.class_id -> string -> Engine.verdict option
 
 (** [root_queries t m] is the number of {!lookup} calls made for member
-    name [m] so far (any class).  The service layer promotes a member to a
-    compiled table when this count crosses its threshold. *)
+    name [m] so far (any class) — a signal for callers deciding when a
+    member is worth compiling whole. *)
 val root_queries : t -> string -> int
 
 (** [materialize_column t m] is the full Figure-8 output column for member
     [m] — the verdict for every class, indexed by class id — already in
     the packed query-serving representation.  Fills (and caches) whatever
-    entries are still missing; does {e not} count as root queries.  This
-    is the promotion path from the memo engine to a compiled table. *)
+    entries are still missing; does {e not} count as root queries. *)
 val materialize_column : t -> string -> Packed.column
 
 (** [evict t n] drops up to [n] cached entries, oldest first, returning

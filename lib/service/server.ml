@@ -214,7 +214,8 @@ let read_only = function
   | Add_member_id _ -> false
 
 (* One query's answer by name: [verdict] is [Error msg] for an unknown
-   class; [via] is the serving layer ("table", "memo" or "mro"). *)
+   class; [via] is the serving layer: "table" (a compiled column),
+   "memo" (the incremental engine's row) or "mro". *)
 type answer = {
   a_query : P.query;
   a_verdict : (Lookup_core.Engine.verdict option, string) result;

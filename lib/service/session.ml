@@ -1,40 +1,15 @@
 module G = Chg.Graph
 module Engine = Lookup_core.Engine
-module Memo = Lookup_core.Memo
 module Incremental = Lookup_core.Incremental
 module Packed = Lookup_core.Packed
 
-type config = {
-  promote_threshold : int;
-  table_max_entries : int;
-  table_max_bytes : int option;
-  memo_max_entries : int option;
-  jobs : int;
-}
+type config = { jobs : int }
 
-let default_config =
-  { promote_threshold = 3;
-    table_max_entries = 64;
-    table_max_bytes = None;
-    memo_max_entries = None;
-    jobs = 1 }
+let default_config = { jobs = 1 }
 
 type served = Compiled | Memoised
 
 let served_string = function Compiled -> "table" | Memoised -> "memo"
-
-(* The per-epoch symbol snapshot the binary hot path reads lock-free:
-   class names frozen in graph-id order, plus a member-id-indexed cache
-   of compiled columns (filled lazily from the table cache; entries are
-   immutable columns, so racy fills across reader domains are benign —
-   a stale [None] just re-probes).  Member names live on the session
-   itself: ids are assigned append-only across mutations, never
-   renumbered, so a client's intern table stays valid under deltas. *)
-type symtab = {
-  st_epoch : int;
-  st_classes : string array;
-  st_cols : Packed.column option array;
-}
 
 type t = {
   name : string;
@@ -43,13 +18,11 @@ type t = {
       (* resident source of truth, mutated in place.  Lazy so that a
          session restored from a snapshot (or one that is never mutated)
          does not pay the row computation at open time: the first
-         mutation forces it, over the closure the session opened with;
-         lookups are served by the memo and the compiled tables, which
-         need only the frozen graph. *)
-  cache : Table_cache.t;
+         mutation forces it, over the closure the session opened with.
+         Whether it is forced picks the miss rule (see [column]). *)
+  store : Table_cache.t;  (* packed columns by member intern id *)
   mutable graph : G.t;  (* = the closure's graph, published per mutation *)
   mutable closure : Chg.Closure.t;  (* the engine's, published per mutation *)
-  mutable memo : Memo.t;  (* read-through engine over the snapshot *)
   mutable epoch : int;  (* mutations applied so far *)
   mutable mro : (Mro.variant * Mro.t) list;
       (* linearization tables for the opt-in MRO semantics, one per
@@ -58,12 +31,10 @@ type t = {
          by add_class *)
   member_syms : (string, int) Hashtbl.t;
       (* member name -> dense id; append-only, written only under the
-         mutation path's exclusivity *)
+         mutation path's exclusivity.  A name is interned exactly when
+         some class declares it. *)
   mutable member_names_arr : string array;  (* id -> name, doubling *)
   mutable member_count : int;
-  symtab : symtab Atomic.t;
-      (* published per-epoch snapshot; rebuilt under [lock] on epoch
-         mismatch, read lock-free everywhere else *)
   lookups : Telemetry.Counter.t;
   resolved : Telemetry.Counter.t;
   ambiguous : Telemetry.Counter.t;
@@ -74,15 +45,11 @@ type t = {
          [mutation_stages]; written only under the mutation path's
          exclusivity *)
   lock : Mutex.t;
-      (* guards the memo path and cache promotion under the networked
-         server, where read verbs run on several worker domains at
-         once.  The compiled-table hit path stays lock-free
-         ([Table_cache.find_fast]); only memo fills — which mutate the
-         memo's tables — and promotions serialize here.  Uncontended
-         (and byte-identical in accounting) on the stdin path. *)
+      (* serializes column compilation and MRO table fills under the
+         networked server, where read verbs run on several worker
+         domains at once.  The store's hit path and the engine-row path
+         stay lock-free.  Uncontended on the stdin path. *)
 }
-
-let fresh_memo t cl = Memo.create ?max_entries:t.config.memo_max_entries cl
 
 let mutation_stages = [ "freeze"; "closure"; "rows"; "columns"; "mro" ]
 let st_freeze = 0 and st_closure = 1 and st_rows = 2 and st_columns = 3
@@ -126,19 +93,14 @@ let make ?(config = default_config) ~name ~epoch g =
     { name;
       config;
       inc = lazy (Incremental.of_closure closure);
-      cache =
-        Table_cache.create ~max_entries:config.table_max_entries
-          ?max_bytes:config.table_max_bytes ();
+      store = Table_cache.create ();
       graph = g;
       closure;
-      memo = Memo.create ?max_entries:config.memo_max_entries closure;
       epoch;
       mro = [];
       member_syms = Hashtbl.create 64;
       member_names_arr = [||];
       member_count = 0;
-      symtab =
-        Atomic.make { st_epoch = -1; st_classes = [||]; st_cols = [||] };
       lookups = Telemetry.Counter.make "lookups";
       resolved = Telemetry.Counter.make "resolved";
       ambiguous = Telemetry.Counter.make "ambiguous";
@@ -157,7 +119,9 @@ let restore ?config ~name ~epoch ~columns g =
   let n = G.num_classes g in
   List.iter
     (fun (m, col) ->
-      if Packed.column_classes col = n then Table_cache.promote t.cache m col)
+      match Hashtbl.find_opt t.member_syms m with
+      | Some id when Packed.column_classes col = n -> Table_cache.fill t.store id col
+      | _ -> ())
     columns;
   t
 
@@ -165,73 +129,69 @@ let name t = t.name
 let graph t = t.graph
 let closure t = t.closure
 let epoch t = t.epoch
-let cache t = t.cache
-let compiled_columns t = Table_cache.columns t.cache
+let cache t = t.store
+
+let compiled_columns t =
+  List.map (fun (id, col) -> (t.member_names_arr.(id), col)) (Table_cache.columns t.store)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let count_verdict t = function
   | Some (Engine.Red _) -> Telemetry.Counter.incr t.resolved
   | Some (Engine.Blue _) -> Telemetry.Counter.incr t.ambiguous
   | None -> Telemetry.Counter.incr t.not_found
 
-(* The serving path: compiled table first (one array read), then the
-   memo engine; a memo-served member whose root-query count has crossed
-   the threshold is promoted — its full column materialized from the
-   memo's cache — so later queries take the compiled path. *)
+(* The one read path.  A resident column answers with one array read.
+   On a miss the session either compiles the column or declines:
+   - while the engine is still lazy (no mutation yet), one Figure-8
+     sweep over the closure compiles the member's column, which is kept
+     for good — a member is compiled at most once, and nothing boxed
+     outlives the sweep;
+   - once a mutation has forced the engine, its row answers the query
+     (one hash probe) and nothing is compiled: [None] here. *)
+let column t id =
+  match Table_cache.find t.store id with
+  | Some _ as col -> col
+  | None when Lazy.is_val t.inc -> None
+  | None ->
+    Mutex.protect t.lock @@ fun () ->
+    (* another domain may have compiled it since our probe *)
+    (match Table_cache.peek t.store id with
+    | Some _ as col -> col
+    | None ->
+      let m = t.member_names_arr.(id) in
+      let col = Packed.pack_column (Engine.column (Engine.build_member t.closure m) m) in
+      Table_cache.fill t.store id col;
+      Some col)
+
+let engine_verdict t cls id =
+  Incremental.lookup (Lazy.force t.inc) cls t.member_names_arr.(id)
+
 let lookup t cls member =
   match G.find_opt t.graph cls with
   | None -> Error cls
   | Some c ->
     Telemetry.Counter.incr t.lookups;
-    (match Table_cache.find_fast t.cache member with
-    | Some col ->
-      (* lock-free: an immutable packed column read on any domain *)
-      let v = Packed.column_get col c in
-      count_verdict t v;
-      Ok (v, Compiled)
-    | None ->
-      Mutex.protect t.lock @@ fun () ->
-      (* re-probe under the lock: another domain may have promoted this
-         member between our fast-path miss and acquiring the lock (the
-         locked find also attributes the miss to the counters) *)
-      (match Table_cache.find t.cache member with
-      | Some col ->
-        let v = Packed.column_get col c in
-        count_verdict t v;
-        Ok (v, Compiled)
-      | None ->
-        let v = Memo.lookup t.memo c member in
-        if Memo.root_queries t.memo member >= t.config.promote_threshold then
-          Table_cache.promote t.cache member
-            (Memo.materialize_column t.memo member);
-        count_verdict t v;
-        Ok (v, Memoised)))
+    (* a name no class declares is absent everywhere: it is answered
+       without compiling or interning anything *)
+    let v, served =
+      match Hashtbl.find_opt t.member_syms member with
+      | None -> (None, Memoised)
+      | Some id ->
+        (match column t id with
+        | Some col -> (Packed.column_get col c, Compiled)
+        | None -> (engine_verdict t c id, Memoised))
+    in
+    count_verdict t v;
+    Ok (v, served)
 
 (* ---- the interned-id path ------------------------------------------
 
    Classes are addressed by graph id (declaration order, append-only by
    construction); members by the session's dense intern ids.  Both are
    what the binary framing carries, so the resolved hot path below is
-   int-only: bounds checks, one array read into the published symtab,
+   int-only: bounds checks, one array read into the published store,
    one packed probe, no hashing.  Its one allocation is the boxed
    [Ok (code, Compiled)] result, 5 minor words per call. *)
-
-let symtab t =
-  let st = Atomic.get t.symtab in
-  if st.st_epoch = t.epoch then st
-  else
-    Mutex.protect t.lock @@ fun () ->
-    let st = Atomic.get t.symtab in
-    if st.st_epoch = t.epoch then st
-    else begin
-      let st =
-        { st_epoch = t.epoch;
-          st_classes =
-            Array.init (G.num_classes t.graph) (fun c -> G.name t.graph c);
-          st_cols = Array.make t.member_count None }
-      in
-      Atomic.set t.symtab st;
-      st
-    end
 
 let num_member_symbols t = t.member_count
 let member_symbol_name t id = t.member_names_arr.(id)
@@ -242,11 +202,12 @@ let member_symbols_from t k =
 let member_symbol t name = Hashtbl.find_opt t.member_syms name
 
 (* (epoch, class names, member names) — the symbols verb's payload.
-   Both arrays are copies: the response must not alias the growable
-   member store or the published symtab. *)
+   Both arrays are fresh: the response must not alias the growable
+   member store. *)
 let symbols t =
-  let st = symtab t in
-  (st.st_epoch, Array.copy st.st_classes, Array.sub t.member_names_arr 0 t.member_count)
+  ( t.epoch,
+    Array.init (G.num_classes t.graph) (G.name t.graph),
+    Array.sub t.member_names_arr 0 t.member_count )
 
 let code_of_verdict = function
   | Some (Engine.Red { Lookup_core.Abstraction.r_ldc; _ }) -> r_ldc
@@ -261,34 +222,21 @@ let count_code t code =
 (* [lookup_code t ~cls ~member] — verdict as a resolve code ([-1]
    absent, [-2] ambiguous, else the declaring class id), by interned
    ids.  Counter accounting is identical to {!lookup} for the same
-   query.  On the path where the member's compiled column is cached in
-   the symtab, the result box is the only allocation. *)
+   query. *)
 let lookup_code t ~cls ~member =
   if cls < 0 || cls >= G.num_classes t.graph then Error `Bad_class
   else if member < 0 || member >= t.member_count then Error `Bad_member
   else begin
-    let st = symtab t in
-    match if member < Array.length st.st_cols then st.st_cols.(member) else None with
+    Telemetry.Counter.incr t.lookups;
+    match column t member with
     | Some col ->
-      Telemetry.Counter.incr t.lookups;
-      (* the table cache's hit accounting must match the by-name path *)
-      Table_cache.note_fast_hit t.cache;
       let code = Packed.column_resolve_code col cls in
       count_code t code;
       Ok (code, Compiled)
     | None ->
-      let name = t.member_names_arr.(member) in
-      (match lookup t (st.st_classes.(cls)) name with
-      | Error _ -> Error `Bad_class
-      | Ok (v, served) ->
-        (* promote into the symtab so the next id-lookup is int-only *)
-        (match Table_cache.peek t.cache name with
-        | Some col
-          when Packed.column_classes col = G.num_classes t.graph
-               && member < Array.length st.st_cols ->
-          st.st_cols.(member) <- Some col
-        | _ -> ());
-        Ok (code_of_verdict v, served))
+      let code = code_of_verdict (engine_verdict t cls member) in
+      count_code t code;
+      Ok (code, Memoised)
   end
 
 (* The opt-in linearized-semantics path: one {!Mro.t} per requested
@@ -320,12 +268,12 @@ let mro_lookup t v cls member =
    A mutation moves the incremental engine first — the frozen graph
    ({!G.extend} / {!G.with_member}: new outer arrays, shared inner
    ones), the closure ({!Chg.Closure.extend}: one new row, or
-   {!Chg.Closure.rebind}: no change at all), then the rows — and repairs
-   the compiled columns.  Publication then points the read-facing state
-   at the engine's new graph and closure, with an empty memo (the old
-   memo's entries belong to the old graph; the compiled tables carry
-   the warmth across mutations).  Nothing published earlier changes:
-   every value above is persistent. *)
+   {!Chg.Closure.rebind}: no change at all), then the rows — and
+   publishes a copy of the store with the columns it touched repaired
+   (the old array is left to readers that still hold it).  Publication
+   then points the read-facing state at the engine's new graph and
+   closure.  Nothing published earlier changes: every value above is
+   persistent. *)
 
 let mutate_class t inc ~cls ~bases ~members =
   let g, _ =
@@ -343,8 +291,8 @@ let mutate_class t inc ~cls ~bases ~members =
      verdict, already computed by the incremental row — extension, not
      invalidation. *)
   timed t st_columns (fun () ->
-      Table_cache.update_columns t.cache (fun m col ->
-          Some (Packed.column_append col (Incremental.lookup inc id m))));
+      Table_cache.update t.store t.member_count (fun m col ->
+          Some (Packed.column_append col (engine_verdict t id m))));
   (* a new class changes the structure linearizations are built from *)
   timed t st_mro (fun () -> t.mro <- []);
   id
@@ -361,21 +309,25 @@ let mutate_member t inc ~cls member =
     timed t st_rows (fun () ->
         Incremental.member_added inc cl (G.find g cls) member)
   in
-  ignore (intern t member.G.m_name);
+  let id = intern t member.G.m_name in
   t.epoch <- t.epoch + 1;
   Telemetry.Counter.incr t.mutations;
-  (* Only the mutated member's column can have changed; drop exactly it. *)
-  let invalidated =
-    timed t st_columns (fun () ->
-        Table_cache.invalidate t.cache member.G.m_name)
-  in
-  (rows, invalidated)
+  (* Only the mutated member's column can have changed: a resident one
+     is repacked from the engine's rows, every other slot carries over. *)
+  let resident = Option.is_some (Table_cache.peek t.store id) in
+  timed t st_columns (fun () ->
+      Table_cache.update t.store t.member_count (fun m col ->
+          if m <> id then Some col
+          else
+            Some
+              (Packed.pack_column
+                 (Array.init (G.num_classes g) (fun c -> engine_verdict t c id)))));
+  (rows, resident)
 
 let publish t inc =
   timed t st_freeze (fun () ->
       t.closure <- Incremental.closure inc;
-      t.graph <- Chg.Closure.graph t.closure;
-      t.memo <- fresh_memo t t.closure);
+      t.graph <- Chg.Closure.graph t.closure);
   timed t st_mro (fun () ->
       t.mro <- List.map (fun (v, tbl) -> (v, Mro.rebind tbl t.graph)) t.mro)
 
@@ -429,7 +381,7 @@ let stats_json t =
   let j_counters kvs =
     Chg.Json.Obj (List.map (fun (k, v) -> (k, Chg.Json.Int v)) kvs)
   in
-  let hits = Table_cache.hits t.cache and misses = Table_cache.misses t.cache in
+  let hits = Table_cache.hits t.store and misses = Table_cache.misses t.store in
   let hit_ratio_pct =
     if hits + misses = 0 then 0 else 100 * hits / (hits + misses)
   in
@@ -443,25 +395,23 @@ let stats_json t =
       ("counters", j_counters (counters t));
       ( "table",
         Chg.Json.Obj
-          (("entries", Chg.Json.Int (Table_cache.entries t.cache))
-           :: ("bytes", Chg.Json.Int (Table_cache.bytes t.cache))
-           :: ("boxed_bytes", Chg.Json.Int (Table_cache.boxed_bytes t.cache))
+          (("entries", Chg.Json.Int (Table_cache.entries t.store))
+           :: ("bytes", Chg.Json.Int (Table_cache.bytes t.store))
            :: ("hit_ratio_pct", Chg.Json.Int hit_ratio_pct)
            :: List.map
                 (fun (k, v) -> (k, Chg.Json.Int v))
-                (Table_cache.counters t.cache)
+                (Table_cache.counters t.store)
            @ [ ( "columns",
                  Chg.Json.List
                    (List.map
-                      (fun (m, bytes, boxed) ->
+                      (fun (m, col) ->
                         Chg.Json.Obj
                           [ ("member", Chg.Json.String m);
-                            ("bytes", Chg.Json.Int bytes);
-                            ("boxed_bytes", Chg.Json.Int boxed) ])
-                      (Table_cache.column_stats t.cache)) ) ]) );
+                            ("bytes", Chg.Json.Int (Packed.column_bytes col)) ])
+                      (compiled_columns t)) ) ]) );
+      (* "memo" answers come from the engine's rows once it is forced *)
       ( "memo",
-        Chg.Json.Obj
-          [ ("cached_entries", Chg.Json.Int (Memo.cached_entries t.memo)) ] )
+        Chg.Json.Obj [ ("engine_forced", Chg.Json.Bool (Lazy.is_val t.inc)) ] )
     ]
 
 (* Exposition: every per-session series carries a session label, so the
@@ -485,8 +435,4 @@ let register t registry =
     ~help:"Classes in the session's hierarchy."
     "cxxlookup_session_classes"
     (fun () -> G.num_classes t.graph);
-  Telemetry.Registry.gauge registry ~labels
-    ~help:"Entries in the memo engine's cache."
-    "cxxlookup_session_memo_entries"
-    (fun () -> Memo.cached_entries t.memo);
-  Table_cache.register t.cache ~labels registry
+  Table_cache.register t.store ~labels registry

@@ -1,53 +1,53 @@
 (** One resident hierarchy: the session a [cxxlookup-rpc/1] client opens,
     queries, and mutates.
 
-    A session layers three lookup representations, fastest first:
+    A session answers every read from {b one verdict store}
+    ({!Table_cache}): packed per-member columns indexed by member intern
+    id, one array read per lookup, whichever framing asked.  A miss
+    follows one of two rules:
+    - before the first mutation, the member's column is compiled once —
+      one Figure-8 sweep over the session's closure, O(|N|+|E|) — and
+      kept for good.  Nothing boxed outlives the sweep, and a session
+      that is only read never builds the whole table;
+    - after it, the {b incremental engine} ({!Lookup_core.Incremental})
+      answers from its row and nothing is compiled.  The engine is the
+      resident source of truth once forced: every class row stays
+      materialized, and [add_class] / [add_member] update it in place.
 
-    + the {b compiled-table cache} ({!Table_cache}): per-member verdict
-      columns, one array read per lookup;
-    + the {b memo engine} ({!Lookup_core.Memo}): lazy per-entry fills
-      over the current snapshot, and the promotion source for compiled
-      columns;
-    + the {b incremental engine} ({!Lookup_core.Incremental}): the
-      resident source of truth — every class row stays materialized, and
-      [add_class] / [add_member] update it in place instead of rebuilding
-      the table.
+    A name no class declares answers [None] and touches neither the
+    store nor the intern table.
 
     A mutation costs what the incremental engine costs, and never
-    recomputes anything whole:
+    recomputes anything whole.  It publishes a copy of the store in
+    which only the columns it touched differ:
     - [add_member] keeps the class structure: the new frozen graph
       shares every per-class array but the mutated class's member
       array, the closure and the MRO linearizations are kept (rebound
       to the new graph), the engine recomputes only the member's column
-      at the class and its derived classes, and exactly that member's
-      compiled column is invalidated;
+      at the class and its derived classes, and that member's column,
+      if resident, is repacked from the engine's rows;
     - [add_class] extends: the graph by one class, the closure by one
       row (the union over the direct bases; earlier rows are shared),
-      the engine by one row, and every resident compiled column by the
-      new class's verdict, re-encoded in integers.  MRO tables are
-      dropped and recomputed on the next linearized query;
-    - both publish an empty memo over the new graph.
+      the engine by one row, and every resident column by the new
+      class's verdict, re-encoded in integers.  MRO tables are dropped
+      and recomputed on the next linearized query.
     Values handed out earlier ({!graph}, {!closure}, MRO tables,
     compiled columns) are persistent: no later mutation changes them.
     {!replay} applies a run of WAL records the same way and publishes
-    once.  See DESIGN.md, "The compiled-table cache". *)
+    once.  See DESIGN.md §6, "The service layer". *)
 
 type config = {
-  promote_threshold : int;
-      (** root queries of a member before its column is compiled *)
-  table_max_entries : int;  (** compiled-column count budget *)
-  table_max_bytes : int option;  (** compiled-column byte budget, in
-                                     real packed bytes *)
-  memo_max_entries : int option;  (** memo residency cap *)
   jobs : int;
       (** domains for whole-table column compilation (the lint verb);
           [1] never spawns *)
 }
 
-(** threshold 3, 64 columns, unbounded bytes, unbounded memo, 1 job *)
+(** 1 job *)
 val default_config : config
 
-(** Which layer answered a lookup (reported as ["via"] on the wire). *)
+(** Which layer answered a lookup (reported as ["via"] on the wire):
+    [Compiled] a column of the store, [Memoised] the engine's row (or
+    nothing, for an undeclared name). *)
 type served = Compiled | Memoised
 
 val served_string : served -> string
@@ -58,15 +58,16 @@ type t
     engine is materialized lazily — its rows are computed, over the
     session's closure, on the first mutation, not at open time — so
     opening (and restoring from a snapshot) costs only the closure
-    computation. *)
+    computation, and no column is compiled until it is asked for. *)
 val create : ?config:config -> name:string -> Chg.Graph.t -> t
 
 (** [restore ?config ~name ~epoch ~columns g] reopens a session from
     durable state: the snapshot graph, its mutation epoch, and the
     compiled verdict columns that were resident when the snapshot was
-    taken (installed directly into the table cache, so the warm serving
-    path needs no recomputation).  Columns whose class count disagrees
-    with [g] are dropped rather than trusted. *)
+    taken (installed directly into the store, so the warm serving path
+    needs no recomputation).  Columns whose class count disagrees with
+    [g], or whose member no class of [g] declares, are dropped rather
+    than trusted. *)
 val restore :
   ?config:config ->
   name:string ->
@@ -87,14 +88,17 @@ val closure : t -> Chg.Closure.t
 (** [epoch t] counts mutations applied so far. *)
 val epoch : t -> int
 
+(** [cache t] is the session's verdict store. *)
 val cache : t -> Table_cache.t
 
-(** [compiled_columns t] — the resident compiled columns, sorted by
-    member name: what a snapshot of this session persists. *)
+(** [compiled_columns t] — every resident column, sorted by member name:
+    what a snapshot of this session persists. *)
 val compiled_columns : t -> (string * Table_cache.column) list
 
-(** [lookup t cls member] serves one query (table, then memo, promoting
-    past the threshold).  [Error cls] when the class is unknown. *)
+(** [lookup t cls member] serves one query from the store, compiling
+    the member's column on a miss before the first mutation and
+    answering from the engine's row after it.  [Error cls] when the
+    class is unknown. *)
 val lookup :
   t -> string -> string ->
   (Lookup_core.Engine.verdict option * served, string) result
@@ -123,11 +127,12 @@ val member_symbols_from : t -> int -> (int * string) list
 
 (** [lookup_code t ~cls ~member] answers by interned ids with a resolve
     code: [-1] absent, [-2] ambiguous, else the declaring class id.
-    Counter accounting matches {!lookup}.  When the member's compiled
-    column is cached in the session's symbol table the path does no
-    hashing and builds no verdict, but it is not allocation-free: the
-    [Ok (code, Compiled)] result is boxed, 5 minor words per call
-    (measured over 100k warm calls on a 200-class [random_dag]). *)
+    It takes the same store and miss rules as {!lookup}, and its
+    counter accounting matches.  When the member's column is resident
+    the path does no hashing and builds no verdict, but it is not
+    allocation-free: the [Ok (code, Compiled)] result is boxed, 5 minor
+    words per call (measured over 100k warm calls on a 200-class
+    [random_dag]). *)
 val lookup_code :
   t -> cls:int -> member:int ->
   (int * served, [ `Bad_class | `Bad_member ]) result
@@ -156,16 +161,16 @@ val add_class :
   Chg.Graph.class_id
 
 (** [add_member t ~cls member] — the incremental engine recomputes only
-    the affected rows of that member's column; the member's compiled
-    column (if any) is invalidated.  Returns (rows recomputed, column
-    was resident).
+    the affected rows of that member's column; the member's column, if
+    resident, is repacked from those rows.  Returns (rows recomputed,
+    column was resident).
     @raise Chg.Graph.Error like {!Lookup_core.Incremental.add_member}. *)
 val add_member : t -> cls:string -> Chg.Graph.member -> int * bool
 
 (** The stages of one mutation, in execution order: ["freeze"] (the
-    new frozen graph and memo), ["closure"], ["rows"] (the incremental
-    engine's row or column sweep), ["columns"] (compiled-table repair)
-    and ["mro"] (linearization tables). *)
+    new frozen graph), ["closure"], ["rows"] (the incremental engine's
+    row or column sweep), ["columns"] (the store's copy-on-write
+    repair) and ["mro"] (linearization tables). *)
 val mutation_stages : string list
 
 (** [last_mutation_ns t] — wall-clock nanoseconds each of
@@ -186,15 +191,15 @@ val replay : t -> Store.Mutation.t list -> (unit, Chg.Graph.error) result
 val counters : t -> (string * int) list
 
 (** [stats_json t] is the session's [stats]-verb payload: hierarchy
-    shape, epoch, configured domains, query counters, table counters
-    (with hit ratio, real packed bytes, boxed-equivalent bytes, and the
-    per-column packed-vs-boxed breakdown), memo residency.
+    shape, epoch, configured domains, query counters, store counters
+    (with hit ratio, packed bytes, and the per-column bytes), and
+    whether the engine answers misses ([memo.engine_forced]).
     Deterministic (no wall-clock). *)
 val stats_json : t -> Chg.Json.t
 
 (** [register t registry] attaches the session's counters (as
-    [cxxlookup_session_<name>_total]), live gauges (epoch, classes,
-    memo entries) and its table cache's series to [registry], all
+    [cxxlookup_session_<name>_total]), live gauges (epoch, classes)
+    and its store's series to [registry], all
     labelled [session=<name>].  Reopening a name replaces the closed
     session's series. *)
 val register : t -> Telemetry.Registry.t -> unit

@@ -2,233 +2,102 @@ module Packed = Lookup_core.Packed
 
 type column = Packed.column
 
-type entry = {
-  mutable column : column;
-  mutable bytes : int;  (* real packed bytes — what the budget charges *)
-  mutable boxed_bytes : int;  (* what the same column would cost boxed *)
-  mutable last_use : int;  (* LRU stamp from the cache's tick *)
-}
-
-module Smap = Map.Make (String)
-
 type t = {
-  table : (string, entry) Hashtbl.t;
-  published : entry Smap.t Atomic.t;
-      (* an immutable snapshot of [table], republished after every
-         structural change.  [find_fast] reads it lock-free from
-         concurrent reader domains; the Hashtbl itself is only touched
-         under the owner's exclusivity (the session mutex / the net
-         layer's writer lock). *)
-  mutable tick : int;
-  max_entries : int;
-  max_bytes : int option;
-  mutable total_bytes : int;
-  mutable total_boxed_bytes : int;
+  published : column option array Atomic.t;
+      (* slots by member intern id.  Filled in place under the owner's
+         lock, replaced wholesale by [update]; read lock-free. *)
   hits : Telemetry.Counter.t;
   misses : Telemetry.Counter.t;
   promotions : Telemetry.Counter.t;
   evictions : Telemetry.Counter.t;
-  invalidations : Telemetry.Counter.t;
 }
 
-let create ?(max_entries = 64) ?max_bytes () =
-  if max_entries < 1 then
-    invalid_arg "Table_cache.create: max_entries must be >= 1";
-  (match max_bytes with
-  | Some n when n < 1 ->
-    invalid_arg "Table_cache.create: max_bytes must be >= 1"
-  | _ -> ());
-  { table = Hashtbl.create 16;
-    published = Atomic.make Smap.empty;
-    tick = 0;
-    max_entries;
-    max_bytes;
-    total_bytes = 0;
-    total_boxed_bytes = 0;
+let create () =
+  { published = Atomic.make [||];
     hits = Telemetry.Counter.make "table_hits";
     misses = Telemetry.Counter.make "table_misses";
     promotions = Telemetry.Counter.make "table_promotions";
-    evictions = Telemetry.Counter.make "table_evictions";
-    invalidations = Telemetry.Counter.make "table_invalidations" }
+    evictions = Telemetry.Counter.make "table_evictions" }
 
-let touch t e =
-  t.tick <- t.tick + 1;
-  e.last_use <- t.tick
+let peek t id =
+  let a = Atomic.get t.published in
+  if id < Array.length a then Array.unsafe_get a id else None
 
-let republish t =
-  Atomic.set t.published
-    (Hashtbl.fold (fun m e acc -> Smap.add m e acc) t.table Smap.empty)
-
-(* The lock-free hit path: consult only the published snapshot, so it
-   can run on any reader domain concurrently with a promotion that is
-   restructuring the Hashtbl.  A hit counts and touches exactly like
-   {!find} (tick bumps are racy across domains — LRU recency is an
-   approximation there — but byte-identical to {!find} in serial
-   stdin/stdout mode).  A miss counts nothing: the caller falls back to
-   the locked {!find}, which attributes it. *)
-let find_fast t m =
-  match Smap.find_opt m (Atomic.get t.published) with
-  | Some e ->
+let find t id =
+  match peek t id with
+  | Some _ as col ->
     Telemetry.Counter.incr t.hits;
-    touch t e;
-    Some e.column
-  | None -> None
-
-(* [peek] serves the interned-id path's column promotion: a lock-free
-   probe of the published snapshot with no counter or LRU effect — the
-   caller already attributed the query through {!find}/{!find_fast}. *)
-let peek t m =
-  match Smap.find_opt m (Atomic.get t.published) with
-  | Some e -> Some e.column
-  | None -> None
-
-(* [note_fast_hit] counts a hit served from outside the cache — the
-   session's symtab column cache, which holds columns this cache
-   published — so both framings' hit ratios stay comparable.  No LRU
-   touch: the id path never restructures recency. *)
-let note_fast_hit t = Telemetry.Counter.incr t.hits
-
-let find t m =
-  match Hashtbl.find_opt t.table m with
-  | Some e ->
-    Telemetry.Counter.incr t.hits;
-    touch t e;
-    Some e.column
+    col
   | None ->
     Telemetry.Counter.incr t.misses;
     None
 
-let drop t m e =
-  Hashtbl.remove t.table m;
-  t.total_bytes <- t.total_bytes - e.bytes;
-  t.total_boxed_bytes <- t.total_boxed_bytes - e.boxed_bytes
-
-(* Evict the least recently used entry other than [keep]. *)
-let evict_lru t ~keep =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun m e ->
-      if m <> keep then
-        match !victim with
-        | Some (_, best) when best.last_use <= e.last_use -> ()
-        | _ -> victim := Some (m, e))
-    t.table;
-  match !victim with
-  | None -> false
-  | Some (m, e) ->
-    drop t m e;
-    Telemetry.Counter.incr t.evictions;
-    true
-
-let over_budget t =
-  Hashtbl.length t.table > t.max_entries
-  || match t.max_bytes with
-     | Some cap -> t.total_bytes > cap
-     | None -> false
-
-let set_column t e col =
-  let bytes = Packed.column_bytes col in
-  let boxed = Packed.boxed_column_bytes col in
-  t.total_bytes <- t.total_bytes - e.bytes + bytes;
-  t.total_boxed_bytes <- t.total_boxed_bytes - e.boxed_bytes + boxed;
-  e.column <- col;
-  e.bytes <- bytes;
-  e.boxed_bytes <- boxed
-
-let promote t m col =
-  (match Hashtbl.find_opt t.table m with
-  | Some e ->
-    set_column t e col;
-    touch t e
-  | None ->
-    let e = { column = col; bytes = 0; boxed_bytes = 0; last_use = 0 } in
-    set_column t e col;
-    touch t e;
-    Hashtbl.add t.table m e);
-  Telemetry.Counter.incr t.promotions;
-  (* Enforce the budget, always keeping the entry just promoted (a
-     single over-budget column is better served resident than thrashing
-     on every promotion). *)
-  while over_budget t && evict_lru t ~keep:m do
-    ()
-  done;
-  republish t
-
-let invalidate t m =
-  match Hashtbl.find_opt t.table m with
-  | None -> false
-  | Some e ->
-    drop t m e;
-    republish t;
-    Telemetry.Counter.incr t.invalidations;
-    true
-
-let clear t =
-  let n = Hashtbl.length t.table in
-  Hashtbl.reset t.table;
-  republish t;
-  t.total_bytes <- 0;
-  t.total_boxed_bytes <- 0;
-  Telemetry.Counter.add t.invalidations n
-
-let update_columns t f =
-  let updates =
-    Hashtbl.fold (fun m e acc -> (m, e, f m e.column) :: acc) t.table []
+let fill t id col =
+  let a = Atomic.get t.published in
+  let a =
+    if id < Array.length a then a
+    else begin
+      let grown = Array.make (max (id + 1) (2 * Array.length a)) None in
+      Array.blit a 0 grown 0 (Array.length a);
+      Atomic.set t.published grown;
+      grown
+    end
   in
-  List.iter
-    (fun (m, e, next) ->
-      match next with
-      | None ->
-        drop t m e;
-        Telemetry.Counter.incr t.invalidations
-      | Some col -> set_column t e col)
-    updates;
-  republish t
+  a.(id) <- Some col;
+  Telemetry.Counter.incr t.promotions
+
+let update t n f =
+  let a = Atomic.get t.published in
+  let next = Array.make n None in
+  Array.iteri
+    (fun id slot ->
+      match slot with
+      | Some col when id < n -> next.(id) <- f id col
+      | _ -> ())
+    a;
+  Atomic.set t.published next
 
 let columns t =
-  Hashtbl.fold (fun m e acc -> (m, e.column) :: acc) t.table []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let a = Atomic.get t.published in
+  List.filter_map
+    (fun id -> Option.map (fun col -> (id, col)) a.(id))
+    (List.init (Array.length a) Fun.id)
 
-let column_stats t =
-  Hashtbl.fold
-    (fun m e acc -> (m, e.bytes, e.boxed_bytes) :: acc)
-    t.table []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+let entries t =
+  Array.fold_left
+    (fun n slot -> if Option.is_some slot then n + 1 else n)
+    0 (Atomic.get t.published)
 
-let mem t m = Hashtbl.mem t.table m
-let entries t = Hashtbl.length t.table
-let bytes t = t.total_bytes
-let boxed_bytes t = t.total_boxed_bytes
+let bytes t =
+  Array.fold_left
+    (fun n slot ->
+      match slot with Some col -> n + Packed.column_bytes col | None -> n)
+    0 (Atomic.get t.published)
 
 let counters t =
   List.map
     (fun c -> (Telemetry.Counter.name c, Telemetry.Counter.value c))
-    [ t.hits; t.misses; t.promotions; t.evictions; t.invalidations ]
+    [ t.hits; t.misses; t.promotions; t.evictions ]
 
 let hits t = Telemetry.Counter.value t.hits
 let misses t = Telemetry.Counter.value t.misses
 
 (* Exposition: cxxlookup_table_*_total counters plus live-size gauges,
-   labelled by the owning session so several caches coexist in one
+   labelled by the owning session so several stores coexist in one
    registry. *)
 let register t ?(labels = []) registry =
   List.iter
     (fun c ->
       Telemetry.Registry.attach_counter registry ~labels
         ~help:
-          (Printf.sprintf "Compiled-table cache counter %s."
+          (Printf.sprintf "Verdict store counter %s."
              (Telemetry.Counter.name c))
         (Printf.sprintf "cxxlookup_%s_total" (Telemetry.Counter.name c))
         c)
-    [ t.hits; t.misses; t.promotions; t.evictions; t.invalidations ];
+    [ t.hits; t.misses; t.promotions; t.evictions ];
   Telemetry.Registry.gauge registry ~labels
     ~help:"Resident compiled columns." "cxxlookup_table_entries"
     (fun () -> entries t);
   Telemetry.Registry.gauge registry ~labels
-    ~help:"Resident packed column bytes (the budgeted quantity)."
-    "cxxlookup_table_bytes"
-    (fun () -> bytes t);
-  Telemetry.Registry.gauge registry ~labels
-    ~help:"Boxed-equivalent bytes of the resident columns."
-    "cxxlookup_table_boxed_bytes"
-    (fun () -> boxed_bytes t)
+    ~help:"Resident packed column bytes." "cxxlookup_table_bytes"
+    (fun () -> bytes t)

@@ -1,106 +1,71 @@
-(** The compiled-table cache: fully materialized per-member verdict
-    columns under an LRU budget.
+(** The session's verdict store: one packed column per member, indexed
+    by the session's member intern id.
 
     A column is the Figure-8 output for one member name over {e every}
-    class — the paper's lookup[*, m] — promoted from the memo engine once
-    a member's root-query count crosses the session's threshold, held in
-    the packed representation ({!Lookup_core.Packed}): two flat int
-    arrays per column, so a compiled lookup decodes one tagged immediate
-    with no hashing and no combine work at all — the fastest resident
-    path the service offers.
+    class — the paper's lookup[*, m] — held in the packed representation
+    ({!Lookup_core.Packed}): two flat int arrays, so a lookup decodes
+    one tagged immediate with no hashing and no combine work.
 
-    Residency is bounded two ways: a maximum number of columns and an
-    optional byte budget.  Since packing, the budget charges the
-    column's {e real} resident size ({!Lookup_core.Packed.column_bytes}),
-    not an estimate — typically several times smaller than the boxed
-    representation, so more columns stay resident under the same cap.
-    The boxed-equivalent size is still tracked per entry for
-    packed-vs-boxed reporting ({!column_stats}, [cxxlookup stats]).
-    Past either bound the least recently used column is evicted; the
-    column just promoted always survives its own promotion.
+    The store is one [column option array], published atomically.  The
+    hit path ({!find}) reads the published array lock-free from any
+    domain.  {!fill} writes a slot of the current array in place under
+    the owner's lock: a reader racing it sees either [None] (and falls
+    back to the owner's miss path) or the immutable column.  {!update}
+    copies the array and publishes the copy — the mutation path, which
+    the owner runs with readers excluded.  Nothing is ever evicted: the
+    store holds at most one column per declared member name.
 
-    Invalidation is the session's job (see DESIGN.md): [add_member]
-    invalidates exactly the mutated member's column, [add_class] extends
-    every resident column by the new class's verdict via
-    {!update_columns}. *)
+    Which slots get filled, and how mutations repair them, is the
+    session's job (see DESIGN.md §6). *)
 
 type column = Lookup_core.Packed.column
 
 type t
 
-(** [create ?max_entries ?max_bytes ()] — at most [max_entries] columns
-    (default 64) and, when given, at most [max_bytes] packed bytes.
-    Raises [Invalid_argument] on non-positive bounds. *)
-val create : ?max_entries:int -> ?max_bytes:int -> unit -> t
+(** An empty store. *)
+val create : unit -> t
 
-(** [find t m] is member [m]'s compiled column, bumping its LRU stamp and
-    the hit counter — or [None], bumping the miss counter. *)
-val find : t -> string -> column option
+(** [find t id] is member [id]'s column, counting a hit — or [None],
+    counting a miss.  Lock-free. *)
+val find : t -> int -> column option
 
-(** [find_fast t m] is the lock-free hit path: it consults an
-    atomically published immutable snapshot of the cache, so concurrent
-    reader domains can probe while a writer (holding the owner's lock)
-    restructures the underlying table.  A hit counts and touches
-    exactly like {!find}; a miss counts nothing and returns [None] —
-    fall back to {!find} under the owner's lock to attribute it. *)
-val find_fast : t -> string -> column option
+(** [peek t id] probes like {!find} with no counter effect — the
+    re-probe under the owner's lock. *)
+val peek : t -> int -> column option
 
-(** [peek t m] probes the published snapshot lock-free with no counter
-    or LRU effect — for callers that already attributed the query and
-    only want the column (the session's interned-id promotion). *)
-val peek : t -> string -> column option
+(** [fill t id col] installs [id]'s column (growing the array if [id] is
+    past its end) and counts one compiled column.  Under the owner's
+    lock. *)
+val fill : t -> int -> column -> unit
 
-(** [note_fast_hit t] counts one hit served from a column this cache
-    published but that the caller held outside it (the session symtab's
-    id-indexed cache), keeping hit ratios comparable across framings. *)
-val note_fast_hit : t -> unit
+(** [update t n f] publishes a fresh [n]-slot array in which each
+    resident column [col] at [id < n] becomes [f id col] ([None] drops
+    it) and every other slot is empty.  The array readers held before
+    is left as it was. *)
+val update : t -> int -> (int -> column -> column option) -> unit
 
-(** [promote t m col] installs (or refreshes) [m]'s column and enforces
-    the budget, evicting least-recently-used columns as needed. *)
-val promote : t -> string -> column -> unit
+(** [columns t] — every resident [(id, column)], by increasing id. *)
+val columns : t -> (int * column) list
 
-(** [invalidate t m] drops [m]'s column if resident; [true] iff it was. *)
-val invalidate : t -> string -> bool
-
-(** [clear t] drops everything (counted as invalidations). *)
-val clear : t -> unit
-
-(** [update_columns t f] rewrites every resident column ([None] drops
-    it) — the [add_class] path: extend each column by the new class's
-    verdict instead of throwing the warm cache away. *)
-val update_columns : t -> (string -> column -> column option) -> unit
-
-(** [columns t] — every resident column, sorted by member name (the
-    deterministic order snapshots are written in).  Does not touch LRU
-    stamps or hit counters. *)
-val columns : t -> (string * column) list
-
-(** [column_stats t] — [(member, packed bytes, boxed-equivalent bytes)]
-    per resident column, sorted by member name. *)
-val column_stats : t -> (string * int * int) list
-
-val mem : t -> string -> bool
+(** [entries t] is the number of resident columns. *)
 val entries : t -> int
 
-(** [bytes t] is the real resident size of all packed columns — the
-    quantity [create]'s byte budget bounds. *)
+(** [bytes t] is the real resident size of all columns
+    ({!Lookup_core.Packed.column_bytes}). *)
 val bytes : t -> int
 
-(** [boxed_bytes t] is what the same columns would cost in the boxed
-    representation (the pre-packing estimator), for savings reporting. *)
-val boxed_bytes : t -> int
-
-(** [counters t] — [table_hits], [table_misses], [table_promotions],
-    [table_evictions], [table_invalidations], in that order. *)
+(** [counters t] — [table_hits], [table_misses], [table_promotions]
+    (columns compiled or restored) and [table_evictions], in that order.
+    The store never evicts: [table_evictions] stays 0, and is kept so
+    that readers of these keys keep working. *)
 val counters : t -> (string * int) list
 
 val hits : t -> int
 val misses : t -> int
 
-(** [register t ?labels registry] attaches the five counters (as
+(** [register t ?labels registry] attaches the counters (as
     [cxxlookup_table_<name>_total]) and live-size gauges
-    ([cxxlookup_table_entries] / [_bytes] / [_boxed_bytes]) to
-    [registry], all under [labels] (typically
-    [[("session", name)]]). *)
+    ([cxxlookup_table_entries] / [_bytes]) to [registry], all under
+    [labels] (typically [[("session", name)]]). *)
 val register :
   t -> ?labels:(string * string) list -> Telemetry.Registry.t -> unit

@@ -106,71 +106,47 @@ let test_memo_bad_cap () =
     (Invalid_argument "Memo.create: max_entries must be >= 1")
     (fun () -> ignore (Memo.create ~max_entries:0 cl))
 
-(* ---- Table cache: LRU, budgets, invalidation ---- *)
+(* ---- The verdict store ---- *)
 
 let col_of verdicts = Packed.pack_column verdicts
 
 let red c = Some (Engine.Red { r_ldc = c; r_lvs = [ Lookup_core.Abstraction.Omega ] })
 
-let test_cache_lru () =
-  let t = Table_cache.create ~max_entries:2 () in
-  Table_cache.promote t "a" (col_of [| red 0; None; None |]);
-  Table_cache.promote t "b" (col_of [| None; red 1; None |]);
-  ignore (Table_cache.find t "a") (* touch: "b" becomes LRU *);
-  Table_cache.promote t "c" (col_of [| None; None; red 2 |]);
-  Alcotest.(check bool) "a survives (recently used)" true
-    (Table_cache.mem t "a");
-  Alcotest.(check bool) "b evicted (LRU)" false (Table_cache.mem t "b");
-  Alcotest.(check bool) "c resident" true (Table_cache.mem t "c");
-  Alcotest.(check int) "entries at cap" 2 (Table_cache.entries t);
-  let find k = List.assoc k (Table_cache.counters t) in
-  Alcotest.(check int) "promotions" 3 (find "table_promotions");
-  Alcotest.(check int) "evictions" 1 (find "table_evictions");
-  Alcotest.(check int) "hits" 1 (find "table_hits")
-
-let test_cache_byte_budget () =
-  (* a budget smaller than one column: the newly promoted column always
-     survives its own promotion, everything else goes *)
-  let t = Table_cache.create ~max_bytes:64 () in
-  Table_cache.promote t "a" (col_of [| red 0; red 1; None |]);
-  Table_cache.promote t "b" (col_of [| red 0; red 1; None |]);
-  Alcotest.(check int) "only the newest column resident" 1
-    (Table_cache.entries t);
-  Alcotest.(check bool) "and it is the newest" true (Table_cache.mem t "b");
-  Alcotest.(check bool) "byte estimate is positive" true
-    (Table_cache.bytes t > 0)
-
 let test_cache_invalidate_and_update () =
   let t = Table_cache.create () in
-  Table_cache.promote t "a" (col_of [| red 0 |]);
-  Table_cache.promote t "b" (col_of [| red 0 |]);
-  Alcotest.(check bool) "invalidate resident" true
-    (Table_cache.invalidate t "a");
-  Alcotest.(check bool) "invalidate absent" false
-    (Table_cache.invalidate t "a");
-  Alcotest.(check (option bool)) "a gone" None
-    (Option.map (fun _ -> true) (Table_cache.find t "a"));
+  Table_cache.fill t 0 (col_of [| red 0 |]);
+  Table_cache.fill t 3 (col_of [| red 0 |]) (* grows the array *);
+  Alcotest.(check (list int)) "resident ids" [ 0; 3 ]
+    (List.map fst (Table_cache.columns t));
+  Alcotest.(check bool) "empty slot misses" true (Table_cache.find t 1 = None);
+  let before = Table_cache.columns t in
   (* the add_class path: extend every resident column *)
-  Table_cache.update_columns t (fun _ col ->
-      Some (Packed.column_append col (red 1)));
-  (match Table_cache.find t "b" with
+  Table_cache.update t 4 (fun _ col -> Some (Packed.column_append col (red 1)));
+  (match Table_cache.find t 3 with
   | Some col ->
     Alcotest.(check int) "extended" 2 (Packed.column_classes col);
     Alcotest.check (verdict_t (graph ())) "new slot" (red 1)
       (Packed.column_get col 1)
-  | None -> Alcotest.fail "column b disappeared");
-  (* update returning None drops the column *)
-  Table_cache.update_columns t (fun _ _ -> None);
-  Alcotest.(check int) "all dropped" 0 (Table_cache.entries t)
+  | None -> Alcotest.fail "column 3 disappeared");
+  Alcotest.(check bool) "columns handed out earlier are unchanged" true
+    (List.for_all (fun (_, col) -> Packed.column_classes col = 1) before);
+  (* update returning None drops, and a shorter array drops the tail *)
+  Table_cache.update t 2 (fun id col -> if id = 0 then None else Some col);
+  Alcotest.(check int) "all dropped" 0 (Table_cache.entries t);
+  let find k = List.assoc k (Table_cache.counters t) in
+  Alcotest.(check (list int)) "hits, misses, promotions, evictions"
+    [ 1; 1; 2; 0 ]
+    (List.map find
+       [ "table_hits"; "table_misses"; "table_promotions"; "table_evictions" ])
 
 (* ---- Sessions ---- *)
 
-let session_config =
-  { Session.default_config with promote_threshold = 2 }
+let resident s m = List.mem_assoc m (Session.compiled_columns s)
+let store_counter s k = List.assoc k (Table_cache.counters (Session.cache s))
 
 let test_session_serves_and_promotes () =
   let g = graph () in
-  let s = Session.create ~config:session_config ~name:"t" g in
+  let s = Session.create ~name:"t" g in
   let eng = Engine.build (Chg.Closure.compute g) in
   let expect_served cls m layer =
     match Session.lookup s cls m with
@@ -185,15 +161,101 @@ let test_session_serves_and_promotes () =
         layer
         (Session.served_string served)
   in
-  expect_served "H" "foo" "memo" (* query 1 of foo *);
-  expect_served "G" "foo" "memo" (* query 2: crosses threshold, promotes *);
-  expect_served "H" "foo" "table";
+  expect_served "H" "foo" "table" (* compiles foo's column *);
+  expect_served "G" "foo" "table";
   expect_served "A" "foo" "table";
-  expect_served "H" "bar" "memo";
-  Alcotest.(check bool) "foo column resident" true
-    (Table_cache.mem (Session.cache s) "foo");
+  Alcotest.(check bool) "foo column resident" true (resident s "foo");
+  Alcotest.(check bool) "bar not compiled yet" false (resident s "bar");
+  expect_served "H" "bar" "table";
+  Alcotest.(check int) "one compile per member" 2
+    (store_counter s "table_promotions");
+  Alcotest.(check int) "misses = compiles" 2 (store_counter s "table_misses");
   let c = Session.counters s in
-  Alcotest.(check int) "lookup counter" 5 (List.assoc "lookups" c)
+  Alcotest.(check int) "lookup counter" 4 (List.assoc "lookups" c)
+
+(* Every (class, member) pair of a hierarchy, with the member's id *)
+let all_pairs s =
+  let g = Session.graph s in
+  List.concat_map
+    (fun m ->
+      let id = Option.get (Session.member_symbol s m) in
+      List.map (fun c -> (c, m, id)) (G.classes g))
+    (G.member_names g)
+
+let test_store_compiles_once () =
+  let i =
+    Hiergen.Families.random_dag ~n:40 ~max_bases:3 ~virtual_prob:0.3
+      ~declare_prob:0.2
+      ~members:(List.init 12 (Printf.sprintf "m%d"))
+      ~seed:3
+  in
+  let g = i.Hiergen.Families.graph in
+  let s = Session.create ~name:"once" g in
+  let touched =
+    List.filter (fun m -> Session.member_symbol s m <> None) [ "m1"; "m4"; "m7" ]
+  in
+  let pairs = List.filter (fun (_, m, _) -> List.mem m touched) (all_pairs s) in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (c, m, id) ->
+        ignore (Session.lookup s (G.name g c) m);
+        ignore (Session.lookup_code s ~cls:c ~member:id))
+      pairs
+  done;
+  Alcotest.(check bool) "some members touched" true (touched <> []);
+  Alcotest.(check int) "table_promotions = distinct members touched"
+    (List.length touched) (store_counter s "table_promotions");
+  Alcotest.(check int) "table_evictions = 0" 0 (store_counter s "table_evictions");
+  Alcotest.(check (list string)) "exactly the touched columns are resident"
+    (List.sort compare touched)
+    (List.map fst (Session.compiled_columns s))
+
+let test_store_undeclared_name () =
+  let g = graph () in
+  let s = Session.create ~name:"t" g in
+  ignore (Session.lookup s "H" "foo");
+  let check_undeclared what =
+    let syms = Session.num_member_symbols s in
+    let cols = List.map fst (Session.compiled_columns s) in
+    let compiled = store_counter s "table_promotions" in
+    (match Session.lookup s "H" "nosuch" with
+    | Ok (None, served) ->
+      Alcotest.(check string) (what ^ ": via") "memo" (Session.served_string served)
+    | Ok (Some _, _) -> Alcotest.failf "%s: undeclared name resolved" what
+    | Error c -> Alcotest.failf "%s: lost class %s" what c);
+    Alcotest.(check int) (what ^ ": no intern") syms (Session.num_member_symbols s);
+    Alcotest.(check (option int)) (what ^ ": no symbol") None
+      (Session.member_symbol s "nosuch");
+    Alcotest.(check (list string)) (what ^ ": store unchanged") cols
+      (List.map fst (Session.compiled_columns s));
+    Alcotest.(check int) (what ^ ": nothing compiled") compiled
+      (store_counter s "table_promotions")
+  in
+  check_undeclared "before a mutation";
+  ignore (Session.add_member s ~cls:"A" (G.member "fresh"));
+  check_undeclared "after a mutation"
+
+let test_store_no_compile_after_mutation () =
+  let g = graph () in
+  let s = Session.create ~name:"t" g in
+  ignore (Session.lookup s "H" "foo");
+  ignore (Session.add_member s ~cls:"A" (G.member "fresh"));
+  let compiled = store_counter s "table_promotions" in
+  List.iter
+    (fun (c, m, id) ->
+      let via served = Session.served_string served in
+      let want = if m = "foo" then "table" else "memo" in
+      (match Session.lookup s (G.name g c) m with
+      | Ok (_, served) -> Alcotest.(check string) ("by name via " ^ m) want (via served)
+      | Error cls -> Alcotest.failf "lost class %s" cls);
+      match Session.lookup_code s ~cls:c ~member:id with
+      | Ok (_, served) -> Alcotest.(check string) ("by id via " ^ m) want (via served)
+      | Error _ -> Alcotest.fail "lookup_code failed")
+    (all_pairs s);
+  Alcotest.(check int) "nothing compiled after the mutation" compiled
+    (store_counter s "table_promotions");
+  Alcotest.(check (list string)) "only the warm column is resident" [ "foo" ]
+    (List.map fst (Session.compiled_columns s))
 
 let test_session_unknown_class () =
   let s = Session.create ~name:"t" (graph ()) in
@@ -222,12 +284,10 @@ let check_all_lookups s =
 
 let test_session_add_class_extends_columns () =
   let g = graph () in
-  let s = Session.create ~config:session_config ~name:"t" g in
-  (* warm: promote foo's column *)
+  let s = Session.create ~name:"t" g in
+  (* warm: compile foo's column *)
   ignore (Session.lookup s "H" "foo");
-  ignore (Session.lookup s "G" "foo");
-  Alcotest.(check bool) "foo compiled" true
-    (Table_cache.mem (Session.cache s) "foo");
+  Alcotest.(check bool) "foo compiled" true (resident s "foo");
   let id =
     Session.add_class s ~cls:"Z"
       ~bases:[ ("H", G.Non_virtual, G.Public); ("F", G.Virtual, G.Public) ]
@@ -236,8 +296,7 @@ let test_session_add_class_extends_columns () =
   Alcotest.(check int) "dense id appended" (G.num_classes g) id;
   Alcotest.(check int) "epoch bumped" 1 (Session.epoch s);
   (* the warm column survived the mutation and covers the new class *)
-  Alcotest.(check bool) "foo column still resident" true
-    (Table_cache.mem (Session.cache s) "foo");
+  Alcotest.(check bool) "foo column still resident" true (resident s "foo");
   (match Session.lookup s "Z" "foo" with
   | Ok (_, served) ->
     Alcotest.(check string) "new class served from the extended column"
@@ -248,29 +307,68 @@ let test_session_add_class_extends_columns () =
 
 let test_session_add_member_invalidates () =
   let g = graph () in
-  let s = Session.create ~config:session_config ~name:"t" g in
+  let s = Session.create ~name:"t" g in
   ignore (Session.lookup s "H" "foo");
-  ignore (Session.lookup s "G" "foo");
+  let old = List.assoc "foo" (Session.compiled_columns s) in
   let rows, invalidated = Session.add_member s ~cls:"B" (G.member "foo") in
   Alcotest.(check bool) "compiled column was invalidated" true invalidated;
   Alcotest.(check bool) "some rows recomputed" true (rows > 0);
-  Alcotest.(check bool) "column no longer resident" false
-    (Table_cache.mem (Session.cache s) "foo");
+  (* the old column is replaced by one repacked from the engine's rows *)
+  let fresh = List.assoc "foo" (Session.compiled_columns s) in
+  Alcotest.(check bool) "column repacked" false (Packed.column_equal old fresh);
   Alcotest.(check int) "epoch bumped" 1 (Session.epoch s);
+  (match Session.lookup s "B" "foo" with
+  | Ok (_, served) ->
+    Alcotest.(check string) "served from the repacked column" "table"
+      (Session.served_string served)
+  | Error c -> Alcotest.failf "lost class %s" c);
   check_all_lookups s;
   (* an unrelated member's addition leaves nothing to invalidate *)
   let _, invalidated2 = Session.add_member s ~cls:"B" (G.member "qux") in
   Alcotest.(check bool) "nothing resident to invalidate" false invalidated2;
   check_all_lookups s
 
+(* The store is the whole read-side residency: warming every (class,
+   member) pair of a 600-class, 256-member hierarchy by id grows the
+   live heap by the packed columns and little else — no boxed verdict
+   outlives the sweep that compiled its column. *)
+let test_store_memory_bound () =
+  let i =
+    Hiergen.Families.random_dag ~n:600 ~max_bases:2 ~virtual_prob:0.2
+      ~declare_prob:0.05
+      ~members:(List.init 256 (Printf.sprintf "m%d"))
+      ~seed:1
+  in
+  let g = i.Hiergen.Families.graph in
+  let s = Session.create ~name:"wide" g in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let before = live_words () in
+  let members = Session.num_member_symbols s in
+  for member = 0 to members - 1 do
+    for cls = 0 to G.num_classes g - 1 do
+      match Session.lookup_code s ~cls ~member with
+      | Ok _ -> ()
+      | Error _ -> Alcotest.fail "lookup_code rejected a valid pair"
+    done
+  done;
+  let grown = live_words () - before in
+  let store = Session.cache s in
+  let store_words = Table_cache.bytes store / (Sys.word_size / 8) in
+  Alcotest.(check int) "every member compiled" members (Table_cache.entries store);
+  if grown > (2 * store_words) + 16_384 then
+    Alcotest.failf "live heap grew by %d words; the store holds %d" grown
+      store_words
+
 (* A mutation never changes what the session handed out before it: the
    old graph, closure and compiled columns stay as they were, though the
    new ones share storage with them. *)
 let test_published_values_persist () =
   let g = graph () in
-  let s = Session.create ~config:session_config ~name:"t" g in
+  let s = Session.create ~name:"t" g in
   ignore (Session.lookup s "H" "foo");
-  ignore (Session.lookup s "G" "foo");
   let g0 = Session.graph s and cl0 = Session.closure s in
   let doc0 = Chg.Serialize.to_string g0 in
   let bits cl =
@@ -705,12 +803,11 @@ let prop_batch_matches_spec =
       | _ -> false)
 
 let prop_serve_sessions_promote =
-  (* replaying a workload twice per session: answers stay equal to the
-     first pass even as serving shifts from memo to compiled columns *)
+  (* replaying a workload twice per session: the first pass compiles
+     each column, the second is served from them, answers equal *)
   QCheck.Test.make ~count:60 ~name:"promotion never changes answers"
     instance_arb (fun { Hiergen.Families.graph = g; _ } ->
-      let config = { Session.default_config with promote_threshold = 1 } in
-      let s = Session.create ~config ~name:"q" g in
+      let s = Session.create ~name:"q" g in
       let ws = W.exhaustive g in
       let run () =
         List.map
@@ -727,9 +824,9 @@ let prop_serve_sessions_promote =
    A random hierarchy (virtual edges, names redeclared across classes,
    some static) takes a random interleaving of add_class and
    add_member.  Before the first mutation only [warm_members] are
-   queried, so their columns are compiled (promote_threshold = 1) while
-   the hierarchy's other names are first asked for after it, and names
-   the trace adds only after that.  Each add_class then extends the
+   queried, so their columns are compiled, while the hierarchy's other
+   names are first asked for after it and are answered from the engine's
+   rows, as are names the trace adds.  Each add_class then extends the
    resident columns, and an add_member of a warm name replaces a
    resident column.  After every mutation each (class, member) pair is
    answered three ways and checked against the oracle on the session's
@@ -869,8 +966,7 @@ let prop_mutation_trace_matches_spec =
   QCheck.Test.make ~count:200
     ~name:"mutation trace: lookup, lookup_code, C3 and closure = oracle"
     trace_arb (fun ({ Hiergen.Families.graph = g; _ }, ops) ->
-      let config = { Session.default_config with promote_threshold = 1 } in
-      let s = Session.create ~config ~name:"trace" g in
+      let s = Session.create ~name:"trace" g in
       session_matches_oracle ~only:(fun m -> List.mem m warm_members) s
       && List.for_all
            (fun (k, op) ->
@@ -887,12 +983,18 @@ let suite =
     Alcotest.test_case "memo materialized column" `Quick
       test_memo_column_matches_engine;
     Alcotest.test_case "memo rejects bad cap" `Quick test_memo_bad_cap;
-    Alcotest.test_case "cache LRU eviction" `Quick test_cache_lru;
-    Alcotest.test_case "cache byte budget" `Quick test_cache_byte_budget;
     Alcotest.test_case "cache invalidate/update" `Quick
       test_cache_invalidate_and_update;
     Alcotest.test_case "session serves and promotes" `Quick
       test_session_serves_and_promotes;
+    Alcotest.test_case "store compiles each column once" `Quick
+      test_store_compiles_once;
+    Alcotest.test_case "store ignores undeclared names" `Quick
+      test_store_undeclared_name;
+    Alcotest.test_case "store compiles nothing after a mutation" `Quick
+      test_store_no_compile_after_mutation;
+    Alcotest.test_case "store memory bound on a wide warm session" `Quick
+      test_store_memory_bound;
     Alcotest.test_case "session unknown class" `Quick
       test_session_unknown_class;
     Alcotest.test_case "add_class extends compiled columns" `Quick
