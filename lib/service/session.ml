@@ -120,7 +120,8 @@ let restore ?config ~name ~epoch ~columns g =
   List.iter
     (fun (m, col) ->
       match Hashtbl.find_opt t.member_syms m with
-      | Some id when Packed.column_classes col = n -> Table_cache.fill t.store id col
+      | Some id when Packed.column_classes col = n ->
+        Table_cache.fill t.store id col
       | _ -> ())
     columns;
   t
@@ -132,7 +133,8 @@ let epoch t = t.epoch
 let cache t = t.store
 
 let compiled_columns t =
-  List.map (fun (id, col) -> (t.member_names_arr.(id), col)) (Table_cache.columns t.store)
+  Table_cache.columns t.store
+  |> List.map (fun (id, col) -> (t.member_names_arr.(id), col))
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let count_verdict t = function
@@ -159,7 +161,9 @@ let column t id =
     | Some _ as col -> col
     | None ->
       let m = t.member_names_arr.(id) in
-      let col = Packed.pack_column (Engine.column (Engine.build_member t.closure m) m) in
+      let col =
+        Packed.pack_column (Engine.column (Engine.build_member t.closure m) m)
+      in
       Table_cache.fill t.store id col;
       Some col)
 
@@ -291,8 +295,8 @@ let mutate_class t inc ~cls ~bases ~members =
      verdict, already computed by the incremental row — extension, not
      invalidation. *)
   timed t st_columns (fun () ->
-      Table_cache.update t.store t.member_count (fun m col ->
-          Some (Packed.column_append col (engine_verdict t id m))));
+      Table_cache.update t.store t.member_count (fun mid col ->
+          Some (Packed.column_append col (engine_verdict t id mid))));
   (* a new class changes the structure linearizations are built from *)
   timed t st_mro (fun () -> t.mro <- []);
   id
@@ -316,8 +320,8 @@ let mutate_member t inc ~cls member =
      is repacked from the engine's rows, every other slot carries over. *)
   let resident = Option.is_some (Table_cache.peek t.store id) in
   timed t st_columns (fun () ->
-      Table_cache.update t.store t.member_count (fun m col ->
-          if m <> id then Some col
+      Table_cache.update t.store t.member_count (fun mid col ->
+          if mid <> id then Some col
           else
             Some
               (Packed.pack_column
