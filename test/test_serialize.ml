@@ -43,6 +43,69 @@ let test_json_errors () =
     [ ""; "{"; "["; "\"unterminated"; "1.5"; "1e3"; "nul"; "[1,]";
       "{\"a\":}"; "{\"a\" 1}"; "[1] garbage"; "{1: 2}" ]
 
+(* The exact error text, offset included, of every failure branch of the
+   scanner: clients and goldens see these strings verbatim. *)
+let test_json_error_text () =
+  List.iter
+    (fun (src, expected) ->
+      let got =
+        match Json.of_string src with
+        | Ok j -> "accepted " ^ Json.to_string j
+        | Error msg -> msg
+      in
+      Alcotest.(check string) (Printf.sprintf "%S" src) expected got)
+    [ (* strings and escapes *)
+      ("\"abc", "JSON error at offset 4: unterminated string");
+      ("[\"a", "JSON error at offset 3: unterminated string");
+      ("\"ab\\", "JSON error at offset 4: unterminated escape");
+      ("\"a\\x\"", "JSON error at offset 3: invalid escape '\\x'");
+      ("\"\\u00\"", "JSON error at offset 3: truncated \\u escape");
+      ("\"\\u0\"", "JSON error at offset 3: truncated \\u escape");
+      ("\"\\u00e9\"",
+       "JSON error at offset 3: non-ASCII \\u escapes are not supported");
+      ("\"\\uzzzz\"", "JSON error at offset 3: malformed \\u escape");
+      ("\"\\u00 1\"", "JSON error at offset 3: malformed \\u escape");
+      (* numbers *)
+      ("1.5", "JSON error at offset 1: floats are not supported");
+      ("-12e3", "JSON error at offset 3: floats are not supported");
+      ("[7E1]", "JSON error at offset 2: floats are not supported");
+      ("-", "JSON error at offset 1: malformed number");
+      ("[-x]", "JSON error at offset 2: malformed number");
+      ("4611686018427387904", "JSON error at offset 19: malformed number");
+      ("-4611686018427387905", "JSON error at offset 20: malformed number");
+      ("99999999999999999999999 ", "JSON error at offset 23: malformed number");
+      (* literals *)
+      ("nul", "JSON error at offset 0: invalid literal (expected null)");
+      ("[tru]", "JSON error at offset 1: invalid literal (expected true)");
+      ("falsy", "JSON error at offset 0: invalid literal (expected false)");
+      (* arrays and objects *)
+      ("[1 2]", "JSON error at offset 3: expected ',' or ']'");
+      ("[1", "JSON error at offset 2: expected ',' or ']'");
+      ("{\"a\":1 \"b\":2}", "JSON error at offset 7: expected ',' or '}'");
+      ("{\"a\":1", "JSON error at offset 6: expected ',' or '}'");
+      ("{\"a\" 1}", "JSON error at offset 5: expected ':', found '1'");
+      ("{\"a\"", "JSON error at offset 4: expected ':', found end of input");
+      ("{1:2}", "JSON error at offset 1: expected '\"', found '1'");
+      ("{\"a\":1,",
+       "JSON error at offset 7: expected '\"', found end of input");
+      (* values *)
+      ("", "JSON error at offset 0: unexpected end of input");
+      ("[1,", "JSON error at offset 3: unexpected end of input");
+      ("@", "JSON error at offset 0: unexpected character '@'");
+      ("[,]", "JSON error at offset 1: unexpected character ','");
+      ("{\"a\":}", "JSON error at offset 5: unexpected character '}'");
+      (* trailing garbage *)
+      ("[1] x", "JSON error at offset 4: trailing garbage");
+      ("1 2", "JSON error at offset 2: trailing garbage");
+      (* accepted edge cases the error branches sit beside *)
+      ("-4611686018427387904", "accepted -4611686018427387904");
+      ("4611686018427387903", "accepted 4611686018427387903");
+      ("007", "accepted 7");
+      ("\"\\u0_41\"", "accepted \"A\"");
+      ("\"a\\/b\\b\\r\"", "accepted \"a/b\\u0008\\r\"");
+      (" {\"k\" : [ true , false , null ] } ",
+       "accepted {\"k\":[true,false,null]}") ]
+
 let graphs_equal a b =
   G.num_classes a = G.num_classes b
   && List.for_all
@@ -125,6 +188,8 @@ let suite =
   [ Alcotest.test_case "json value roundtrips" `Quick test_json_values;
     Alcotest.test_case "json parsing basics" `Quick test_json_parse_basics;
     Alcotest.test_case "json malformed inputs" `Quick test_json_errors;
+    Alcotest.test_case "json error text and offsets" `Quick
+      test_json_error_text;
     Alcotest.test_case "graph roundtrip: figures" `Quick
       test_graph_roundtrip_figures;
     Alcotest.test_case "graph roundtrip: rich members" `Quick
