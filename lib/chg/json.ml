@@ -71,24 +71,30 @@ let to_string ?(pretty = false) j =
 
 exception Parse of string * int
 
+(* A byte scanner over [s]: characters are read in place and a string
+   without escapes is one [String.sub], so a parse allocates little
+   beyond its result.  Failure text and offsets are part of the wire
+   contract (parse errors are echoed to clients). *)
 let of_string s =
   let n = String.length s in
   let pos = ref 0 in
   let error msg = raise (Parse (msg, !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | Some _ | None -> ()
+    if !pos < n then
+      match String.unsafe_get s !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+        incr pos;
+        skip_ws ()
+      | _ -> ()
   in
+  (* [pos < n] and the byte there is [c] *)
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> error (Printf.sprintf "expected '%c', found '%c'" c d)
-    | None -> error (Printf.sprintf "expected '%c', found end of input" c)
+    if !pos >= n then
+      error (Printf.sprintf "expected '%c', found end of input" c);
+    let d = String.unsafe_get s !pos in
+    if d <> c then error (Printf.sprintf "expected '%c', found '%c'" c d);
+    incr pos
   in
   let literal word value =
     if
@@ -100,54 +106,80 @@ let of_string s =
     end
     else error (Printf.sprintf "invalid literal (expected %s)" word)
   in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
+  (* The rest of a string whose first escape is at [!pos]; [start] is
+     where its contents begin. *)
+  let parse_escaped start =
+    let buf = Buffer.create (!pos - start + 16) in
+    Buffer.add_substring buf s start (!pos - start);
     let rec loop () =
-      match peek () with
-      | None -> error "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char buf '"'; advance (); loop ()
-        | Some '\\' -> Buffer.add_char buf '\\'; advance (); loop ()
-        | Some '/' -> Buffer.add_char buf '/'; advance (); loop ()
-        | Some 'n' -> Buffer.add_char buf '\n'; advance (); loop ()
-        | Some 't' -> Buffer.add_char buf '\t'; advance (); loop ()
-        | Some 'r' -> Buffer.add_char buf '\r'; advance (); loop ()
-        | Some 'b' -> Buffer.add_char buf '\b'; advance (); loop ()
-        | Some 'u' ->
-          advance ();
+      if !pos >= n then error "unterminated string";
+      match String.unsafe_get s !pos with
+      | '"' -> incr pos
+      | '\\' ->
+        incr pos;
+        if !pos >= n then error "unterminated escape";
+        let plain c =
+          Buffer.add_char buf c;
+          incr pos;
+          loop ()
+        in
+        (match String.unsafe_get s !pos with
+        | '"' -> plain '"'
+        | '\\' -> plain '\\'
+        | '/' -> plain '/'
+        | 'n' -> plain '\n'
+        | 't' -> plain '\t'
+        | 'r' -> plain '\r'
+        | 'b' -> plain '\b'
+        | 'u' ->
+          incr pos;
           if !pos + 4 > n then error "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          (match int_of_string_opt ("0x" ^ hex) with
+          (match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
           | Some code when code < 128 ->
             Buffer.add_char buf (Char.chr code);
             pos := !pos + 4;
             loop ()
           | Some _ -> error "non-ASCII \\u escapes are not supported"
           | None -> error "malformed \\u escape")
-        | Some c -> error (Printf.sprintf "invalid escape '\\%c'" c)
-        | None -> error "unterminated escape")
-      | Some c ->
+        | c -> error (Printf.sprintf "invalid escape '\\%c'" c))
+      | c ->
         Buffer.add_char buf c;
-        advance ();
+        incr pos;
         loop ()
     in
     loop ();
     Buffer.contents buf
   in
+  let parse_string () =
+    expect '"';
+    let start = !pos in
+    let rec scan i =
+      if i >= n then begin
+        pos := n;
+        error "unterminated string"
+      end;
+      match String.unsafe_get s i with
+      | '"' ->
+        pos := i + 1;
+        String.sub s start (i - start)
+      | '\\' ->
+        pos := i;
+        parse_escaped start
+      | _ -> scan (i + 1)
+    in
+    scan start
+  in
   let parse_int () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
+    if at '-' then incr pos;
     let rec digits () =
-      match peek () with
-      | Some ('0' .. '9') ->
-        advance ();
-        digits ()
-      | Some ('.' | 'e' | 'E') -> error "floats are not supported"
-      | Some _ | None -> ()
+      if !pos < n then
+        match String.unsafe_get s !pos with
+        | '0' .. '9' ->
+          incr pos;
+          digits ()
+        | '.' | 'e' | 'E' -> error "floats are not supported"
+        | _ -> ()
     in
     digits ();
     match int_of_string_opt (String.sub s start (!pos - start)) with
@@ -156,40 +188,40 @@ let of_string s =
   in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
-    | Some '[' ->
-      advance ();
+    if !pos >= n then error "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '-' | '0' .. '9' -> Int (parse_int ())
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
       else begin
         let items = ref [ parse_value () ] in
         let rec loop () =
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             items := parse_value () :: !items;
             loop ()
-          | Some ']' -> advance ()
-          | _ -> error "expected ',' or ']'"
+          end
+          else if at ']' then incr pos
+          else error "expected ',' or ']'"
         in
         loop ();
         List (List.rev !items)
       end
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
@@ -204,18 +236,18 @@ let of_string s =
         let fields = ref [ field () ] in
         let rec loop () =
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             fields := field () :: !fields;
             loop ()
-          | Some '}' -> advance ()
-          | _ -> error "expected ',' or '}'"
+          end
+          else if at '}' then incr pos
+          else error "expected ',' or '}'"
         in
         loop ();
         Obj (List.rev !fields)
       end
-    | Some c -> error (Printf.sprintf "unexpected character '%c'" c)
+    | c -> error (Printf.sprintf "unexpected character '%c'" c)
   in
   match
     let v = parse_value () in

@@ -70,5 +70,8 @@ val lv_compare : lv -> lv -> int
     of a definition path. *)
 val abstract_path : Subobject.Path.t -> red
 
+(** [lv_name g lv] is [Ω] or the class name: the text of an [lv] in
+    every printed verdict. *)
+val lv_name : Chg.Graph.t -> lv -> string
+
 val pp_lv : Chg.Graph.t -> Format.formatter -> lv -> unit
-val pp_red : Chg.Graph.t -> Format.formatter -> red -> unit

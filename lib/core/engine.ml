@@ -27,14 +27,29 @@ let rec blue_union s1 s2 =
     else if c > 0 then b :: blue_union s1 t2
     else a :: blue_union t1 t2
 
-let pp_verdict g ppf = function
-  | Red r -> Format.fprintf ppf "red %a" (pp_red g) r
+(* The one verdict text ([red (C, Ω)], [red (C, {A, Ω})], [blue {A, B}]),
+   built without Format: every served lookup answer carries it. *)
+let verdict_string g v =
+  let buf = Buffer.create 32 in
+  let add = Buffer.add_string buf in
+  let set lvs =
+    add "{";
+    List.iteri (fun i lv -> if i > 0 then add ", "; add (lv_name g lv)) lvs;
+    add "}"
+  in
+  (match v with
+  | Red r ->
+    add "red (";
+    add (Chg.Graph.name g r.r_ldc);
+    add ", ";
+    (match r.r_lvs with [ lv ] -> add (lv_name g lv) | lvs -> set lvs);
+    add ")"
   | Blue s ->
-    Format.fprintf ppf "blue {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (pp_lv g))
-      s
+    add "blue ";
+    set s);
+  Buffer.contents buf
+
+let pp_verdict g ppf v = Format.pp_print_string ppf (verdict_string g v)
 
 (* One combine step: the verdict for a class from its direct bases'
    verdicts, already pushed through their edges.
@@ -185,9 +200,7 @@ let build_general ?(static_rule = true) ?(witnesses = false)
     | None -> false
   in
   let class_str c = Telemetry.Event.Str (Chg.Graph.name g c) in
-  let verdict_str v =
-    Telemetry.Event.Str (Format.asprintf "%a" (pp_verdict g) v)
-  in
+  let verdict_str v = Telemetry.Event.Str (verdict_string g v) in
   (* Class ids are topological (bases before derived): one increasing
      pass implements the paper's traversal. *)
   Telemetry.Span.run metrics.Metrics.spans "propagate" @@ fun () ->

@@ -97,6 +97,11 @@ val agrees_with_spec :
   t -> spec_verdict:Subobject.Spec.verdict -> Chg.Graph.class_id -> string
   -> bool
 
+(** [verdict_string g v] is the printed verdict: [red (C, Ω)],
+    [red (C, {A, Ω})] or [blue {A, B}]. *)
+val verdict_string : Chg.Graph.t -> verdict -> string
+
+(** [pp_verdict g] prints {!verdict_string}. *)
 val pp_verdict : Chg.Graph.t -> Format.formatter -> verdict -> unit
 
 (**/**)

@@ -122,8 +122,7 @@ let read_only = function
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match J.member name j with Ok v -> Some v | Error _ -> None
+let field name = function J.Obj fields -> List.assoc_opt name fields | _ -> None
 
 let str_field name j =
   match field name j with
@@ -325,9 +324,9 @@ let request_of_json j =
     fail Bad_version
       (Printf.sprintf "this server speaks %s" version)
   | _ ->
-    (match J.member "op" j with
-    | Error _ -> fail Bad_request "missing field \"op\""
-    | Ok op_j ->
+    (match field "op" j with
+    | None -> fail Bad_request "missing field \"op\""
+    | Some op_j ->
       (match J.to_str op_j with
       | Error _ -> fail Bad_request "field \"op\" must be a string"
       | Ok op ->
@@ -359,14 +358,10 @@ let error_response ~id code msg =
 let verdict_fields g v =
   match v with
   | None -> [ ("verdict", J.String "none") ]
-  | Some (Engine.Red r) ->
+  | Some (Engine.Red r as v) ->
     [ ("verdict", J.String "red");
       ("resolves_to", J.String (G.name g r.Abstraction.r_ldc));
-      ("detail",
-       J.String (Format.asprintf "%a" (Engine.pp_verdict g) (Engine.Red r)))
-    ]
-  | Some (Engine.Blue s) ->
+      ("detail", J.String (Engine.verdict_string g v)) ]
+  | Some (Engine.Blue _ as v) ->
     [ ("verdict", J.String "blue");
-      ("detail",
-       J.String (Format.asprintf "%a" (Engine.pp_verdict g) (Engine.Blue s)))
-    ]
+      ("detail", J.String (Engine.verdict_string g v)) ]

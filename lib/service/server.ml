@@ -61,6 +61,11 @@ type t = {
          domains: per-request accounting (histogram record, seq, ring,
          log line) commits atomically with respect to scrapes, so
          Expocheck's monotonicity contract holds under concurrency *)
+  verb_series : (string, Telemetry.Histogram.t * Telemetry.Counter.t) Hashtbl.t;
+  error_series : (string, Telemetry.Counter.t) Hashtbl.t;
+      (* [observe]'s registry handles, by verb and by error code, under
+         [obs_mutex]; filled on first use, which is when the series
+         first appears in the exposition *)
 }
 
 let verbs =
@@ -127,7 +132,9 @@ let create ?(role = Leader) ?(config = Session.default_config)
       mutation_stage_ns;
       net;
       inflight = List.map (fun v -> (v, Atomic.make 0)) verbs;
-      obs_mutex = Mutex.create () }
+      obs_mutex = Mutex.create ();
+      verb_series = Hashtbl.create 16;
+      error_series = Hashtbl.create 8 }
   in
   Telemetry.Registry.gauge registry
     ~help:"Nanoseconds since this server was created."
@@ -841,32 +848,50 @@ let decode_frame t f =
 
 (* ---- execution and accounting -------------------------------------- *)
 
+(* [observe]'s per-verb and per-code series, registered on their first
+   request and held from then on; callers hold [obs_mutex]. *)
+let verb_series t verb =
+  match Hashtbl.find_opt t.verb_series verb with
+  | Some series -> series
+  | None ->
+    let series =
+      ( Telemetry.Registry.histogram t.registry
+          ~help:"Request latency by verb, nanoseconds."
+          ~labels:[ ("verb", verb) ]
+          "cxxlookup_server_request_duration_ns",
+        Telemetry.Registry.counter t.registry
+          ~help:
+            "Requests handled, by verb (rejected lines count as verb=invalid)."
+          ~labels:[ ("verb", verb) ]
+          "cxxlookup_server_requests_total" )
+    in
+    Hashtbl.add t.verb_series verb series;
+    series
+
+let error_series t code =
+  match Hashtbl.find_opt t.error_series code with
+  | Some c -> c
+  | None ->
+    let c =
+      Telemetry.Registry.counter t.registry ~help:"Error responses, by code."
+        ~labels:[ ("code", code) ]
+        "cxxlookup_server_errors_total"
+    in
+    Hashtbl.add t.error_series code c;
+    c
+
 (* One finished request: per-verb latency histogram and request
    counter, per-error-code counter, slow-threshold accounting, a
    flight-recorder push, and (when configured) one JSON log line.
-   Registry lookups are find-or-create — one hash probe each on the
-   steady path.  [bytes] runs only when the log is on: for a JSON
-   response, measuring means serializing it a second time. *)
+   [bytes] runs only when the log is on: for a JSON response, measuring
+   means serializing it a second time. *)
 let observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =
   let latency = Telemetry.Clock.elapsed_ns ~since:t0 in
   Mutex.protect t.obs_mutex @@ fun () ->
-  Telemetry.Histogram.record
-    (Telemetry.Registry.histogram t.registry
-       ~help:"Request latency by verb, nanoseconds."
-       ~labels:[ ("verb", verb) ]
-       "cxxlookup_server_request_duration_ns")
-    latency;
-  Telemetry.Counter.incr
-    (Telemetry.Registry.counter t.registry
-       ~help:"Requests handled, by verb (rejected lines count as verb=invalid)."
-       ~labels:[ ("verb", verb) ]
-       "cxxlookup_server_requests_total");
-  if outcome <> "ok" then
-    Telemetry.Counter.incr
-      (Telemetry.Registry.counter t.registry
-         ~help:"Error responses, by code."
-         ~labels:[ ("code", outcome) ]
-         "cxxlookup_server_errors_total");
+  let duration, requests = verb_series t verb in
+  Telemetry.Histogram.record duration latency;
+  Telemetry.Counter.incr requests;
+  if outcome <> "ok" then Telemetry.Counter.incr (error_series t outcome);
   let slow = match t.slow_ns with Some s -> latency >= s | None -> false in
   if slow then Telemetry.Counter.incr t.slow_requests;
   t.next_seq <- t.next_seq + 1;

@@ -4,8 +4,10 @@
    Prometheus renderer and the `metrics` verb scrape.
 
    Series are keyed by (metric name, label set); registering the same
-   key twice returns the existing instrument, so hot paths can call
-   [counter] per request and pay one hash probe.  Gauges are pull-based
+   key twice returns the existing instrument, and the instrument is
+   built only when its key is new, so a repeated registration allocates
+   nothing beyond its key.  Hot paths still resolve their handles once
+   and keep them (see [Server.observe]).  Gauges are pull-based
    callbacks, sampled at [collect] time — byte budgets and open-session
    counts read their live value instead of being pushed on every
    change. *)
@@ -26,13 +28,12 @@ type series = {
 
 type t = {
   table : (string, series) Hashtbl.t;  (* key: name + rendered labels *)
-  mutable order : string list;  (* registration order of keys, reversed *)
   lock : Mutex.t;
-      (* guards [table]/[order]: find-or-create runs on every request
-         from any worker domain, concurrently with scrapes *)
+      (* guards [table]: find-or-create runs from any worker domain,
+         concurrently with scrapes *)
 }
 
-let create () = { table = Hashtbl.create 64; order = []; lock = Mutex.create () }
+let create () = { table = Hashtbl.create 64; lock = Mutex.create () }
 
 let valid_name n =
   n <> ""
@@ -55,7 +56,10 @@ let canon_labels labels =
 let key name labels =
   String.concat "\x00" (name :: List.concat_map (fun (k, v) -> [ k; v ]) labels)
 
-let register ?(replace = false) t ~name ~help ~labels instrument =
+(* [make] runs only when [k] is absent (or [replace] is set): a
+   histogram is a few hundred words of buckets, so building one per
+   probe would put every hit on the major heap. *)
+let register ?(replace = false) t ~name ~help ~labels make =
   if not (valid_name name) then
     invalid_arg (Printf.sprintf "Registry: invalid metric name %S" name);
   List.iter
@@ -65,41 +69,43 @@ let register ?(replace = false) t ~name ~help ~labels instrument =
     labels;
   let labels = canon_labels labels in
   let k = key name labels in
-  let s = { s_name = name; s_help = help; s_labels = labels;
-            s_instrument = instrument }
-  in
   Mutex.protect t.lock @@ fun () ->
   match Hashtbl.find_opt t.table k with
   | Some existing when not replace -> existing.s_instrument
-  | Some _ ->
-    (* attach under a live key: the new instrument supersedes the old
-       series — the reopened-session path, where a fresh session reuses
-       the name (and hence the label set) of a closed one *)
+  | _ ->
+    let instrument = make () in
+    let s = { s_name = name; s_help = help; s_labels = labels;
+              s_instrument = instrument }
+    in
+    (* attaching under a live key supersedes the old series — the
+       reopened-session path, where a fresh session reuses the name
+       (and hence the label set) of a closed one *)
     Hashtbl.replace t.table k s;
-    instrument
-  | None ->
-    Hashtbl.add t.table k s;
-    t.order <- k :: t.order;
     instrument
 
 let counter t ?(help = "") ?(labels = []) name =
-  match register t ~name ~help ~labels (Counter (Counter.make name)) with
+  match
+    register t ~name ~help ~labels (fun () -> Counter (Counter.make name))
+  with
   | Counter c -> c
   | _ -> invalid_arg (name ^ " is already registered as a non-counter")
 
 let attach_counter t ?(help = "") ?(labels = []) name c =
-  ignore (register ~replace:true t ~name ~help ~labels (Counter c))
+  ignore (register ~replace:true t ~name ~help ~labels (fun () -> Counter c))
 
 let gauge t ?(help = "") ?(labels = []) name read =
-  ignore (register ~replace:true t ~name ~help ~labels (Gauge read))
+  ignore (register ~replace:true t ~name ~help ~labels (fun () -> Gauge read))
 
 let histogram t ?(help = "") ?(labels = []) name =
-  match register t ~name ~help ~labels (Histogram (Histogram.create ())) with
+  match
+    register t ~name ~help ~labels (fun () -> Histogram (Histogram.create ()))
+  with
   | Histogram h -> h
   | _ -> invalid_arg (name ^ " is already registered as a non-histogram")
 
 let attach_histogram t ?(help = "") ?(labels = []) name h =
-  ignore (register ~replace:true t ~name ~help ~labels (Histogram h))
+  ignore
+    (register ~replace:true t ~name ~help ~labels (fun () -> Histogram h))
 
 (* Every registered series, grouped by metric name; groups ordered by
    name, series within a group by label set — a deterministic scrape

@@ -1,7 +1,7 @@
 (** Named metric registry: counters, pull-based gauges and histograms
     keyed by (name, static labels).  Registering an existing key
-    returns the existing instrument, so per-request registration is one
-    hash probe.  [collect] yields a deterministic, name-sorted view for
+    returns the existing instrument; a new instrument is built only on
+    a miss.  [collect] yields a deterministic, name-sorted view for
     the exposition renderer. *)
 
 type labels = (string * string) list

@@ -232,6 +232,20 @@ let test_registry_and_render () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "escaped labels rejected: %s" e
 
+(* A registry hit builds no instrument: a histogram is hundreds of words
+   of buckets, straight onto the major heap. *)
+let test_registry_hit_allocates_nothing () =
+  let r = Registry.create () in
+  let register () =
+    Registry.histogram r ~labels:[ ("verb", "lookup") ] "cxxlookup_test_ns"
+  in
+  let h = register () in
+  let _, _, major0 = Gc.counters () in
+  let again = register () in
+  let _, _, major1 = Gc.counters () in
+  Alcotest.(check bool) "same handle" true (h == again);
+  Alcotest.(check (float 0.)) "no major words" 0. (major1 -. major0)
+
 let test_registry_name_validation () =
   Alcotest.(check bool) "valid name" true
     (Registry.valid_name "cxxlookup_server_requests_total");
@@ -295,6 +309,8 @@ let suite =
     Alcotest.test_case "ring buffer" `Quick test_ring;
     Alcotest.test_case "registry + Prometheus renderer" `Quick
       test_registry_and_render;
+    Alcotest.test_case "registry hit allocates no instrument" `Quick
+      test_registry_hit_allocates_nothing;
     Alcotest.test_case "metric name validation" `Quick
       test_registry_name_validation;
     Alcotest.test_case "expocheck rejects malformed scrapes" `Quick
