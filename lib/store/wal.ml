@@ -234,8 +234,9 @@ module Tail_reader = struct
         Reset
       end
       else if r.tr_offset = 0 && size < ml then Nothing  (* magic pending *)
+      else if size = r.tr_offset then Nothing  (* not grown: nothing to open *)
       else begin
-        let start = if r.tr_offset = 0 then 0 else r.tr_offset in
+        let start = r.tr_offset in
         let data = read_span r.tr_path ~pos:start ~len:(size - start) in
         let base, data =
           if r.tr_offset = 0 then
