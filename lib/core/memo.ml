@@ -5,65 +5,19 @@ type t = {
   cl : Chg.Closure.t;
   static_rule : bool;
   cache : (Chg.Graph.class_id * string, Engine.verdict option) Hashtbl.t;
-  order : (Chg.Graph.class_id * string) Queue.t;
-      (* insertion order, for capped-residency eviction *)
-  max_entries : int option;
-  root_queries : (string, int) Hashtbl.t;
-      (* per member name: external (depth-0) lookups, never internal
-         fills — the promotion signal a service layer watches *)
   metrics : Metrics.t;
   mutable depth : int;  (* >0 while inside a recursive fill *)
 }
 
-let create ?(static_rule = true) ?(metrics = Metrics.disabled) ?max_entries cl
-    =
-  (match max_entries with
-  | Some n when n < 1 -> invalid_arg "Memo.create: max_entries must be >= 1"
-  | _ -> ());
+let create ?(static_rule = true) ?(metrics = Metrics.disabled) cl =
   { g = Chg.Closure.graph cl;
     cl;
     static_rule;
     cache = Hashtbl.create 64;
-    order = Queue.create ();
-    max_entries;
-    root_queries = Hashtbl.create 16;
     metrics;
     depth = 0 }
 
-(* Evict the oldest entry still resident.  The queue may hold stale keys
-   (evicted then recomputed ones appear twice); skip those. *)
-let evict_one t =
-  let rec go () =
-    match Queue.take_opt t.order with
-    | None -> false
-    | Some key ->
-      if Hashtbl.mem t.cache key then begin
-        Hashtbl.remove t.cache key;
-        true
-      end
-      else go ()
-  in
-  go ()
-
-let evict t n =
-  let evicted = ref 0 in
-  while !evicted < n && evict_one t do
-    incr evicted
-  done;
-  !evicted
-
-let clear t =
-  Hashtbl.reset t.cache;
-  Queue.clear t.order
-
-let remember t key v =
-  Hashtbl.add t.cache key v;
-  Queue.add key t.order;
-  match t.max_entries with
-  | Some cap when Hashtbl.length t.cache > cap -> ignore (evict_one t)
-  | _ -> ()
-
-let rec lookup_filling t c m =
+let rec lookup t c m =
   match Hashtbl.find_opt t.cache (c, m) with
   | Some v ->
     Metrics.bump t.metrics t.metrics.Metrics.memo_hits;
@@ -77,7 +31,7 @@ let rec lookup_filling t c m =
       Fun.protect ~finally:(fun () -> t.depth <- t.depth - 1) (fun () ->
           compute t c m)
     in
-    remember t (c, m) v;
+    Hashtbl.add t.cache (c, m) v;
     v
 
 and compute t c m =
@@ -92,7 +46,7 @@ and compute t c m =
         (fun (b : Chg.Graph.base) ->
           let x = b.b_class in
           Metrics.bump t.metrics t.metrics.Metrics.edge_traversals;
-          match lookup_filling t x m with
+          match lookup t x m with
           | None -> []
           | Some (Engine.Red r) ->
             Metrics.bump_n t.metrics t.metrics.Metrics.o_extensions
@@ -120,17 +74,5 @@ and compute t c m =
       in
       Some v
   end
-
-let lookup t c m =
-  Hashtbl.replace t.root_queries m
-    (1 + Option.value ~default:0 (Hashtbl.find_opt t.root_queries m));
-  lookup_filling t c m
-
-let root_queries t m =
-  Option.value ~default:0 (Hashtbl.find_opt t.root_queries m)
-
-let materialize_column t m =
-  Packed.pack_column
-    (Array.init (Chg.Graph.num_classes t.g) (fun c -> lookup_filling t c m))
 
 let cached_entries t = Hashtbl.length t.cache
