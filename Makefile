@@ -1,5 +1,5 @@
 .PHONY: all build test bench bench-smoke lint metrics-smoke net-smoke \
-	cluster-smoke raw-smoke perf-smoke verify clean
+	cluster-smoke raw-smoke perf-smoke ab verify clean
 
 all: build
 
@@ -92,6 +92,22 @@ perf-smoke: build
 	python3 perfbench/run.py --workload read-1b-wide --seed 1 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload routed-read --seed 1 --seconds 2 --trace 0
 	python3 perfbench/run.py --workload edit-durable --seed 1 --seconds 2 --trace 0
+
+# Paired A/B runs of the serving benchmark: AB_PAIRS alternating
+# parent/change runs of perfbench/run.py, each side from its own git
+# worktree, then per metric the parent's median and quartiles, the
+# change's median and the change's win count.  Compares AB_PARENT
+# (default HEAD~1) against AB_CHANGE (default HEAD); committed trees
+# only, so commit first.
+AB_PAIRS ?= 10
+AB_WORKLOAD ?= routed-read
+AB_SEED ?= 1
+AB_SECONDS ?= 20
+AB_PARENT ?= HEAD~1
+AB_CHANGE ?= HEAD
+ab:
+	sh bench/ab.sh -n $(AB_PAIRS) -w $(AB_WORKLOAD) -s $(AB_SEED) \
+	  -t $(AB_SECONDS) $(AB_PARENT) $(AB_CHANGE)
 
 # CI entry point: full build, full test suite, a smoke run of the
 # telemetry pipeline end to end (parse -> all three engines -> JSON),

@@ -68,7 +68,7 @@ let with_cluster ~replicas k =
     (net, th)
   in
   let lnet, lth = front leader in
-  let repl = Cluster.Repl.create ~poll_ms:2 leader (Net.Server.Tcp ("127.0.0.1", 0)) in
+  let repl = Cluster.Repl.create leader (Net.Server.Tcp ("127.0.0.1", 0)) in
   let repl_th = Thread.create Cluster.Repl.run repl in
   let followers =
     List.init replicas (fun _ ->

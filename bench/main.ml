@@ -98,8 +98,9 @@ let () =
      BENCH_lookup.json in place (other experiments' entries are kept):
      `svc` the session read path, `srv` the networked server, for iterating on the server; `clu` the
      cluster (router + replicas); `raw` the raw speed floor, where rows
-     mmap cannot engage are reported as skipped, not failed.  The full
-     run below includes all four and regenerates the file. *)
+     mmap cannot engage are reported as skipped, not failed; `rte` the
+     router's read-and-classify cost on a large open line.  The full
+     run below includes all five and regenerates the file. *)
   List.iter
     (fun (mode, experiment, run) ->
       if Array.exists (String.equal mode) Sys.argv then
@@ -107,7 +108,8 @@ let () =
     [ ("svc", "SVC1", Throughput.run);
       ("srv", "SRV1", Srv_bench.run);
       ("clu", "CLU1", Cluster_bench.run);
-      ("raw", "RAW1", Raw_bench.run) ];
+      ("raw", "RAW1", Raw_bench.run);
+      ("rte", "RTE1", Route_bench.run) ];
   Fig_tables.run ();
   Scaling.run ();
   Ablation.run ();
@@ -120,6 +122,7 @@ let () =
   Raw_bench.run ();
   Srv_bench.run ();
   Cluster_bench.run ();
+  Route_bench.run ();
   Becha.run ();
   write_metrics ();
   Format.printf "@.%s@."

@@ -1686,7 +1686,7 @@ let router_cmd =
     in
     let rt =
       Cluster.Router.create
-        ~config:{ Cluster.Router.retries; backoff_ms }
+        ~config:{ Cluster.Router.default_config with retries; backoff_ms }
         ~leader
         (List.map parse_backend backends)
         addr

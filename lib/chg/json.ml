@@ -74,8 +74,13 @@ exception Parse of string * int
 (* A byte scanner over [s]: characters are read in place and a string
    without escapes is one [String.sub], so a parse allocates little
    beyond its result.  Failure text and offsets are part of the wire
-   contract (parse errors are echoed to clients). *)
-let of_string s =
+   contract (parse errors are echoed to clients).
+
+   [skip] names top-level object fields whose values are scanned by the
+   same grammar — same errors, same offsets — but not built: a skipped
+   value comes back hollow, of its own kind ([String ""], [List []],
+   [Obj []]; scalars as parsed), so type checks on it still hold. *)
+let of_string ?(skip = []) s =
   let n = String.length s in
   let pos = ref 0 in
   let error msg = raise (Parse (msg, !pos)) in
@@ -97,20 +102,21 @@ let of_string s =
     incr pos
   in
   let literal word value =
-    if
-      !pos + String.length word <= n
-      && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let l = String.length word in
+    let rec same i =
+      i = l || (String.unsafe_get s (!pos + i) = word.[i] && same (i + 1))
+    in
+    if !pos + l <= n && same 0 then begin
+      pos := !pos + l;
       value
     end
     else error (Printf.sprintf "invalid literal (expected %s)" word)
   in
   (* The rest of a string whose first escape is at [!pos]; [start] is
      where its contents begin. *)
-  let parse_escaped start =
-    let buf = Buffer.create (!pos - start + 16) in
-    Buffer.add_substring buf s start (!pos - start);
+  let parse_escaped ~keep start =
+    let buf = Buffer.create (if keep then !pos - start + 16 else 1) in
+    if keep then Buffer.add_substring buf s start (!pos - start);
     let rec loop () =
       if !pos >= n then error "unterminated string";
       match String.unsafe_get s !pos with
@@ -119,7 +125,7 @@ let of_string s =
         incr pos;
         if !pos >= n then error "unterminated escape";
         let plain c =
-          Buffer.add_char buf c;
+          if keep then Buffer.add_char buf c;
           incr pos;
           loop ()
         in
@@ -136,21 +142,21 @@ let of_string s =
           if !pos + 4 > n then error "truncated \\u escape";
           (match int_of_string_opt ("0x" ^ String.sub s !pos 4) with
           | Some code when code < 128 ->
-            Buffer.add_char buf (Char.chr code);
+            if keep then Buffer.add_char buf (Char.chr code);
             pos := !pos + 4;
             loop ()
           | Some _ -> error "non-ASCII \\u escapes are not supported"
           | None -> error "malformed \\u escape")
         | c -> error (Printf.sprintf "invalid escape '\\%c'" c))
       | c ->
-        Buffer.add_char buf c;
+        if keep then Buffer.add_char buf c;
         incr pos;
         loop ()
     in
     loop ();
     Buffer.contents buf
   in
-  let parse_string () =
+  let parse_string ~keep =
     expect '"';
     let start = !pos in
     let rec scan i =
@@ -161,10 +167,10 @@ let of_string s =
       match String.unsafe_get s i with
       | '"' ->
         pos := i + 1;
-        String.sub s start (i - start)
+        if keep then String.sub s start (i - start) else ""
       | '\\' ->
         pos := i;
-        parse_escaped start
+        parse_escaped ~keep start
       | _ -> scan (i + 1)
     in
     scan start
@@ -186,14 +192,16 @@ let of_string s =
     | Some v -> v
     | None -> error "malformed number"
   in
-  let rec parse_value () =
+  (* [keep]: build the value (false inside a skipped field); [top]:
+     this is the document's outermost value, whose fields [skip] names *)
+  let rec parse_value ~keep ~top =
     skip_ws ();
     if !pos >= n then error "unexpected end of input";
     match String.unsafe_get s !pos with
     | 'n' -> literal "null" Null
     | 't' -> literal "true" (Bool true)
     | 'f' -> literal "false" (Bool false)
-    | '"' -> String (parse_string ())
+    | '"' -> String (parse_string ~keep)
     | '-' | '0' .. '9' -> Int (parse_int ())
     | '[' ->
       incr pos;
@@ -203,12 +211,17 @@ let of_string s =
         List []
       end
       else begin
-        let items = ref [ parse_value () ] in
+        let items = ref [] in
+        let item () =
+          let v = parse_value ~keep ~top:false in
+          if keep then items := v :: !items
+        in
+        item ();
         let rec loop () =
           skip_ws ();
           if at ',' then begin
             incr pos;
-            items := parse_value () :: !items;
+            item ();
             loop ()
           end
           else if at ']' then incr pos
@@ -225,20 +238,23 @@ let of_string s =
         Obj []
       end
       else begin
+        let fields = ref [] in
         let field () =
           skip_ws ();
-          let k = parse_string () in
+          let k = parse_string ~keep in
           skip_ws ();
           expect ':';
-          let v = parse_value () in
-          (k, v)
+          let v =
+            parse_value ~keep:(keep && not (top && List.mem k skip)) ~top:false
+          in
+          if keep then fields := (k, v) :: !fields
         in
-        let fields = ref [ field () ] in
+        field ();
         let rec loop () =
           skip_ws ();
           if at ',' then begin
             incr pos;
-            fields := field () :: !fields;
+            field ();
             loop ()
           end
           else if at '}' then incr pos
@@ -250,7 +266,7 @@ let of_string s =
     | c -> error (Printf.sprintf "unexpected character '%c'" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value ~keep:true ~top:true in
     skip_ws ();
     if !pos <> n then error "trailing garbage";
     v

@@ -19,10 +19,17 @@ type t =
     newlines and two-space indentation. *)
 val to_string : ?pretty:bool -> t -> string
 
-(** [of_string s] parses.  Rejects trailing garbage, unterminated
+(** [of_string ?skip s] parses.  Rejects trailing garbage, unterminated
     strings, floats, and other malformed input with a message and byte
-    offset. *)
-val of_string : string -> (t, string) result
+    offset.
+
+    [skip] (default none) names fields of the top-level object whose
+    values are validated by the same grammar — the same error text and
+    offsets — without being built: each comes back hollow, of its own
+    kind ([String ""], [List []], [Obj []]; [Null], [Bool] and [Int]
+    as parsed).  For readers that need a document's small fields and
+    only the shape of its large ones. *)
+val of_string : ?skip:string list -> string -> (t, string) result
 
 (** Accessors returning [Error] with a path-aware message. *)
 

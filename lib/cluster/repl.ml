@@ -1,12 +1,16 @@
 (* The leader side of WAL-shipping replication.
 
-   The sender streams the store's own on-disk artifacts: it polls each
+   The sender streams the store's own on-disk artifacts: it reads each
    session's WAL file with a {!Store.Wal.Tail_reader} and ships every
    complete frame, resynchronizing from the newest snapshot file
    whenever the tail cannot be extended contiguously.  Reading files
    rather than hooking the request path means replication needs no
    cooperation from the serving loop — anything that makes the store
-   durable is, by construction, what followers receive.
+   durable is, by construction, what followers receive.  The sender
+   scans when the store rings its doorbell ({!Store.watch}: every WAL
+   append, snapshot and session reset), at each 1 s ping, and — after
+   a scan that found a snapshot mid-rename or pruned — again after
+   [retry_s].
 
    Per-session stream invariant: after a [snapshot] message at epoch E,
    every [wal] message carries epoch E+1, E+2, ... consecutively.  The
@@ -27,7 +31,6 @@
 
 type t = {
   store : Store.t;
-  poll_s : float;
   listen_fd : Unix.file_descr;
   bound : Net.Server.addr;
   stop : bool Atomic.t;
@@ -38,7 +41,7 @@ type t = {
   resyncs : Telemetry.Counter.t;
 }
 
-let create ?(poll_ms = 20) srv addr =
+let create srv addr =
   let store =
     match Service.Server.store srv with
     | Some s -> s
@@ -50,7 +53,6 @@ let create ?(poll_ms = 20) srv addr =
   let registry = Service.Server.registry srv in
   let t =
     { store;
-      poll_s = float_of_int (max 1 poll_ms) /. 1000.;
       listen_fd;
       bound;
       stop = Atomic.make false;
@@ -77,6 +79,9 @@ let create ?(poll_ms = 20) srv addr =
 
 let bound_addr t = t.bound
 
+(* The rescan delay after a scan that left a session pending. *)
+let retry_s = 0.02
+
 (* ---- per-follower sender ------------------------------------------- *)
 
 type sstate = {
@@ -91,7 +96,7 @@ let snapshot_ino path =
 
 (* Send the newest snapshot and restart the WAL tail behind it.  [None]
    when the snapshot is briefly unreadable (pruned or mid-rename):
-   the caller drops the session this round and retries next poll. *)
+   the caller drops the session this round and retries shortly. *)
 let resync t oc name =
   match Store.newest_snapshot t.store name with
   | None -> None
@@ -111,7 +116,7 @@ let resync t oc name =
           ss_reader = Store.Wal.Tail_reader.create (Store.wal_path t.store name) }
     | _ -> None)
 
-(* Ship one poll's worth of frames; false = stream broken, resync. *)
+(* Ship one scan's worth of frames; false = stream broken, resync. *)
 let send_frames t oc name st records =
   let ok = ref true in
   List.iter
@@ -128,58 +133,63 @@ let send_frames t oc name st records =
     records;
   !ok
 
+(* One session's step of a scan; true when it is left pending — a
+   snapshot briefly unreadable — and the scan should be retried soon. *)
 let step_session t oc name states have =
-  let fresh () =
+  let install = function
+    | Some st ->
+      Hashtbl.replace states name st;
+      false
+    | None ->
+      Hashtbl.remove states name;
+      true
+  in
+  match Hashtbl.find_opt states name with
+  | None ->
     (* first sight: honor the follower's offer when it already holds
        the session at or past the newest snapshot — the WAL tail can
        extend it without a bootstrap transfer *)
-    match Store.newest_snapshot t.store name with
-    | None -> ()
+    (match Store.newest_snapshot t.store name with
+    | None -> true
     | Some (epoch, path) ->
       (match (List.assoc_opt name have, snapshot_ino path) with
       | Some h, Some ino when h >= epoch ->
-        Hashtbl.replace states name
-          { ss_sent = h;
-            ss_ino = ino;
-            ss_reader =
-              Store.Wal.Tail_reader.create (Store.wal_path t.store name) }
-      | _ ->
-        (match resync t oc name with
-        | Some st -> Hashtbl.replace states name st
-        | None -> ()))
-  in
-  match Hashtbl.find_opt states name with
-  | None -> fresh ()
+        install
+          (Some
+             { ss_sent = h;
+               ss_ino = ino;
+               ss_reader =
+                 Store.Wal.Tail_reader.create (Store.wal_path t.store name) })
+      | _ -> install (resync t oc name)))
   | Some st ->
     let do_resync () =
       Telemetry.Counter.incr t.resyncs;
-      match resync t oc name with
-      | Some st' -> Hashtbl.replace states name st'
-      | None -> Hashtbl.remove states name
+      install (resync t oc name)
     in
-    let lineage_broken =
+    let lineage =
       match Store.newest_snapshot t.store name with
-      | None -> false  (* transient: mid reset/prune; judged next round *)
+      | None -> `Pending  (* transient: mid reset/prune *)
       | Some (epoch, path) ->
         (match snapshot_ino path with
-        | None -> false
-        | Some ino when ino = st.ss_ino -> false
+        | None -> `Pending
+        | Some ino when ino = st.ss_ino -> `Kept
         | Some ino ->
-          if epoch <= st.ss_sent then true  (* reused name, new lineage *)
+          if epoch <= st.ss_sent then `Broken  (* reused name, new lineage *)
           else begin
             (* compaction moved the snapshot forward past our stream
                position; the WAL tail decides whether we kept up *)
             st.ss_ino <- ino;
-            false
+            `Kept
           end)
     in
-    if lineage_broken then do_resync ()
+    if lineage = `Broken then do_resync ()
     else begin
       match Store.Wal.Tail_reader.poll st.ss_reader with
-      | Store.Wal.Tail_reader.Nothing -> ()
+      | Store.Wal.Tail_reader.Nothing -> lineage = `Pending
       | Store.Wal.Tail_reader.Reset -> do_resync ()
       | Store.Wal.Tail_reader.Frames records ->
-        if not (send_frames t oc name st records) then do_resync ()
+        if send_frames t oc name st records then lineage = `Pending
+        else do_resync ()
     end
 
 let sender t fd =
@@ -198,11 +208,17 @@ let sender t fd =
       output_char oc '\n';
       flush oc;
       let states : (string, sstate) Hashtbl.t = Hashtbl.create 4 in
+      (* watching before the first scan: a change during any scan rings
+         the bell, and the next wait returns at once *)
+      let bell = Store.watch t.store in
+      Fun.protect ~finally:(fun () -> Store.unwatch t.store bell) @@ fun () ->
       let last_ping = ref (Unix.gettimeofday ()) in
       while not (Atomic.get t.stop) do
-        List.iter
-          (fun name -> step_session t oc name states have)
-          (Store.sessions t.store);
+        let pending =
+          List.fold_left
+            (fun pending name -> step_session t oc name states have || pending)
+            false (Store.sessions t.store)
+        in
         let now = Unix.gettimeofday () in
         if now -. !last_ping >= 1.0 then begin
           last_ping := now;
@@ -210,7 +226,8 @@ let sender t fd =
           output_char oc '\n'
         end;
         flush oc;
-        Thread.delay t.poll_s
+        let to_ping = !last_ping +. 1.0 -. Unix.gettimeofday () in
+        Store.wait bell (if pending then Float.min retry_s to_ping else to_ping)
       done)
 
 let handle_follower t conn fd =
@@ -223,7 +240,9 @@ let handle_follower t conn fd =
       try sender t fd with
       | Sys_error _ | Unix.Unix_error _ | End_of_file -> ())
 
-let stop t = Atomic.set t.stop true
+let stop t =
+  Atomic.set t.stop true;
+  Store.notify t.store  (* wake every sender waiting on its bell *)
 
 let run t =
   Net.Server.accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->

@@ -9,17 +9,19 @@
     resynchronizes by resending the newest snapshot — followers never
     need to request anything.
 
-    One systhread per follower; metrics ([cxxlookup_repl_followers],
+    One systhread per follower, asleep until the store changes;
+    metrics ([cxxlookup_repl_followers],
     [..._snapshots_sent_total], [..._records_sent_total],
     [..._resyncs_total]) land in the serving node's registry. *)
 
 type t
 
-(** [create ?poll_ms srv addr] binds the replication listener.  Raises
+(** [create srv addr] binds the replication listener.  Raises
     [Invalid_argument] when [srv] has no durable store — there is
-    nothing to ship — and [Unix.Unix_error] when the bind fails.
-    [poll_ms] is the WAL poll interval (default 20). *)
-val create : ?poll_ms:int -> Service.Server.t -> Net.Server.addr -> t
+    nothing to ship — and [Unix.Unix_error] when the bind fails.  A
+    sender wakes when the store rings its doorbell ({!Store.watch}) and
+    at each 1 s ping; it does not poll. *)
+val create : Service.Server.t -> Net.Server.addr -> t
 
 (** The actual listening address (ephemeral TCP ports resolved). *)
 val bound_addr : t -> Net.Server.addr

@@ -26,8 +26,13 @@
    up to (or that only the leader has seen); the router retries such
    reads once against the leader before giving the answer back.
 
-   Per-connection handling is serial, so responses leave in request
-   order, like the backends themselves. *)
+   Connections run on the backends' own loop ({!Net.Server.serve_conn}):
+   the same framing, max-line, oversized-frame and idle guards, and the
+   same in-band refusal past [max_conns].  A JSON line is classified by
+   the shallow routing decode — an [open]'s hierarchy is validated, not
+   built — and forwarded as the caller's bytes.  Per-connection
+   handling is serial, so responses leave in request order, like the
+   backends themselves. *)
 
 module J = Chg.Json
 module P = Service.Protocol
@@ -36,9 +41,17 @@ module S = Service.Server
 type config = {
   retries : int;  (** connect / overloaded retries per backend *)
   backoff_ms : int;  (** seed for the jittered exponential backoff *)
+  max_conns : int;  (** client connections open at once *)
+  idle_timeout : float;  (** seconds; also the slowloris deadline *)
+  max_line : int;  (** request line / frame payload bound, bytes *)
 }
 
-let default_config = { retries = 2; backoff_ms = 50 }
+let default_config =
+  { retries = 2;
+    backoff_ms = 50;
+    max_conns = Net.Server.default_config.max_conns;
+    idle_timeout = Net.Server.default_config.idle_timeout;
+    max_line = Net.Server.default_config.max_line }
 
 type t = {
   backends : Net.Server.addr array;
@@ -49,6 +62,7 @@ type t = {
   bound : Net.Server.addr;
   stop : bool Atomic.t;
   conns : Net.Conns.t;
+  active : int Atomic.t;  (* open client connections *)
   alive : bool array;  (* last-known backend health, feeds the gauges *)
   be_hist : Telemetry.Histogram.t array;  (* per-backend round-trip ns *)
   requests : Telemetry.Counter.t;
@@ -57,6 +71,8 @@ type t = {
   fanouts : Telemetry.Counter.t;
   leader_retries : Telemetry.Counter.t;
   unavailable : Telemetry.Counter.t;
+  refused : Telemetry.Counter.t;
+  timed_out : Telemetry.Counter.t;
 }
 
 let create ?(config = default_config) ~leader backends =
@@ -77,6 +93,7 @@ let create ?(config = default_config) ~leader backends =
         bound;
         stop = Atomic.make false;
         conns = Net.Conns.create ();
+        active = Atomic.make 0;
         alive = Array.make (Array.length backends) true;
         be_hist = Array.init (Array.length backends) (fun _ -> Telemetry.Histogram.create ());
         requests = Telemetry.Counter.make "router_requests";
@@ -84,7 +101,9 @@ let create ?(config = default_config) ~leader backends =
         failovers = Telemetry.Counter.make "router_failovers";
         fanouts = Telemetry.Counter.make "router_fanouts";
         leader_retries = Telemetry.Counter.make "router_leader_retries";
-        unavailable = Telemetry.Counter.make "router_unavailable" }
+        unavailable = Telemetry.Counter.make "router_unavailable";
+        refused = Telemetry.Counter.make "router_connections_refused";
+        timed_out = Telemetry.Counter.make "router_connections_timed_out" }
     in
     Array.iteri
       (fun i addr ->
@@ -114,6 +133,12 @@ let create ?(config = default_config) ~leader backends =
     Telemetry.Registry.attach_counter registry
       ~help:"Requests answered backend_unavailable: every candidate failed."
       "cxxlookup_router_unavailable_total" t.unavailable;
+    Telemetry.Registry.attach_counter registry
+      ~help:"Connections refused at accept: max_conns were open."
+      "cxxlookup_router_connections_refused_total" t.refused;
+    Telemetry.Registry.attach_counter registry
+      ~help:"Connections closed by the idle / slowloris deadline."
+      "cxxlookup_router_connections_timed_out_total" t.timed_out;
     t
 
 let bound_addr t = t.bound
@@ -158,10 +183,16 @@ let drop_slot p i =
 
 let close_pool p = Array.iteri (fun i _ -> close_slot p i) p.slots
 
+(* A pooled slot is reused only while its backend still holds the
+   connection open: a backend's idle timeout closes it from the far
+   side, and a request sent into it would fail after the fact — a
+   mutation unconfirmed, a read failed over away from a healthy
+   backend.  Redialing before anything is sent is always safe. *)
 let client p i =
   match p.slots.(i) with
-  | Some c -> Some c
-  | None ->
+  | Some c when not (Net.Client.closed_by_peer c) -> Some c
+  | slot ->
+    if slot <> None then close_slot p i;
     (match
        Net.Client.connect ~retries:p.router.cfg.retries
          ~backoff_ms:p.router.cfg.backoff_ms p.router.backends.(i)
@@ -342,91 +373,69 @@ let sub_of_response resp =
       | _ -> Error "backend response missing batch fields")
     | _ -> Ok (In_band resp))
 
-(* Fan a batch out chunk-per-backend in preference order, re-route
-   chunks whose backend died, merge in request order.  In-band errors
+(* A backend's in-band error, re-addressed to the caller's id. *)
+let readdress_error ~id resp =
+  match Result.bind (J.of_string resp) (J.member "error") with
+  | Ok e
+    when (match (J.member "code" e, J.member "message" e) with
+         | Ok (J.String _), Ok (J.String _) -> true
+         | _ -> false) ->
+    J.to_string (J.Obj [ ("id", id); ("ok", J.Bool false); ("error", e) ])
+  | _ -> unavailable json ~id "backend sent a malformed error"
+
+(* Fan a batch out chunk-per-backend in preference order (one chunk
+   when the batch is small or there is one backend), re-route chunks
+   whose backend died, merge in request order.  In-band errors
    (unknown_session on a lagging replica) send the chunk to the
    leader; if the leader also answers in band, that error is the whole
    request's answer — a partial merge is never returned. *)
 let route_batch p ~id ~session ~semantics ~order queries =
   let cs = chunks (List.length order) queries in
-  if List.length cs <= 1 then
-    route_read json p ~id ~order (chunk_line ~session ~semantics 0 queries)
-    |> fun resp ->
-    (match sub_of_response resp with
-    | Ok (Ok_fields (rs, a, b, c)) ->
+  if List.length cs > 1 then Telemetry.Counter.incr p.router.fanouts;
+  let order_arr = Array.of_list order in
+  let n = Array.length order_arr in
+  (* serve one chunk to a result, failing over within the preference
+     order starting at the chunk's home backend *)
+  let serve k queries =
+    let line = chunk_line ~session ~semantics k queries in
+    let rec walk attempts j =
+      if attempts = n then Error "no backend reachable for batch chunk"
+      else
+        let i = order_arr.(j mod n) in
+        match exchange json p i line with
+        | None ->
+          if attempts + 1 < n then Telemetry.Counter.incr p.router.failovers;
+          walk (attempts + 1) (j + 1)
+        | Some resp ->
+          (match sub_of_response resp with
+          | Ok (In_band resp') when
+              i <> p.router.leader && unknown_session json resp' ->
+            Telemetry.Counter.incr p.router.leader_retries;
+            (match exchange json p p.router.leader line with
+            | None -> Error "leader unreachable for batch chunk"
+            | Some resp'' -> sub_of_response resp'')
+          | sub -> sub)
+    in
+    walk 0 k
+  in
+  let rec merge k acc_rs a b c = function
+    | [] ->
       J.to_string
         (P.ok_response ~id
-           [ ("results", J.List rs);
+           [ ("results", J.List (List.concat (List.rev acc_rs)));
              ("resolved", J.Int a);
              ("ambiguous", J.Int b);
              ("not_found", J.Int c) ])
-    | Ok (In_band resp') -> resp'
-    | Error msg ->
-      Telemetry.Counter.incr p.router.unavailable;
-      unavailable json ~id msg)
-  else begin
-    Telemetry.Counter.incr p.router.fanouts;
-    let order_arr = Array.of_list order in
-    let n = Array.length order_arr in
-    (* serve one chunk to a result, failing over within the preference
-       order starting at the chunk's home backend *)
-    let serve k queries =
-      let line = chunk_line ~session ~semantics k queries in
-      let rec walk attempts j =
-        if attempts = n then Error "no backend reachable for batch chunk"
-        else
-          let i = order_arr.(j mod n) in
-          match exchange json p i line with
-          | None ->
-            Telemetry.Counter.incr p.router.failovers;
-            walk (attempts + 1) (j + 1)
-          | Some resp ->
-            (match sub_of_response resp with
-            | Ok (In_band resp') when
-                i <> p.router.leader && unknown_session json resp' ->
-              Telemetry.Counter.incr p.router.leader_retries;
-              (match exchange json p p.router.leader line with
-              | None -> Error "leader unreachable for batch chunk"
-              | Some resp'' ->
-                (match sub_of_response resp'' with
-                | Ok s -> Ok s
-                | Error e -> Error e))
-            | Ok s -> Ok s
-            | Error e -> Error e)
-      in
-      walk 0 k
-    in
-    let rec merge k acc_rs a b c = function
-      | [] ->
-        J.to_string
-          (P.ok_response ~id
-             [ ("results", J.List (List.concat (List.rev acc_rs)));
-               ("resolved", J.Int a);
-               ("ambiguous", J.Int b);
-               ("not_found", J.Int c) ])
-      | q :: rest ->
-        (match serve k q with
-        | Ok (Ok_fields (rs, a', b', c')) ->
-          merge (k + 1) (rs :: acc_rs) (a + a') (b + b') (c + c') rest
-        | Ok (In_band resp) ->
-          (* surface the backend's own error, under the caller's id *)
-          (match J.of_string resp with
-          | Ok j ->
-            (match (J.member "error" j, J.member "ok" j) with
-            | Ok e, _ ->
-              (match (J.member "code" e, J.member "message" e) with
-              | Ok (J.String _), Ok (J.String _) ->
-                J.to_string
-                  (J.Obj [ ("id", id); ("ok", J.Bool false); ("error", e) ])
-              | _ -> unavailable json ~id "backend sent a malformed error")
-            | _ -> unavailable json ~id "backend sent a malformed error")
-          | Error _ -> unavailable json ~id "backend sent a malformed error")
-        | Error msg ->
-          Telemetry.Counter.incr p.router.unavailable;
-          unavailable json ~id msg)
-    in
-    merge 0 [] 0 0 0 cs
-  end
+    | q :: rest ->
+      (match serve k q with
+      | Ok (Ok_fields (rs, a', b', c')) ->
+        merge (k + 1) (rs :: acc_rs) (a + a') (b + b') (c + c') rest
+      | Ok (In_band resp) -> readdress_error ~id resp
+      | Error msg ->
+        Telemetry.Counter.incr p.router.unavailable;
+        unavailable json ~id msg)
+  in
+  merge 0 [] 0 0 0 cs
 
 (* ---- the front end -------------------------------------------------- *)
 
@@ -465,73 +474,45 @@ let respond p codec (decoded : S.decoded) msg =
       route_read codec p ~id ~order msg
     | _ -> route_mutation codec p ~id msg)
 
-(* Finish a line whose first byte was already consumed (it was not the
-   frame magic).  Mirrors [In_channel.input_line]: a final unterminated
-   line is still returned. *)
-let read_line_after ic first =
-  let b = Buffer.create 256 in
-  Buffer.add_char b first;
-  let rec go () =
-    match input_char ic with
-    | '\n' -> Buffer.contents b
-    | c ->
-      Buffer.add_char b c;
-      go ()
-    | exception End_of_file -> Buffer.contents b
-  in
-  go ()
-
-(* Read the remainder of a binary frame after its 0xB1 magic byte;
-   [None] on a torn frame (connection closes, like a torn line). *)
-let read_frame_after ic =
-  match really_input_string ic (Service.Frame.header_len - 1) with
-  | exception End_of_file -> None
-  | rest ->
-    let hdr = String.make 1 (Char.chr Service.Frame.request_magic) ^ rest in
-    (match Service.Frame.parse_header hdr with
-    | Error _ -> None
-    | Ok (_op, len) ->
-      (match really_input_string ic len with
-      | exception End_of_file -> None
-      | body -> Some (hdr ^ body)))
+(* The router's handler on the shared connection loop: answer from
+   the shallow decode, forward the caller's own bytes. *)
+let handle_message p out = function
+  | Net.Server.Line line ->
+    Buffer.add_string out (respond p json (S.decode_line ~shallow:true line) line);
+    Buffer.add_char out '\n'
+  | Net.Server.Frame f ->
+    Buffer.add_string out (respond p frame (S.request_of_frame f) f)
+  | Net.Server.Bad_line msg ->
+    Buffer.add_string out (respond p json (Error (J.Null, P.Bad_request, msg)) "");
+    Buffer.add_char out '\n'
+  | Net.Server.Bad_frame msg ->
+    Buffer.add_string out
+      (respond p frame (Error (J.Int 0, P.Bad_request, msg)) "")
 
 let handle_conn t conn fd =
   let p = make_pool t in
+  let timed_out = ref false in
   Fun.protect
     ~finally:(fun () ->
       close_pool p;
+      Atomic.decr t.active;
+      if !timed_out then Telemetry.Counter.incr t.timed_out;
       Net.Conns.close t.conns conn fd)
     (fun () ->
-      try
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        let continue = ref true in
-        while !continue && not (Atomic.get t.stop) do
-          (* per-message framing negotiation, like the backends: 0xB1
-             opens a binary frame, anything else a JSON line *)
-          match input_char ic with
-          | exception End_of_file -> continue := false
-          | '\n' -> ()  (* blank line, skipped *)
-          | c when Char.code c = Service.Frame.request_magic ->
-            (match read_frame_after ic with
-            | None -> continue := false
-            | Some f ->
-              output_string oc (respond p frame (S.request_of_frame f) f);
-              flush oc)
-          | c ->
-            let line = read_line_after ic c in
-            if String.trim line <> "" then begin
-              output_string oc (respond p json (S.decode_line line) line);
-              output_char oc '\n';
-              flush oc
-            end
-        done
-      with Sys_error _ | Unix.Unix_error _ | End_of_file -> ())
+      Net.Server.serve_conn ~idle_timeout:t.cfg.idle_timeout
+        ~max_line:t.cfg.max_line fd (handle_message p) timed_out)
 
 let stop t = Atomic.set t.stop true
 
 let run t =
   Net.Server.accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->
-      let conn = Net.Conns.add t.conns fd in
-      ignore (Thread.create (fun () -> handle_conn t conn fd) ()));
+      if Atomic.get t.active >= t.cfg.max_conns then begin
+        Telemetry.Counter.incr t.refused;
+        Net.Server.refuse_conn ~max_conns:t.cfg.max_conns fd
+      end
+      else begin
+        let conn = Net.Conns.add t.conns fd in
+        Atomic.incr t.active;
+        ignore (Thread.create (fun () -> handle_conn t conn fd) ())
+      end);
   Net.Conns.drain t.conns

@@ -21,13 +21,28 @@
       counters).
 
     Placement is memoryless — a pure hash of (session, backend
-    address) — so routers scale out without coordinating. *)
+    address) — so routers scale out without coordinating.
+
+    Client connections run on the backends' own loop
+    ({!Net.Server.serve_conn}) with the same guards: an oversized line
+    or frame is answered [bad_request] and the connection survives, a
+    silent or dribbling client is closed at [idle_timeout], and a
+    connection past [max_conns] receives one [overloaded] line.  A line
+    is classified by the shallow routing decode
+    ({!Service.Protocol.parse_request}): an [open]'s hierarchy is
+    validated but never built.  A malformed message is answered by the
+    router and never forwarded. *)
 
 type config = {
   retries : int;  (** connect / overloaded retries per backend *)
   backoff_ms : int;  (** seed for the jittered exponential backoff *)
+  max_conns : int;  (** client connections open at once *)
+  idle_timeout : float;  (** seconds; also the slowloris deadline *)
+  max_line : int;  (** request line / frame payload bound, bytes *)
 }
 
+(** 2 retries from a 50 ms backoff seed; the connection guards are
+    {!Net.Server.default_config}'s. *)
 val default_config : config
 
 type t
@@ -47,7 +62,8 @@ val bound_addr : t -> Net.Server.addr
 val registry : t -> Telemetry.Registry.t
 
 (** [run t] accepts clients until {!stop} (one systhread per
-    connection, serial per-connection handling). *)
+    connection, serial per-connection handling), then closes every
+    open connection and returns once each has finished. *)
 val run : t -> unit
 
 val stop : t -> unit

@@ -145,6 +145,17 @@ let request_frame_admitted ?(retries = 0) ?(backoff_ms = 50) t f =
   in
   go 0
 
+(* Between round trips a live server sends nothing, so a connection
+   that reads ready — end of file, a reset, or bytes nobody asked for —
+   was closed (typically by the server's idle timeout) or is out of
+   step; either way it must not carry another request.  A zero-timeout
+   [select]: no wait, one system call. *)
+let closed_by_peer t =
+  match Unix.select [ Unix.descr_of_in_channel t.ic ] [] [] 0. with
+  | [], _, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error _ -> true
+
 let close t =
   try Unix.shutdown_connection t.ic; close_in t.ic
   with Unix.Unix_error _ | Sys_error _ -> ()

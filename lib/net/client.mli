@@ -66,4 +66,10 @@ val frame_overloaded : string -> bool
 val request_frame_admitted :
   ?retries:int -> ?backoff_ms:int -> t -> string -> string option
 
+(** [closed_by_peer t] — without blocking, whether the connection is
+    unfit for another request: between round trips a live server sends
+    nothing, so end of file, a reset or unsolicited bytes all read as
+    closed.  A pooled connection checks this before it is reused. *)
+val closed_by_peer : t -> bool
+
 val close : t -> unit

@@ -21,7 +21,9 @@ module P = Service.Protocol
    thread, so responses leave in request order and a single-connection
    transcript is byte-identical to stdin/stdout mode.
 
-   Backpressure and admission: see {!serve_conn}.  Each connection has
+   Framing and guards: see {!serve_conn}, the connection loop this
+   server shares with the cluster router.  Admission: see
+   {!service_handler}.  Each connection has
    at most one request executing, so the global [queue_depth] bound can
    only refuse while it is below the number of open connections
    ([max_conns], enforced at accept). *)
@@ -134,46 +136,221 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
-(* A connection's whole life on the systhread that accepted it from
-   the mailbox: read, split into messages, decode, execute, encode,
-   write.  Each message is answered as soon as it is complete, into one
-   output buffer, and the buffer goes out in one write after the bytes
-   of each read are consumed — pipelined requests that arrive together
-   leave together, and what is held unsent is bounded by the responses
-   to one read.
+type message =
+  | Line of string
+  | Frame of string
+  | Bad_line of string
+  | Bad_frame of string
+
+(* The first newline in [buf] at or after [i] and before [n]; [n] when
+   there is none. *)
+let rec newline_in buf i n =
+  if i >= n || Bytes.unsafe_get buf i = '\n' then i
+  else newline_in buf (i + 1) n
+
+(* A connection's whole life on the systhread that accepted it: read,
+   split into messages, hand each complete message to [handle] (which
+   appends its response bytes to the output buffer), write.  Each
+   message is answered as soon as it is complete, and the buffer goes
+   out in one write after the bytes of each read are consumed —
+   pipelined requests that arrive together leave together, and what is
+   held unsent is bounded by the responses to one read.  The server and
+   the router both run their connections here.
 
    Framing: at each message boundary the first byte chooses — 0xB1
    starts a binary (1b) frame (6-byte header, then exactly the declared
    payload), anything else is a JSON line up to its newline.
    Negotiation is per message, so one connection may interleave
-   framings freely.
+   framings freely.  Bytes move in spans: a line's bytes up to the next
+   newline, or a frame's up to its declared end, are copied with one
+   [Buffer.add_subbytes] per read.
 
    Guards, shared across framings.  Max-line: a line over the bound is
-   discarded to its newline and answered [bad_request]; a frame
+   discarded to its newline and handed over as [Bad_line]; a frame
    declaring a payload over the same bound is discarded by its known
-   length and answered the same way — the connection survives both,
-   and the error answers in arrival order.  Idle / slowloris: the
+   length and handed over as [Bad_frame] — the connection survives
+   both, and the error answers in arrival order.  Idle / slowloris: the
    deadline arms at connection start and re-arms only on each
    *complete* message, so a client dribbling bytes of a never-finished
    line or frame times out exactly like a silent one.  Backpressure: a
    client that stops reading blocks this thread in [write], so the
    connection stops reading and TCP pushes back — on that client alone.
-   A torn partial line or frame at close is dropped, never executed.
+   A torn partial line or frame at close is dropped, never handled. *)
+let serve_conn ~idle_timeout ~max_line fd handle timed_out =
+  let out = Buffer.create 4096 in
+  (* The read buffer starts at 4 KiB and becomes 64 KiB the first time
+     a read fills it: a large message moves in few reads, and a
+     connection of small requests keeps a small footprint. *)
+  let buf = ref (Bytes.create 4096) in
+  let acc = Buffer.create 256 in
+  let discarding = ref false in
+  let discarded = ref 0 in
+  (* binary-frame state: [in_frame] accumulates into [fbuf];
+     [frame_total] is the full frame length once the header is in
+     (-1 before); [frame_skip] counts payload bytes of an oversized
+     frame still to discard ([frame_over] its declared length) *)
+  let fbuf = Buffer.create 256 in
+  let in_frame = ref false in
+  let frame_total = ref (-1) in
+  let frame_skip = ref 0 in
+  let frame_over = ref 0 in
+  let deadline = ref (Unix.gettimeofday () +. idle_timeout) in
+  let alive = ref true in
+  let rearm () = deadline := Unix.gettimeofday () +. idle_timeout in
+  let emit_line () =
+    rearm ();
+    if !discarding then begin
+      let n = !discarded + Buffer.length acc in
+      Buffer.clear acc;
+      discarding := false;
+      discarded := 0;
+      handle out
+        (Bad_line
+           (Printf.sprintf "line exceeds %d bytes (%d read)" max_line n))
+    end
+    else begin
+      (* tolerate CRLF framing from casual clients *)
+      let n = Buffer.length acc in
+      if n > 0 && Buffer.nth acc (n - 1) = '\r' then Buffer.truncate acc (n - 1);
+      let line = Buffer.contents acc in
+      Buffer.clear acc;
+      (* blank lines skipped, as stdin *)
+      if String.trim line <> "" then handle out (Line line)
+    end
+  in
+  let emit_frame () =
+    let f = Buffer.contents fbuf in
+    Buffer.clear fbuf;
+    in_frame := false;
+    frame_total := -1;
+    rearm ();
+    handle out (Frame f)
+  in
+  (* Consume the bytes of [buf] from [i] (before [n]) that belong to
+     the current frame; returns the next unconsumed position. *)
+  let frame_span i n =
+    let i =
+      if !frame_total >= 0 then i
+      else begin
+        let k = min (Service.Frame.header_len - Buffer.length fbuf) (n - i) in
+        Buffer.add_subbytes fbuf !buf i k;
+        if Buffer.length fbuf = Service.Frame.header_len then begin
+          match Service.Frame.parse_header (Buffer.contents fbuf) with
+          | Error _ ->
+            (* unreachable: the magic matched and the header is complete *)
+            Buffer.clear fbuf;
+            in_frame := false
+          | Ok (_op, len) ->
+            if len > max_line then begin
+              (* discard the declared payload without buffering it *)
+              Buffer.clear fbuf;
+              in_frame := false;
+              frame_over := len;
+              frame_skip := len  (* > 0: len exceeds a positive bound *)
+            end
+            else frame_total := Service.Frame.header_len + len
+        end;
+        i + k
+      end
+    in
+    if !frame_total < 0 then i
+    else begin
+      let k = min (!frame_total - Buffer.length fbuf) (n - i) in
+      Buffer.add_subbytes fbuf !buf i k;
+      if Buffer.length fbuf = !frame_total then emit_frame ();
+      i + k
+    end
+  in
+  (* Consume line bytes up to and including the next newline. *)
+  let line_span i n =
+    let j = newline_in !buf i n in
+    let k = j - i in
+    if !discarding then discarded := !discarded + k
+    else begin
+      Buffer.add_subbytes acc !buf i k;
+      if Buffer.length acc > max_line then begin
+        (* switch to discard mode: the line is already over budget,
+           stop accumulating its bytes *)
+        discarding := true;
+        discarded := Buffer.length acc;
+        Buffer.clear acc
+      end
+    end;
+    if j < n then begin
+      emit_line ();
+      j + 1
+    end
+    else j
+  in
+  let consume n =
+    let i = ref 0 in
+    while !i < n do
+      if !frame_skip > 0 then begin
+        let k = min !frame_skip (n - !i) in
+        i := !i + k;
+        frame_skip := !frame_skip - k;
+        if !frame_skip = 0 then begin
+          rearm ();
+          handle out
+            (Bad_frame
+               (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
+                  max_line !frame_over))
+        end
+      end
+      else if !in_frame then i := frame_span !i n
+      else if
+        Buffer.length acc = 0 && (not !discarding)
+        && Char.code (Bytes.get !buf !i) = Service.Frame.request_magic
+      then begin
+        (* message boundary + 0xB1: binary framing this message *)
+        in_frame := true;
+        frame_total := -1;
+        Buffer.clear fbuf;
+        Buffer.add_char fbuf (Bytes.get !buf !i);
+        incr i
+      end
+      else i := line_span !i n
+    done
+  in
+  try
+    while !alive do
+      let wait = !deadline -. Unix.gettimeofday () in
+      if wait <= 0. then begin
+        timed_out := true;
+        alive := false
+      end
+      else begin
+        match Unix.select [ fd ] [] [] wait with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | [], _, _ -> ()  (* re-check the deadline *)
+        | _ ->
+          let n = try Unix.read fd !buf 0 (Bytes.length !buf) with
+            | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> 0
+          in
+          if n = 0 then alive := false
+          else begin
+            consume n;
+            if n = Bytes.length !buf && n = 4096 then buf := Bytes.create 65536;
+            (* one write per read; a client that is gone surfaces here
+               as EPIPE / ECONNRESET and ends the connection *)
+            if Buffer.length out > 0 then begin
+              write_all fd (Buffer.contents out);
+              Buffer.reset out
+            end
+          end
+      end
+    done
+  with Unix.Unix_error _ -> ()
 
-   Admission: both framings decode first, into the service's one
-   request type, so a message that does not decode is answered
-   [invalid] without taking an admission slot.  Past [queue_depth]
-   admitted requests the verb is answered [overloaded] through the
-   server's reject path (so the rejection is counted, logged and
-   flight-recorded). *)
-let serve_conn t ~conn fd timed_out =
+(* The service's handler: both framings decode first, into the
+   service's one request type, so a message that does not decode is
+   answered [invalid] without taking an admission slot.  Past
+   [queue_depth] admitted requests the verb is answered [overloaded]
+   through the server's reject path (so the rejection is counted,
+   logged and flight-recorded), as are the loop's guard refusals. *)
+let service_handler t ~conn =
   let module S = Service.Server in
   let net = S.net t.srv in
-  let out = Buffer.create 4096 in
-  let answer_json j =
-    Buffer.add_string out (J.to_string j);
-    Buffer.add_char out '\n'
-  in
   let overload_msg =
     Printf.sprintf "server at admission capacity (%d in flight); retry"
       t.cfg.queue_depth
@@ -191,148 +368,25 @@ let serve_conn t ~conn fd timed_out =
           if S.read_only rq.S.rq_op then Rwlock.with_read t.lock run
           else Rwlock.with_write t.lock run)
   in
-  let buf = Bytes.create 4096 in
-  let acc = Buffer.create 256 in
-  let discarding = ref false in
-  let discarded = ref 0 in
-  (* binary-frame state: [in_frame] accumulates into [fbuf];
-     [frame_total] is the full frame length once the header is in
-     (-1 before); [frame_skip] counts payload bytes of an oversized
-     frame still to discard ([frame_over] its declared length) *)
-  let fbuf = Buffer.create 256 in
-  let in_frame = ref false in
-  let frame_total = ref (-1) in
-  let frame_skip = ref 0 in
-  let frame_over = ref 0 in
-  let deadline = ref (Unix.gettimeofday () +. t.cfg.idle_timeout) in
-  let alive = ref true in
-  let rearm () = deadline := Unix.gettimeofday () +. t.cfg.idle_timeout in
-  let emit_line () =
-    let line = Buffer.contents acc in
-    Buffer.clear acc;
-    rearm ();
-    if !discarding then begin
-      let n = !discarded + String.length line in
-      discarding := false;
-      discarded := 0;
-      answer_json
-        (S.reject ~conn t.srv S.json ~verb:"invalid" ~id:J.Null P.Bad_request
-           (Printf.sprintf "line exceeds %d bytes (%d read)" t.cfg.max_line n))
-    end
-    else begin
-      let line =
-        (* tolerate CRLF framing from casual clients *)
-        let n = String.length line in
-        if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1)
-        else line
-      in
-      if String.trim line = "" then ()  (* blank lines skipped, as stdin *)
-      else
-        answer_json
-          (S.handle ~conn ~around:(admit S.json) t.srv S.json
-             (S.decode_line line))
-    end
+  let answer_json out j =
+    Buffer.add_string out (J.to_string j);
+    Buffer.add_char out '\n'
   in
-  let emit_frame () =
-    let f = Buffer.contents fbuf in
-    Buffer.clear fbuf;
-    in_frame := false;
-    frame_total := -1;
-    rearm ();
-    Buffer.add_string out
-      (S.handle ~conn ~around:(admit S.frame) t.srv S.frame
-         (S.decode_frame t.srv f))
-  in
-  let frame_byte c =
-    Buffer.add_char fbuf c;
-    if !frame_total < 0 && Buffer.length fbuf = Service.Frame.header_len
-    then begin
-      match Service.Frame.parse_header (Buffer.contents fbuf) with
-      | Error _ ->
-        (* unreachable: the magic matched and the header is complete *)
-        Buffer.clear fbuf;
-        in_frame := false
-      | Ok (_op, len) ->
-        if len > t.cfg.max_line then begin
-          (* discard the declared payload without buffering it *)
-          Buffer.clear fbuf;
-          in_frame := false;
-          frame_over := len;
-          frame_skip := len  (* > 0: len exceeds a positive bound *)
-        end
-        else frame_total := Service.Frame.header_len + len
-    end;
-    if !frame_total >= 0 && Buffer.length fbuf = !frame_total then
-      emit_frame ()
-  in
-  try
-    while !alive do
-      let wait = !deadline -. Unix.gettimeofday () in
-      if wait <= 0. then begin
-        timed_out := true;
-        alive := false
-      end
-      else begin
-        match Unix.select [ fd ] [] [] wait with
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | [], _, _ -> ()  (* re-check the deadline *)
-        | _ ->
-          let n = try Unix.read fd buf 0 (Bytes.length buf) with
-            | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> 0
-          in
-          if n = 0 then alive := false
-          else begin
-            for i = 0 to n - 1 do
-              let c = Bytes.get buf i in
-              if !frame_skip > 0 then begin
-                decr frame_skip;
-                if !frame_skip = 0 then begin
-                  rearm ();
-                  Buffer.add_string out
-                    (S.reject ~conn t.srv S.frame ~verb:"invalid" ~id:(J.Int 0)
-                       P.Bad_request
-                       (Printf.sprintf
-                          "frame payload exceeds %d bytes (%d declared)"
-                          t.cfg.max_line !frame_over))
-                end
-              end
-              else if !in_frame then frame_byte c
-              else if
-                Buffer.length acc = 0 && (not !discarding)
-                && Char.code c = Service.Frame.request_magic
-              then begin
-                (* message boundary + 0xB1: binary framing this message *)
-                in_frame := true;
-                frame_total := -1;
-                Buffer.clear fbuf;
-                Buffer.add_char fbuf c
-              end
-              else
-                match c with
-                | '\n' -> emit_line ()
-                | c ->
-                  if !discarding then incr discarded
-                  else begin
-                    Buffer.add_char acc c;
-                    if Buffer.length acc > t.cfg.max_line then begin
-                      (* switch to discard mode: the line is already
-                         over budget, stop accumulating its bytes *)
-                      discarding := true;
-                      discarded := Buffer.length acc;
-                      Buffer.clear acc
-                    end
-                  end
-            done;
-            (* one write per read; a client that is gone surfaces here
-               as EPIPE / ECONNRESET and ends the connection *)
-            if Buffer.length out > 0 then begin
-              write_all fd (Buffer.contents out);
-              Buffer.reset out
-            end
-          end
-      end
-    done
-  with Unix.Unix_error _ -> ()
+  fun out -> function
+    | Line line ->
+      answer_json out
+        (S.handle ~conn ~around:(admit S.json) t.srv S.json (S.decode_line line))
+    | Frame f ->
+      Buffer.add_string out
+        (S.handle ~conn ~around:(admit S.frame) t.srv S.frame
+           (S.decode_frame t.srv f))
+    | Bad_line msg ->
+      answer_json out
+        (S.reject ~conn t.srv S.json ~verb:"invalid" ~id:J.Null P.Bad_request msg)
+    | Bad_frame msg ->
+      Buffer.add_string out
+        (S.reject ~conn t.srv S.frame ~verb:"invalid" ~id:(J.Int 0)
+           P.Bad_request msg)
 
 let handle_conn t ~conn fd =
   let net = Service.Server.net t.srv in
@@ -344,7 +398,9 @@ let handle_conn t ~conn fd =
       if !timed_out then
         Telemetry.Counter.incr net.Service.Server.net_timed_out;
       Conns.close t.conns conn fd)
-    (fun () -> serve_conn t ~conn fd timed_out)
+    (fun () ->
+      serve_conn ~idle_timeout:t.cfg.idle_timeout ~max_line:t.cfg.max_line fd
+        (service_handler t ~conn) timed_out)
 
 (* ---- worker domains and the accept loop ----------------------------- *)
 
@@ -388,23 +444,27 @@ let accept_loop ~stop listen_fd bound f =
   | Unix_path path -> (try Unix.unlink path with Unix.Unix_error _ -> ())
   | Tcp _ -> ()
 
+(* Refuse a connection at the door, in-band: one [overloaded] line
+   naming the limit, then close. *)
+let refuse_conn ~max_conns fd =
+  let line =
+    J.to_string
+      (P.error_response ~id:J.Null P.Overloaded
+         (Printf.sprintf "connection limit reached (%d)" max_conns))
+    ^ "\n"
+  in
+  (try write_all fd line with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let run t =
   let net = Service.Server.net t.srv in
   let workers =
     Array.map (fun mb -> Domain.spawn (worker_loop t mb)) t.mailboxes
   in
-  let overload_line =
-    J.to_string
-      (P.error_response ~id:J.Null P.Overloaded
-         (Printf.sprintf "connection limit reached (%d)" t.cfg.max_conns))
-    ^ "\n"
-  in
   accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->
       if Atomic.get net.Service.Server.net_active >= t.cfg.max_conns then begin
-        (* refuse at the door, in-band: one overloaded line, close *)
         Telemetry.Counter.incr net.Service.Server.net_overloaded;
-        (try write_all fd overload_line with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
+        refuse_conn ~max_conns:t.cfg.max_conns fd
       end
       else begin
         let conn = Conns.add t.conns fd in

@@ -75,6 +75,36 @@ val listen_on : addr -> Unix.file_descr * addr
 val accept_loop :
   stop:bool Atomic.t -> Unix.file_descr -> addr -> (Unix.file_descr -> unit) -> unit
 
+(** One complete message off a connection, as {!serve_conn} hands it
+    to its handler. *)
+type message =
+  | Line of string
+      (** a JSON line: newline and a trailing CR stripped, never blank *)
+  | Frame of string  (** a complete 1b request frame, header included *)
+  | Bad_line of string
+      (** a line over [max_line], discarded to its newline; the text is
+          the [bad_request] message to answer with *)
+  | Bad_frame of string
+      (** a frame declaring a payload over [max_line], skipped by its
+          declared length; the text as for [Bad_line] *)
+
+(** [serve_conn ~idle_timeout ~max_line fd handle timed_out] runs one
+    connection's read loop until the peer closes, the socket fails, or
+    [idle_timeout] seconds pass without a complete message (then
+    [timed_out] is set).  Framing is chosen per message by its first
+    byte (0xB1 opens a 1b frame, anything else a JSON line).  Each
+    complete message goes to [handle out msg], which appends its
+    response bytes to [out]; [out] is written once per socket read.
+    The loop of this server and of the cluster router. *)
+val serve_conn :
+  idle_timeout:float -> max_line:int -> Unix.file_descr ->
+  (Buffer.t -> message -> unit) -> bool ref -> unit
+
+(** [refuse_conn ~max_conns fd] answers an accepted socket past the
+    connection limit with one in-band [overloaded] line and closes
+    it. *)
+val refuse_conn : max_conns:int -> Unix.file_descr -> unit
+
 (** [exclusively t f] runs [f] under the exclusive (writer) side of the
     server's verb-class lock — how the replication applier mutates
     sessions without racing the read verbs executing on worker

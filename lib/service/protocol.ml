@@ -337,8 +337,13 @@ let request_of_json j =
           | Error (code, msg) -> fail code msg
           | Ok o -> Ok { rq_id = id; rq_session = session; rq_op = o }))))
 
-let parse_request line =
-  match J.of_string line with
+(* The fields that carry an [open]'s hierarchy: all but a few bytes of
+   a large [open] line. *)
+let hierarchy_fields = [ "chg"; "source" ]
+
+let parse_request ?(shallow = false) line =
+  let skip = if shallow then hierarchy_fields else [] in
+  match J.of_string ~skip line with
   | Error msg -> Error (J.Null, Parse_error, msg)
   | Ok j -> request_of_json j
 

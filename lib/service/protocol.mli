@@ -127,12 +127,18 @@ val op_string : op -> string
 val read_only : op -> bool
 
 (** [request_of_json j] / [parse_request line] — a typed request, or the
-    id to echo plus a structured error. *)
+    id to echo plus a structured error.
+
+    [~shallow:true] is the routing decode: an [open]'s [chg] / [source]
+    value is validated by the JSON grammar but not built, so the
+    request's hierarchy is hollow ([Chg_json (Obj [])] or [Source ""]).
+    Every check of the full decode still applies — the same errors,
+    text and offsets, for the same lines. *)
 val request_of_json :
   Chg.Json.t -> (request, Chg.Json.t * error_code * string) result
 
 val parse_request :
-  string -> (request, Chg.Json.t * error_code * string) result
+  ?shallow:bool -> string -> (request, Chg.Json.t * error_code * string) result
 
 val ok_response : id:Chg.Json.t -> (string * Chg.Json.t) list -> Chg.Json.t
 

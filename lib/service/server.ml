@@ -803,7 +803,8 @@ type decoded = (request, J.t * P.error_code * string) result
 let of_protocol (rq : P.request) =
   { rq_id = rq.P.rq_id; rq_session = rq.P.rq_session; rq_op = Named rq.P.rq_op }
 
-let decode_line line = Result.map of_protocol (P.parse_request line)
+let decode_line ?shallow line =
+  Result.map of_protocol (P.parse_request ?shallow line)
 
 let of_frame (fr : Frame.request) =
   { rq_id = J.Int fr.Frame.fr_id;

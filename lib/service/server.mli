@@ -160,8 +160,9 @@ val verb : op -> string
     other reads (the rest take its single writer path). *)
 val read_only : op -> bool
 
-(** One JSON line, as {!Protocol.parse_request} types it. *)
-val decode_line : string -> decoded
+(** One JSON line, as {!Protocol.parse_request} types it ([shallow]
+    passed through: the routing decode). *)
+val decode_line : ?shallow:bool -> string -> decoded
 
 (** One complete 1b frame (header + payload, as read off the wire).
     Failures echo the request id when the [i64 id | string session]

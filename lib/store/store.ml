@@ -19,10 +19,17 @@ let default_config =
     keep_snapshots = 2;
     mmap_restore = `Verify }
 
+(* A doorbell: a non-blocking self-pipe.  A ring writes one byte (a
+   pipe too full to take it is rung already); the watcher selects on
+   the read end and drains it. *)
+type watcher = { bell_rd : Unix.file_descr; bell_wr : Unix.file_descr }
+
 type t = {
   dir : string;
   config : config;
   wals : (string, Wal.t) Hashtbl.t;  (* by session name *)
+  watch_mutex : Mutex.t;
+  mutable watchers : watcher list;
   snapshots_written : Telemetry.Counter.t;
   snapshot_bytes : Telemetry.Counter.t;
   wal_appends : Telemetry.Counter.t;
@@ -59,6 +66,8 @@ let open_dir ?(config = default_config) dir =
   { dir;
     config;
     wals = Hashtbl.create 8;
+    watch_mutex = Mutex.create ();
+    watchers = [];
     snapshots_written = Telemetry.Counter.make "store_snapshots_written";
     snapshot_bytes = Telemetry.Counter.make "store_snapshot_bytes";
     wal_appends = Telemetry.Counter.make "store_wal_appends";
@@ -237,6 +246,44 @@ let recover t name =
       if rv.rv_torn then Telemetry.Counter.incr t.torn_records_skipped;
       Ok (Some rv))
 
+(* ---- change doorbells ---------------------------------------------- *)
+
+let watch t =
+  let bell_rd, bell_wr = Unix.pipe ~cloexec:true () in
+  Unix.set_nonblock bell_rd;
+  Unix.set_nonblock bell_wr;
+  let w = { bell_rd; bell_wr } in
+  Mutex.protect t.watch_mutex (fun () -> t.watchers <- w :: t.watchers);
+  w
+
+let unwatch t w =
+  Mutex.protect t.watch_mutex (fun () ->
+      t.watchers <- List.filter (fun w' -> w' != w) t.watchers);
+  List.iter
+    (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+    [ w.bell_rd; w.bell_wr ]
+
+let ring w =
+  try ignore (Unix.single_write_substring w.bell_wr "!" 0 1)
+  with Unix.Unix_error _ -> ()  (* EAGAIN: the pipe is full, so rung *)
+
+let notify t =
+  Mutex.protect t.watch_mutex (fun () -> List.iter ring t.watchers)
+
+let wait w timeout =
+  match Unix.select [ w.bell_rd ] [] [] (Float.max 0. timeout) with
+  | [], _, _ -> ()
+  | _ ->
+    let scratch = Bytes.create 64 in
+    let rec drain () =
+      match Unix.read w.bell_rd scratch 0 (Bytes.length scratch) with
+      | n when n > 0 -> drain ()
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ()  (* EAGAIN: drained *)
+    in
+    drain ()
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+
 (* ---- writing ------------------------------------------------------- *)
 
 let log_mutation t ~session ~epoch m =
@@ -245,7 +292,8 @@ let log_mutation t ~session ~epoch m =
   let bytes = Wal.append w ~epoch m in
   Telemetry.Counter.incr t.wal_appends;
   Telemetry.Counter.add t.wal_append_bytes bytes;
-  Telemetry.Counter.add t.wal_fsyncs (Wal.fsyncs w - fsyncs_before)
+  Telemetry.Counter.add t.wal_fsyncs (Wal.fsyncs w - fsyncs_before);
+  notify t
 
 let prune_snapshots t name =
   snapshot_files t name
@@ -268,6 +316,7 @@ let write_snapshot t snap =
   prune_snapshots t name;
   Telemetry.Counter.incr t.snapshots_written;
   Telemetry.Counter.add t.snapshot_bytes bytes;
+  notify t;
   bytes
 
 (* A fresh [open] under a stored name supersedes the old lineage: its
@@ -281,7 +330,8 @@ let reset_session t name =
   | Some w -> Wal.reset w
   | None ->
     let p = wal_path t name in
-    if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ())
+    if Sys.file_exists p then try Sys.remove p with Sys_error _ -> ());
+  notify t
 
 let wal_size t ~session =
   match Hashtbl.find_opt t.wals session with

@@ -84,6 +84,32 @@ val recovered_epoch : recovery -> int
     [name]; [Error] only when every stored snapshot fails to decode. *)
 val recover : t -> string -> (recovery option, string) result
 
+(** {1 Change doorbells}
+
+    A reader of the store's files (the replication sender) can wait for
+    them to change instead of polling: {!log_mutation},
+    {!write_snapshot} and {!reset_session} ring every watcher's bell
+    once their files are written.  Rings coalesce — a bell rung twice
+    before a {!wait} wakes it once. *)
+
+type watcher
+
+(** [watch t] — a fresh bell (a non-blocking self-pipe) that [t] rings
+    on every change from now on. *)
+val watch : t -> watcher
+
+(** [unwatch t w] stops ringing [w] and closes it. *)
+val unwatch : t -> watcher -> unit
+
+(** [wait w timeout] blocks until [w] is rung (and clears it) or
+    [timeout] seconds pass.  A ring between two waits is never lost:
+    the next [wait] returns at once. *)
+val wait : watcher -> float -> unit
+
+(** [notify t] rings every watcher of [t] — what each write does, and
+    how a watcher's owner wakes it to stop. *)
+val notify : t -> unit
+
 (** {1 Writing} *)
 
 (** [log_mutation t ~session ~epoch m] appends one WAL record ([epoch]

@@ -357,7 +357,7 @@ let test_replication_catch_up_and_restart () =
   let g = graph () in
   Alcotest.(check bool) "leader open" true
     (resp_ok (Service.Server.handle_request leader (open_request g)));
-  let repl = Cluster.Repl.create ~poll_ms:5 leader (Net.Server.Tcp ("127.0.0.1", 0)) in
+  let repl = Cluster.Repl.create leader (Net.Server.Tcp ("127.0.0.1", 0)) in
   let repl_th = Thread.create Cluster.Repl.run repl in
   let leader_addr = Cluster.Repl.bound_addr repl in
   let follower_of store =
@@ -420,8 +420,8 @@ let test_replication_catch_up_and_restart () =
 
 (* ---- the router ------------------------------------------------------ *)
 
-let with_net srv f =
-  let net = Net.Server.create srv (Net.Server.Tcp ("127.0.0.1", 0)) in
+let with_net ?config srv f =
+  let net = Net.Server.create ?config srv (Net.Server.Tcp ("127.0.0.1", 0)) in
   let th = Thread.create Net.Server.run net in
   Fun.protect
     ~finally:(fun () ->
@@ -429,14 +429,22 @@ let with_net srv f =
       Thread.join th)
     (fun () -> f (Net.Server.bound_addr net))
 
-let with_router ?config ~leader backends f =
+let with_router_t ?config ~leader backends f =
   let rt = Cluster.Router.create ?config ~leader backends (Net.Server.Tcp ("127.0.0.1", 0)) in
   let th = Thread.create Cluster.Router.run rt in
   Fun.protect
     ~finally:(fun () ->
       Cluster.Router.stop rt;
       Thread.join th)
-    (fun () -> f (Cluster.Router.bound_addr rt))
+    (fun () -> f rt)
+
+let with_router ?config ~leader backends f =
+  with_router_t ?config ~leader backends (fun rt -> f (Cluster.Router.bound_addr rt))
+
+(* One of the router's own counters, by its exposition name. *)
+let router_count rt name =
+  List.fold_left (fun acc (_, v) -> acc + v) 0
+    (Telemetry.Registry.find_values (Cluster.Router.registry rt) name)
 
 (* three independent backends, all holding [g] under [session] *)
 let with_backends g ~session k =
@@ -578,7 +586,9 @@ let test_router_fails_over_and_reports_unavailable () =
     Unix.close fd;
     bound
   in
-  let config = { Cluster.Router.retries = 0; backoff_ms = 10 } in
+  let config =
+    { Cluster.Router.default_config with retries = 0; backoff_ms = 10 }
+  in
   with_net srv @@ fun live ->
   with_router ~config ~leader:0 [ live; dead ] @@ fun raddr ->
   let cl = Net.Client.connect raddr in
@@ -738,7 +748,9 @@ let test_router_frame_unavailable () =
     Unix.close fd;
     bound
   in
-  let config = { Cluster.Router.retries = 0; backoff_ms = 10 } in
+  let config =
+    { Cluster.Router.default_config with retries = 0; backoff_ms = 10 }
+  in
   with_router ~config ~leader:0 [ dead; dead ] @@ fun raddr ->
   let cl = Net.Client.connect raddr in
   let f = frame_of ~id:4242 ~session:"s" (F.Lookup { lk_class = 0; lk_member = 0 }) in
@@ -747,6 +759,194 @@ let test_router_frame_unavailable () =
   | id, _ ->
     Alcotest.failf "expected backend_unavailable under id 4242, got id %d" id);
   Net.Client.close cl
+
+(* ---- the router's connection guards --------------------------------- *)
+
+let must_request cl line =
+  match Net.Client.request cl line with
+  | Some resp ->
+    (match J.of_string resp with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "unparseable response %S: %s" resp e)
+  | None -> Alcotest.fail "router closed the connection"
+
+let resp_error_message j =
+  match J.member "error" j with
+  | Ok e -> (match J.member "message" e with Ok (J.String s) -> s | _ -> "?")
+  | Error _ -> "?"
+
+let small_guards =
+  { Cluster.Router.default_config with
+    retries = 0; backoff_ms = 10; max_line = 128; idle_timeout = 0.3 }
+
+(* one live backend holding [graph ()] under "s" *)
+let with_one_backend ?config k =
+  let srv = Service.Server.create () in
+  if not (resp_ok (Service.Server.handle_request srv (open_request (graph ()))))
+  then Alcotest.fail "backend open failed";
+  with_net ?config srv (fun addr -> k srv addr)
+
+let test_router_oversized_line () =
+  with_one_backend @@ fun _ addr ->
+  with_router ~config:small_guards ~leader:0 [ addr ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  let j = must_request cl (String.make 4096 'x') in
+  Alcotest.(check string) "answered bad_request" "bad_request" (resp_error_code j);
+  Alcotest.(check string) "the server's text" "line exceeds 128 bytes (4096 read)"
+    (resp_error_message j);
+  let j = must_request cl {|{"id":7,"op":"stats","session":"s"}|} in
+  Alcotest.(check bool) "connection alive after an oversized line" true (resp_ok j);
+  Net.Client.close cl
+
+let test_router_oversized_frame () =
+  with_one_backend @@ fun _ addr ->
+  with_router ~config:small_guards ~leader:0 [ addr ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  (* a well-formed lookup frame whose payload outgrows the bound: the
+     router must skip it by its declared length, not read it as lines *)
+  let f =
+    frame_of ~id:3 ~session:(String.make 300 's')
+      (F.Lookup { lk_class = 0; lk_member = 0 })
+  in
+  let declared = String.length f - F.header_len in
+  (match decode_frame ~op:F.op_lookup (routed_frame cl f) with
+  | 0, F.Err (P.Bad_request, msg) ->
+    Alcotest.(check string) "the server's text"
+      (Printf.sprintf "frame payload exceeds 128 bytes (%d declared)" declared)
+      msg
+  | _ -> Alcotest.fail "oversized frame not answered bad_request");
+  let j = must_request cl {|{"id":8,"op":"stats","session":"s"}|} in
+  Alcotest.(check bool) "stream in step after the skipped frame" true (resp_ok j);
+  Net.Client.close cl
+
+let test_router_dribble_times_out () =
+  with_one_backend @@ fun _ addr ->
+  with_router_t ~config:small_guards ~leader:0 [ addr ] @@ fun rt ->
+  let cl = Net.Client.connect (Cluster.Router.bound_addr rt) in
+  Alcotest.(check bool) "complete request answered" true
+    (resp_ok (must_request cl {|{"id":1,"op":"stats","session":"s"}|}));
+  (* a partial line, then the same bytes trickled: the deadline is not
+     re-armed by bytes, only by complete messages *)
+  Net.Client.send_raw cl {|{"id":2,|};
+  Thread.delay 0.15;
+  Net.Client.send_raw cl {|"op":|};
+  Alcotest.(check (option string)) "closed at the deadline" None
+    (Net.Client.recv_line cl);
+  Net.Client.close cl;
+  Alcotest.(check bool) "timeout counted" true
+    (wait_until ~timeout:2. (fun () ->
+         router_count rt "cxxlookup_router_connections_timed_out_total" = 1))
+
+let test_router_max_conns () =
+  with_one_backend @@ fun _ addr ->
+  let config = { small_guards with max_conns = 1; idle_timeout = 10. } in
+  with_router_t ~config ~leader:0 [ addr ] @@ fun rt ->
+  let raddr = Cluster.Router.bound_addr rt in
+  let first = Net.Client.connect raddr in
+  Alcotest.(check bool) "first connection served" true
+    (resp_ok (must_request first {|{"id":1,"op":"stats","session":"s"}|}));
+  let second = Net.Client.connect raddr in
+  (match Net.Client.recv_line second with
+  | Some line ->
+    (match J.of_string line with
+    | Ok j ->
+      Alcotest.(check string) "refused in-band" "overloaded" (resp_error_code j);
+      Alcotest.(check string) "the server's text" "connection limit reached (1)"
+        (resp_error_message j)
+    | Error e -> Alcotest.failf "unparseable refusal: %s" e)
+  | None -> Alcotest.fail "refused without an answer");
+  Alcotest.(check (option string)) "then closed" None (Net.Client.recv_line second);
+  Net.Client.close second;
+  Alcotest.(check int) "refusal counted" 1
+    (router_count rt "cxxlookup_router_connections_refused_total");
+  Alcotest.(check bool) "the first connection is unaffected" true
+    (resp_ok (must_request first {|{"id":2,"op":"stats","session":"s"}|}));
+  Net.Client.close first
+
+(* A backend stand-in that records each line it receives and answers
+   [{"id":0,"ok":true}]: what the router forwards, byte for byte. *)
+let with_recording_backend k =
+  let listen_fd, addr = Net.Server.listen_on (Net.Server.Tcp ("127.0.0.1", 0)) in
+  let seen = ref [] and m = Mutex.create () and stop = Atomic.make false in
+  let serve fd =
+    let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+    (try
+       while true do
+         match In_channel.input_line ic with
+         | None -> raise Exit
+         | Some line ->
+           Mutex.protect m (fun () -> seen := line :: !seen);
+           output_string oc "{\"id\":0,\"ok\":true}\n";
+           flush oc
+       done
+     with Exit | Sys_error _ | Unix.Unix_error _ -> ());
+    try Unix.close fd with Unix.Unix_error _ -> ()
+  in
+  let th =
+    Thread.create
+      (fun () ->
+        Net.Server.accept_loop ~stop listen_fd addr (fun fd ->
+            ignore (Thread.create serve fd)))
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join th)
+    (fun () -> k addr (fun () -> Mutex.protect m (fun () -> List.rev !seen)))
+
+let test_router_open_forwards_callers_bytes () =
+  with_recording_backend @@ fun leader seen_leader ->
+  with_recording_backend @@ fun replica seen_replica ->
+  with_router ~leader:0 [ leader; replica ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  (* spacing no encoder would produce: forwarding must not re-encode *)
+  let lines =
+    [ {|{ "id" : 1 , "op":"open", "session":"a",  "chg" : {"format":"x","classes":[ {"name":"A"} ]} }|};
+      {|{"id":2,"op":"open","session":"b","source":"struct A { int m; };\n"  }|} ]
+  in
+  List.iter
+    (fun line ->
+      Alcotest.(check bool) "answered" true (resp_ok (must_request cl line)))
+    lines;
+  Net.Client.close cl;
+  Alcotest.(check (list string)) "the leader got the caller's bytes" lines
+    (seen_leader ());
+  Alcotest.(check (list string)) "the replica got nothing" [] (seen_replica ())
+
+(* A pooled backend connection closed by the backend's idle timeout is
+   redialed before anything is sent on it: the mutation after the
+   silence applies exactly once, and nothing fails over or is reported
+   unavailable. *)
+let test_router_redials_idle_closed_slot () =
+  let config = { Net.Server.default_config with idle_timeout = 0.2 } in
+  with_one_backend ~config @@ fun srv addr ->
+  let replica = Service.Server.create () in
+  if not (resp_ok (Service.Server.handle_request replica (open_request (graph ()))))
+  then Alcotest.fail "replica open failed";
+  with_net ~config replica @@ fun raddr_replica ->
+  with_router_t ~leader:0 [ addr; raddr_replica ] @@ fun rt ->
+  let cl = Net.Client.connect (Cluster.Router.bound_addr rt) in
+  let lookup = {|{"id":1,"op":"lookup","session":"s","class":"C","member":"m"}|} in
+  let mutate =
+    {|{"id":2,"op":"mutate","session":"s","add_member":{"class":"A","member":{"name":"late"}}}|}
+  in
+  Alcotest.(check bool) "read before the silence" true (resp_ok (must_request cl lookup));
+  Alcotest.(check bool) "mutation before the silence" true
+    (resp_ok (must_request cl mutate));
+  Thread.delay 0.5;  (* both backends close the router's idle slots *)
+  let mutate' =
+    {|{"id":3,"op":"mutate","session":"s","add_member":{"class":"A","member":{"name":"later"}}}|}
+  in
+  Alcotest.(check bool) "mutation after the silence" true
+    (resp_ok (must_request cl mutate'));
+  Alcotest.(check bool) "read after the silence" true (resp_ok (must_request cl lookup));
+  Net.Client.close cl;
+  Alcotest.(check int) "each mutation applied exactly once" 2 (session_epoch srv "s");
+  Alcotest.(check int) "no failover" 0
+    (router_count rt "cxxlookup_router_failovers_total");
+  Alcotest.(check int) "nothing unavailable" 0
+    (router_count rt "cxxlookup_router_unavailable_total")
 
 let suite =
   [ Alcotest.test_case "wal tail: concurrent append" `Quick
@@ -777,4 +977,16 @@ let suite =
     Alcotest.test_case "router 1b leader retry on unknown_session" `Quick
       test_router_frame_leader_retry;
     Alcotest.test_case "router 1b backend_unavailable echoes id" `Quick
-      test_router_frame_unavailable ]
+      test_router_frame_unavailable;
+    Alcotest.test_case "router oversized line answers bad_request" `Quick
+      test_router_oversized_line;
+    Alcotest.test_case "router oversized frame skipped by length" `Quick
+      test_router_oversized_frame;
+    Alcotest.test_case "router dribbling client times out" `Quick
+      test_router_dribble_times_out;
+    Alcotest.test_case "router max_conns refusal in-band" `Quick
+      test_router_max_conns;
+    Alcotest.test_case "router open by chg / source: caller's bytes to leader"
+      `Quick test_router_open_forwards_callers_bytes;
+    Alcotest.test_case "router redials a backend-closed idle slot" `Quick
+      test_router_redials_idle_closed_slot ]

@@ -45,15 +45,7 @@ let test_json_errors () =
 
 (* The exact error text, offset included, of every failure branch of the
    scanner: clients and goldens see these strings verbatim. *)
-let test_json_error_text () =
-  List.iter
-    (fun (src, expected) ->
-      let got =
-        match Json.of_string src with
-        | Ok j -> "accepted " ^ Json.to_string j
-        | Error msg -> msg
-      in
-      Alcotest.(check string) (Printf.sprintf "%S" src) expected got)
+let json_error_table =
     [ (* strings and escapes *)
       ("\"abc", "JSON error at offset 4: unterminated string");
       ("[\"a", "JSON error at offset 3: unterminated string");
@@ -105,6 +97,66 @@ let test_json_error_text () =
       ("\"a\\/b\\b\\r\"", "accepted \"a/b\\u0008\\r\"");
       (" {\"k\" : [ true , false , null ] } ",
        "accepted {\"k\":[true,false,null]}") ]
+
+let test_json_error_text () =
+  List.iter
+    (fun (src, expected) ->
+      let got =
+        match Json.of_string src with
+        | Ok j -> "accepted " ^ Json.to_string j
+        | Error msg -> msg
+      in
+      Alcotest.(check string) (Printf.sprintf "%S" src) expected got)
+    json_error_table
+
+(* Skipped fields are validated, not built: hollow values of their own
+   kind, at the top level only. *)
+let test_json_skip_hollow () =
+  let parse ?skip src =
+    match Json.of_string ?skip src with
+    | Ok j -> Json.to_string j
+    | Error msg -> msg
+  in
+  Alcotest.(check string) "hollow of each kind"
+    {|{"a":{},"b":[],"c":"","d":7,"e":null,"f":"kept"}|}
+    (parse ~skip:[ "a"; "b"; "c"; "d"; "e" ]
+       {|{"a":{"x":[1,"y"]},"b":[{"z":"\n"}],"c":"s\tt","d":7,"e":null,"f":"kept"}|});
+  Alcotest.(check string) "only top-level fields are skipped"
+    {|{"x":{"chg":"deep"}}|}
+    (parse ~skip:[ "chg" ] {|{"x":{"chg":"deep"}}|});
+  Alcotest.(check string) "a skipped value still meets the grammar"
+    "JSON error at offset 15: invalid escape '\\q'"
+    (parse ~skip:[ "chg" ] {|{"chg":["ok","\q"]}|})
+
+(* The router's shallow decode of an [open] against the full decode,
+   over every line of the scanner's error table carried as its [chg]
+   or its [source]: the same error (code, id, text and offset), or the
+   same request up to the hollow hierarchy. *)
+let test_shallow_open_matches_full () =
+  let module P = Service.Protocol in
+  let summary = function
+    | Error (id, code, msg) ->
+      Printf.sprintf "error %s %s %s" (Json.to_string id) (P.code_string code) msg
+    | Ok (rq : P.request) ->
+      Printf.sprintf "ok %s %s %s" (Json.to_string rq.P.rq_id)
+        (Option.value rq.P.rq_session ~default:"-")
+        (match rq.P.rq_op with
+        | P.Open { o_hierarchy = P.Chg_json _; _ } -> "open chg"
+        | P.Open { o_hierarchy = P.Source _; _ } -> "open source"
+        | op -> P.op_string op)
+  in
+  List.iter
+    (fun (src, _) ->
+      List.iter
+        (fun field ->
+          let line =
+            Printf.sprintf {|{"id":1,"op":"open","session":"s","%s":%s}|} field src
+          in
+          Alcotest.(check string) line
+            (summary (P.parse_request line))
+            (summary (P.parse_request ~shallow:true line)))
+        [ "chg"; "source" ])
+    json_error_table
 
 let graphs_equal a b =
   G.num_classes a = G.num_classes b
@@ -190,6 +242,10 @@ let suite =
     Alcotest.test_case "json malformed inputs" `Quick test_json_errors;
     Alcotest.test_case "json error text and offsets" `Quick
       test_json_error_text;
+    Alcotest.test_case "json skipped fields come back hollow" `Quick
+      test_json_skip_hollow;
+    Alcotest.test_case "shallow open decode = full decode on the error table"
+      `Quick test_shallow_open_matches_full;
     Alcotest.test_case "graph roundtrip: figures" `Quick
       test_graph_roundtrip_figures;
     Alcotest.test_case "graph roundtrip: rich members" `Quick
