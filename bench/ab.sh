@@ -14,7 +14,11 @@
 # checkout (make ab does).  A metric's direction comes from the change's
 # BENCHMARK.json (lower is better when it is not listed there); a run
 # that is not correct or has failed operations stops the comparison.
-# Every run's values are printed after the summary.
+# Each metric gets a verdict: "win" when the change won at least 9 of
+# every 10 pairs and its median is better than the parent's by more
+# than the parent's interquartile range, "loss" for the mirror image,
+# and "within noise" otherwise.  Every run's values are printed after
+# the summary.
 set -eu
 
 PAIRS=10 WORKLOAD=routed-read SEED=1 SECONDS_=20 DIRS=0
@@ -96,15 +100,27 @@ try:
 except (OSError, ValueError):
     pass
 
-print("%-26s %12s %12s %12s %12s %8s" % ("metric", "parent_med", "parent_q1", "parent_q3", "change_med", "wins"))
+def verdict(wins, losses, pairs, gain, iqr):
+    # gain: how much better the change's median is (negative = worse)
+    if 10 * wins >= 9 * pairs and gain > iqr:
+        return "win"
+    if 10 * losses >= 9 * pairs and -gain > iqr:
+        return "loss"
+    return "within noise"
+
+print("%-26s %12s %12s %12s %12s %8s  %s" % (
+    "metric", "parent_med", "parent_q1", "parent_q3", "change_med", "wins", "verdict"))
 for name in parent[0]:
     a = [r[name] for r in parent]
     b = [r[name] for r in change]
     lower = better.get(name, "lower") == "lower"
     wins = sum(1 for x, y in zip(a, b) if (y < x if lower else y > x))
+    losses = sum(1 for x, y in zip(a, b) if (y > x if lower else y < x))
     q1, _, q3 = statistics.quantiles(a, n=4) if len(a) > 1 else (a[0], a[0], a[0])
-    print("%-26s %12.4f %12.4f %12.4f %12.4f %5d/%d" % (
-        name, statistics.median(a), q1, q3, statistics.median(b), wins, len(a)))
+    ma, mb = statistics.median(a), statistics.median(b)
+    gain = ma - mb if lower else mb - ma
+    print("%-26s %12.4f %12.4f %12.4f %12.4f %5d/%d  %s" % (
+        name, ma, q1, q3, mb, wins, len(a), verdict(wins, losses, len(a), gain, q3 - q1)))
 print("\nevery run, in pair order (parent / change):")
 for name in parent[0]:
     print("%s: %s / %s" % (name, " ".join("%.4g" % r[name] for r in parent),

@@ -100,7 +100,7 @@ let shared_loop on_line fd =
     (fun out -> function
       | Net.Server.Line l ->
         on_line l;
-        Buffer.add_char out '.'
+        Service.Outbuf.add_char out '.'
       | _ -> failwith "RTE1: unexpected message")
     (ref false)
 

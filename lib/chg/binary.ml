@@ -46,13 +46,7 @@ module Writer = struct
     Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
     Buffer.add_char b (Char.chr ((v lsr 24) land 0xff))
 
-  let i64 b v =
-    let v = Int64.of_int v in
-    for i = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr
-           (Int64.to_int (Int64.logand (Int64.shift_right_logical v (8 * i)) 0xffL)))
-    done
+  let i64 b v = Buffer.add_int64_le b (Int64.of_int v)
 
   let bool b v = u8 b (if v then 1 else 0)
 
@@ -97,15 +91,9 @@ module Reader = struct
 
   let i64 r =
     need r 8 "i64";
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v :=
-        Int64.logor
-          (Int64.shift_left !v 8)
-          (Int64.of_int (Char.code r.src.[r.pos + i]))
-    done;
+    let v = Int64.to_int (String.get_int64_le r.src r.pos) in
     r.pos <- r.pos + 8;
-    Int64.to_int !v
+    v
 
   let bool r =
     match u8 r with

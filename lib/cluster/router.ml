@@ -55,6 +55,7 @@ let default_config =
 
 type t = {
   backends : Net.Server.addr array;
+  names : string array;  (* the backends' address strings, for placement *)
   leader : int;  (* index into [backends] *)
   cfg : config;
   registry : Telemetry.Registry.t;
@@ -86,6 +87,7 @@ let create ?(config = default_config) ~leader backends =
     let registry = Telemetry.Registry.create () in
     let t =
       { backends;
+        names = Array.map Net.Server.addr_string backends;
         leader;
         cfg = config;
         registry;
@@ -148,17 +150,19 @@ let registry t = t.registry
 
 (* Unsigned rendezvous score; descending scores order a session's
    backends.  Pure function of (session, backend address), so every
-   router instance agrees without talking. *)
-let score session addr =
-  Int32.to_int
-    (Chg.Binary.crc32_string (session ^ "|" ^ Net.Server.addr_string addr))
-  land 0xffffffff
-
+   router instance agrees without talking.  Each backend is scored once
+   per request. *)
 let preference t session =
-  let idx = Array.init (Array.length t.backends) Fun.id in
-  let key i = (score session t.backends.(i), i) in
-  Array.sort (fun a b -> compare (key b) (key a)) idx;
-  Array.to_list idx
+  let keyed =
+    Array.mapi
+      (fun i name ->
+        ( Int32.to_int (Chg.Binary.crc32_string (session ^ "|" ^ name))
+          land 0xffffffff,
+          i ))
+      t.names
+  in
+  Array.sort (fun a b -> compare b a) keyed;
+  Array.to_list (Array.map snd keyed)
 
 (* ---- per-connection backend pool ------------------------------------ *)
 
@@ -209,42 +213,48 @@ let client p i =
 
    What routing needs of a framing: one admitted round trip, the
    in-band error code of a response, and an error of its own in the
-   caller's framing. *)
+   caller's framing, echoing the request's id ([id] for a JSON line,
+   the id bytes of the [request] frame).  Only an error response is
+   parsed for its code. *)
 
 type codec = {
   send :
     ?retries:int -> ?backoff_ms:int -> Net.Client.t -> string -> string option;
   error_code : string -> string option;
-  make_error : id:J.t -> P.error_code -> string -> string;
+  make_error : request:string -> id:J.t -> P.error_code -> string -> string;
 }
 
 let json =
   { send = Net.Client.request_admitted;
     error_code =
       (fun resp ->
-        match J.of_string resp with
-        | Error _ -> None
-        | Ok j ->
-          (match J.member "error" j with
-          | Ok e ->
-            (match J.member "code" e with Ok (J.String c) -> Some c | _ -> None)
-          | Error _ -> None));
+        if not (P.may_be_error resp) then None
+        else
+          match J.of_string resp with
+          | Error _ -> None
+          | Ok j ->
+            (match J.member "error" j with
+            | Ok e ->
+              (match J.member "code" e with Ok (J.String c) -> Some c | _ -> None)
+            | Error _ -> None));
     make_error =
-      (fun ~id code msg -> J.to_string (P.error_response ~id code msg)) }
+      (fun ~request:_ ~id code msg -> J.to_string (P.error_response ~id code msg)) }
 
-(* Error frames decode independently of the op, so probing with any op
-   is sound; non-error (or undecodable) frames yield [None]. *)
+(* Error frames (status 1) decode independently of the op, so probing
+   with any op is sound; other frames yield [None]. *)
 let frame =
   { send = Net.Client.request_frame_admitted;
     error_code =
       (fun resp ->
-        match Service.Frame.decode_response ~op:Service.Frame.op_lookup resp with
-        | Ok (_, Service.Frame.Err (code, _)) -> Some (P.code_string code)
-        | _ -> None);
+        if String.length resp < 2 || Char.code resp.[1] <> 1 then None
+        else
+          match Service.Frame.decode_response ~op:Service.Frame.op_lookup resp with
+          | Ok (_, Service.Frame.Err (code, _)) -> Some (P.code_string code)
+          | _ -> None);
     make_error =
-      (fun ~id code msg ->
-        let id = match id with J.Int n -> n | _ -> 0 in
-        Service.Frame.encode_response ~id (Service.Frame.Err (code, msg))) }
+      (fun ~request ~id:_ code msg ->
+        Service.Frame.echo_id ~request
+          (Service.Frame.encode_response ~id:0 (Service.Frame.Err (code, msg)))) }
 
 (* One round trip against backend [i]; [None] = connection-level
    failure (slot dropped, caller may fail over). *)
@@ -269,7 +279,8 @@ let exchange codec p i msg =
       p.router.alive.(i) <- true;
       Some resp)
 
-let unavailable codec ~id msg = codec.make_error ~id P.Backend_unavailable msg
+let unavailable codec ~request ~id msg =
+  codec.make_error ~request ~id P.Backend_unavailable msg
 
 let unknown_session codec resp =
   codec.error_code resp = Some (P.code_string P.Unknown_session)
@@ -284,7 +295,7 @@ let route_read codec p ~id ~order msg =
   let rec walk tried = function
     | [] ->
       Telemetry.Counter.incr p.router.unavailable;
-      unavailable codec ~id
+      unavailable codec ~request:msg ~id
         (Printf.sprintf "no backend reachable (%d tried)" tried)
     | i :: rest ->
       (match exchange codec p i msg with
@@ -310,7 +321,7 @@ let route_mutation codec p ~id msg =
   | Some resp -> resp
   | None ->
     Telemetry.Counter.incr p.router.unavailable;
-    unavailable codec ~id
+    unavailable codec ~request:msg ~id
       "leader unreachable; the mutation was not confirmed and will not \
        be resent"
 
@@ -381,7 +392,7 @@ let readdress_error ~id resp =
          | Ok (J.String _), Ok (J.String _) -> true
          | _ -> false) ->
     J.to_string (J.Obj [ ("id", id); ("ok", J.Bool false); ("error", e) ])
-  | _ -> unavailable json ~id "backend sent a malformed error"
+  | _ -> unavailable json ~request:"" ~id "backend sent a malformed error"
 
 (* Fan a batch out chunk-per-backend in preference order (one chunk
    when the batch is small or there is one backend), re-route chunks
@@ -433,7 +444,7 @@ let route_batch p ~id ~session ~semantics ~order queries =
       | Ok (In_band resp) -> readdress_error ~id resp
       | Error msg ->
         Telemetry.Counter.incr p.router.unavailable;
-        unavailable json ~id msg)
+        unavailable json ~request:"" ~id msg)
   in
   merge 0 [] 0 0 0 cs
 
@@ -445,15 +456,12 @@ let handle_metrics t ~id =
        [ ("format", J.String "text/plain; version=0.0.4");
          ("body", J.String (Telemetry.Prometheus.render t.registry)) ])
 
-(* One decoded message in either framing.  Frames route whole — the
-   router decodes them only to classify, then forwards the caller's
-   bytes — and a 1b batch is routed as one read, not fanned out:
-   interned ids are per-backend-session state, so re-chunking would buy
-   nothing.  Undecodable messages are answered here, never forwarded. *)
-let respond p codec (decoded : S.decoded) msg =
+(* One JSON line, classified by the shallow decode.  Undecodable
+   messages are answered here, never forwarded. *)
+let respond p (decoded : S.decoded) line =
   Telemetry.Counter.incr p.router.requests;
   match decoded with
-  | Error (id, code, m) -> codec.make_error ~id code m
+  | Error (id, code, m) -> json.make_error ~request:line ~id code m
   | Ok rq ->
     let id = rq.S.rq_id in
     (match rq.S.rq_op with
@@ -471,23 +479,37 @@ let respond p codec (decoded : S.decoded) msg =
           (* session-less reads (service-level stats): any backend *)
           List.init (Array.length p.router.backends) Fun.id
       in
-      route_read codec p ~id ~order msg
-    | _ -> route_mutation codec p ~id msg)
+      route_read json p ~id ~order line
+    | _ -> route_mutation json p ~id line)
+
+(* One 1b frame, classified without resolving anything and forwarded
+   whole: a 1b batch is routed as one read, not fanned out — interned
+   ids are per-backend-session state, so re-chunking would buy
+   nothing. *)
+let respond_frame p f =
+  Telemetry.Counter.incr p.router.requests;
+  match S.route_frame f with
+  | Error (id, code, m) -> frame.make_error ~request:f ~id code m
+  | Ok (session, true) ->
+    route_read frame p ~id:J.Null ~order:(preference p.router session) f
+  | Ok (_, false) -> route_mutation frame p ~id:J.Null f
 
 (* The router's handler on the shared connection loop: answer from
    the shallow decode, forward the caller's own bytes. *)
-let handle_message p out = function
-  | Net.Server.Line line ->
-    Buffer.add_string out (respond p json (S.decode_line ~shallow:true line) line);
-    Buffer.add_char out '\n'
-  | Net.Server.Frame f ->
-    Buffer.add_string out (respond p frame (S.request_of_frame f) f)
+let handle_message p out =
+  let line s =
+    Service.Outbuf.add_string out s;
+    Service.Outbuf.add_char out '\n'
+  in
+  function
+  | Net.Server.Line l -> line (respond p (S.decode_line ~shallow:true l) l)
+  | Net.Server.Frame f -> Service.Outbuf.add_string out (respond_frame p f)
   | Net.Server.Bad_line msg ->
-    Buffer.add_string out (respond p json (Error (J.Null, P.Bad_request, msg)) "");
-    Buffer.add_char out '\n'
+    line (respond p (Error (J.Null, P.Bad_request, msg)) "")
   | Net.Server.Bad_frame msg ->
-    Buffer.add_string out
-      (respond p frame (Error (J.Int 0, P.Bad_request, msg)) "")
+    Telemetry.Counter.incr p.router.requests;
+    Service.Outbuf.add_string out
+      (frame.make_error ~request:"" ~id:J.Null P.Bad_request msg)
 
 let handle_conn t conn fd =
   let p = make_pool t in

@@ -72,6 +72,8 @@ let request t line =
   recv_line t
 
 let overloaded line =
+  Service.Protocol.may_be_error line
+  &&
   match Chg.Json.of_string line with
   | Error _ -> false
   | Ok j ->
@@ -131,6 +133,9 @@ let request_frame t f =
 (* The binary twin of {!overloaded}: error frames decode independently
    of the op, so probing with any op is sound. *)
 let frame_overloaded f =
+  String.length f > 1
+  && Char.code f.[1] = 1
+  &&
   match Service.Frame.decode_response ~op:Service.Frame.op_lookup f with
   | Ok (_, Service.Frame.Err (Service.Protocol.Overloaded, _)) -> true
   | _ -> false

@@ -136,6 +136,13 @@ let write_all fd s =
     off := !off + Unix.write_substring fd s !off (n - !off)
   done
 
+let write_out fd out =
+  let n = Service.Outbuf.length out in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write fd (Service.Outbuf.bytes out) !off (n - !off)
+  done
+
 type message =
   | Line of string
   | Frame of string
@@ -177,7 +184,7 @@ let rec newline_in buf i n =
    connection stops reading and TCP pushes back — on that client alone.
    A torn partial line or frame at close is dropped, never handled. *)
 let serve_conn ~idle_timeout ~max_line fd handle timed_out =
-  let out = Buffer.create 4096 in
+  let out = Service.Outbuf.create 4096 in
   (* The read buffer starts at 4 KiB and becomes 64 KiB the first time
      a read fills it: a large message moves in few reads, and a
      connection of small requests keeps a small footprint. *)
@@ -333,9 +340,9 @@ let serve_conn ~idle_timeout ~max_line fd handle timed_out =
             if n = Bytes.length !buf && n = 4096 then buf := Bytes.create 65536;
             (* one write per read; a client that is gone surfaces here
                as EPIPE / ECONNRESET and ends the connection *)
-            if Buffer.length out > 0 then begin
-              write_all fd (Buffer.contents out);
-              Buffer.reset out
+            if Service.Outbuf.length out > 0 then begin
+              write_out fd out;
+              Service.Outbuf.clear out
             end
           end
       end
@@ -369,23 +376,20 @@ let service_handler t ~conn =
           else Rwlock.with_write t.lock run)
   in
   let answer_json out j =
-    Buffer.add_string out (J.to_string j);
-    Buffer.add_char out '\n'
+    Service.Outbuf.add_string out (J.to_string j);
+    Service.Outbuf.add_char out '\n'
   in
   fun out -> function
     | Line line ->
       answer_json out
-        (S.handle ~conn ~around:(admit S.json) t.srv S.json (S.decode_line line))
-    | Frame f ->
-      Buffer.add_string out
-        (S.handle ~conn ~around:(admit S.frame) t.srv S.frame
-           (S.decode_frame t.srv f))
+        (S.handle ~conn ~around:admit t.srv S.json (S.decode_line line))
+    | Frame f -> ignore (S.answer_frame ~conn ~around:admit t.srv out f)
     | Bad_line msg ->
       answer_json out
         (S.reject ~conn t.srv S.json ~verb:"invalid" ~id:J.Null P.Bad_request msg)
     | Bad_frame msg ->
-      Buffer.add_string out
-        (S.reject ~conn t.srv S.frame ~verb:"invalid" ~id:(J.Int 0)
+      ignore
+        (S.reject ~conn t.srv (S.frame out) ~verb:"invalid" ~id:(J.Int 0)
            P.Bad_request msg)
 
 let handle_conn t ~conn fd =

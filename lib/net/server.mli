@@ -94,11 +94,11 @@ type message =
     [timed_out] is set).  Framing is chosen per message by its first
     byte (0xB1 opens a 1b frame, anything else a JSON line).  Each
     complete message goes to [handle out msg], which appends its
-    response bytes to [out]; [out] is written once per socket read.
-    The loop of this server and of the cluster router. *)
+    response bytes to [out]; [out] is written, with no copy, once per
+    socket read.  The loop of this server and of the cluster router. *)
 val serve_conn :
   idle_timeout:float -> max_line:int -> Unix.file_descr ->
-  (Buffer.t -> message -> unit) -> bool ref -> unit
+  (Service.Outbuf.t -> message -> unit) -> bool ref -> unit
 
 (** [refuse_conn ~max_conns fd] answers an accepted socket past the
     connection limit with one in-band [overloaded] line and closes

@@ -180,18 +180,40 @@ let encode_request { fr_id; fr_session; fr_op } =
          B.Writer.string w fr_session;
          body w))
 
-(* [session_of_request body] extracts just the [i64 id | string session]
-   prefix — all a router needs to route a frame it otherwise treats as
-   opaque bytes. *)
-let session_of_request body =
-  try
-    let r = B.Reader.of_string body in
-    let id = B.Reader.i64 r in
-    let session = B.Reader.string r in
-    Ok (id, session)
-  with
-  | B.Corrupt msg -> Error msg
-  | Invalid_argument msg -> Error msg
+(* ---- requests in place -----------------------------------------------
+
+   The id-addressed requests are read where they lie in the frame: the
+   payload's fields sit at fixed offsets up to the session name, and
+   the (class, member) pairs follow it. *)
+
+let id_pos = header_len
+let session_pos = header_len + 8  (* the session name's u32 length *)
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xffffffff
+
+let id_at f =
+  let n = String.length f in
+  if
+    n < session_pos + 4
+    || Char.code f.[0] <> request_magic
+    || u32_at f 2 <> n - header_len
+    || session_pos + 4 + u32_at f session_pos > n
+  then -1
+  else id_pos
+
+let id_value f at = if at < 0 then 0 else Int64.to_int (String.get_int64_le f at)
+let session_end f = session_pos + 4 + u32_at f session_pos
+let session_name f = String.sub f (session_pos + 4) (u32_at f session_pos)
+
+let id_count f =
+  let n = String.length f and p = session_end f in
+  if Char.code f.[1] = op_lookup then if n = p + 8 then 1 else -1
+  else if p + 4 > n then -1
+  else
+    let count = u32_at f p in
+    if n = p + 4 + (8 * count) then count else -1
+
+let pairs_at f =
+  session_end f + if Char.code f.[1] = op_batch_lookup then 4 else 0
 
 (* ---- responses ------------------------------------------------------ *)
 
@@ -302,6 +324,46 @@ let encode_response ~id resp =
              Array.iter (B.Writer.string w) os_classes;
              B.Writer.u32 w (Array.length os_members);
              Array.iter (B.Writer.string w) os_members))
+
+(* ---- responses in place ---------------------------------------------- *)
+
+let add_verdict out code =
+  if code >= 0 then begin
+    Outbuf.add_u8 out verdict_red;
+    Outbuf.add_u32 out code
+  end
+  else Outbuf.add_u8 out (if code = -2 then verdict_blue else verdict_none)
+
+(* the request's 8 id bytes at [at] over the id slot of the response
+   frame at [start] *)
+let patch_id out ~start request at =
+  if at >= 0 then Outbuf.blit_string request at out (start + header_len) 8
+
+let open_ok out request at =
+  let start = Outbuf.length out in
+  Outbuf.add_u8 out response_magic;
+  Outbuf.add_u8 out 0;
+  Outbuf.add_u32 out 0;
+  Outbuf.add_u32 out 0;
+  Outbuf.add_u32 out 0;
+  patch_id out ~start request at;
+  start
+
+let close_ok out start =
+  Outbuf.set_u32 out (start + 2) (Outbuf.length out - start - header_len)
+
+let add_response out request at resp =
+  let start = Outbuf.length out in
+  Outbuf.add_string out (encode_response ~id:0 resp);
+  patch_id out ~start request at
+
+let echo_id ~request resp =
+  match id_at request with
+  | -1 -> resp
+  | at ->
+    let b = Bytes.of_string resp in
+    Bytes.blit_string request at b header_len 8;
+    Bytes.unsafe_to_string b
 
 (* [decode_response ~op frame] — for clients.  [op] is the request op
    the response answers (the framing does not repeat it). *)

@@ -68,9 +68,37 @@ val decode_request : op:int -> string -> (request, string) result
 
 val encode_request : request -> string
 
-(** [session_of_request body] reads just the [i64 id | string session]
-    prefix — the router's routing key over an otherwise opaque frame. *)
-val session_of_request : string -> (int * string, string) result
+(** {2 Requests in place}
+
+    A request frame read where it lies, without building a
+    {!request}: the id-addressed path's decode. *)
+
+(** [id_at f] — the offset of the request's 8 id bytes, when [f]'s
+    header is a request header whose length agrees with the frame and
+    the [i64 id | string session] prefix is complete; [-1] otherwise.
+    A response echoes exactly these bytes, or 8 zero bytes at [-1]. *)
+val id_at : string -> int
+
+(** [id_value f at] — the id at [at] folded into an [int] (0 at
+    [-1]), for logs.  The echo copies the bytes instead. *)
+val id_value : string -> int -> int
+
+(** [session_name f] — for a frame whose {!id_at} is not [-1]: the
+    session name. *)
+val session_name : string -> string
+
+(** [id_count f] — for a lookup or batch_lookup frame whose {!id_at}
+    is not [-1]: its number of (class, member) pairs (1 for a lookup),
+    or [-1] when the payload is not exactly that shape —
+    {!decode_request} then says why.  Allocates nothing. *)
+val id_count : string -> int
+
+(** [pairs_at f] — the offset of the first (class, member) pair, two
+    little-endian u32s per pair. *)
+val pairs_at : string -> int
+
+(** The little-endian u32 at an offset of a string. *)
+val u32_at : string -> int -> int
 
 (** Verdict codes follow {!Lookup_core.Packed.column_resolve_code}:
     [-1] absent, [-2] ambiguous, [>= 0] the declaring class id. *)
@@ -105,6 +133,31 @@ type resp =
   | Err of Protocol.error_code * string
 
 val encode_response : id:int -> resp -> string
+
+(** {2 Responses in place}
+
+    Responses written straight into a connection's {!Outbuf.t}, echoing
+    the id bytes of the request frame at {!id_at} (zeros at [-1]). *)
+
+(** [open_ok out request at] starts an ok response frame — header with
+    a placeholder length, then the echoed id — and returns its start;
+    the op's payload follows, then {!close_ok}. *)
+val open_ok : Outbuf.t -> string -> int -> int
+
+(** [close_ok out start] writes the frame's payload length. *)
+val close_ok : Outbuf.t -> int -> unit
+
+(** [add_verdict out code] — one verdict, as {!encode_response} writes
+    it. *)
+val add_verdict : Outbuf.t -> verdict_code -> unit
+
+(** [add_response out request at resp] appends [resp]'s frame with the
+    request's id bytes. *)
+val add_response : Outbuf.t -> string -> int -> resp -> unit
+
+(** [echo_id ~request resp] — the response frame [resp] with the id
+    bytes of [request] (when its {!id_at} is not [-1]). *)
+val echo_id : request:string -> string -> string
 
 (** [decode_response ~op s] types a full response frame for the client
     side; [op] names the request op it answers (the wire does not

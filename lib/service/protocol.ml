@@ -360,6 +360,17 @@ let error_response ~id code msg =
           [ ("code", J.String (code_string code));
             ("message", J.String msg) ] ) ]
 
+(* Every error response holds this text verbatim, and an ok response
+   only where a client's own id echoes it: a line without it is not an
+   error and need not be parsed to know that. *)
+let error_marker = {|"ok":false|}
+
+let may_be_error line =
+  let n = String.length line and k = String.length error_marker in
+  let rec at i j = j = k || (line.[i + j] = error_marker.[j] && at i (j + 1)) in
+  let rec from i = i + k <= n && (at i 0 || from (i + 1)) in
+  from 0
+
 let verdict_fields g v =
   match v with
   | None -> [ ("verdict", J.String "none") ]

@@ -145,6 +145,12 @@ val ok_response : id:Chg.Json.t -> (string * Chg.Json.t) list -> Chg.Json.t
 val error_response :
   id:Chg.Json.t -> error_code -> string -> Chg.Json.t
 
+(** [may_be_error line] is [false] only for a serialized response that
+    is certainly not an error: every {!error_response} line contains
+    ["ok":false] verbatim.  Lines for which it is [true] must still be
+    parsed to tell. *)
+val may_be_error : string -> bool
+
 (** [verdict_fields g v] — the response encoding of a verdict:
     [("verdict", "red"|"blue"|"none")], plus [resolves_to] (red) and
     [detail] (the pretty verdict, red/blue). *)

@@ -195,14 +195,23 @@ let counters t =
 
    Both framings decode into one [request]; [execute] answers it with a
    typed [response] or an error value; a [codec] turns that result into
-   the caller's framing.  The interned-id variants are what a 1b frame
-   carries that a JSON line cannot; 1b add_class and symbols travel by
-   name, so they decode to the JSON verbs. *)
+   the caller's framing.  A 1b lookup or batch_lookup is not typed: it
+   stays in its frame ([Ids]), shape-checked at decode, and is resolved
+   at execution straight into the connection's output buffer.  1b
+   add_class and symbols travel by name, so they decode to the JSON
+   verbs. *)
+
+type ids = {
+  frame : string;
+  batch : bool;
+  pairs : int;  (* offset of the first (class, member) pair *)
+  count : int;
+  out : Outbuf.t;  (* where the ok response is written *)
+}
 
 type op =
   | Named of P.op
-  | Lookup_ids of { cls : int; member : int }
-  | Batch_ids of (int * int) array
+  | Ids of ids
   | Add_member_id of { cls : int; member : G.member }
 
 type request = { rq_id : J.t; rq_session : string option; rq_op : op }
@@ -211,13 +220,13 @@ type error = P.error_code * string
 
 let verb = function
   | Named op -> P.op_string op
-  | Lookup_ids _ -> "lookup"
-  | Batch_ids _ -> "batch_lookup"
+  | Ids { batch = true; _ } -> "batch_lookup"
+  | Ids { batch = false; _ } -> "lookup"
   | Add_member_id _ -> "mutate"
 
 let read_only = function
   | Named op -> P.read_only op
-  | Lookup_ids _ | Batch_ids _ -> true
+  | Ids _ -> true
   | Add_member_id _ -> false
 
 (* One query's answer by name: [verdict] is [Error msg] for an unknown
@@ -231,13 +240,14 @@ type answer = {
 
 type tally = { resolved : int; ambiguous : int; not_found : int }
 
-(* [new_symbols] is the member intern delta a mutation caused. *)
+(* [new_symbols] is the member intern delta a mutation caused;
+   [Resolved] says an id frame's answer is already written, and which
+   layer answered a single lookup. *)
 type response =
   | Verdict of { graph : G.t; semantics : Mro.semantics; answer : answer }
   | Verdicts of
       { graph : G.t; semantics : Mro.semantics; answers : answer list; tally : tally }
-  | Code of { code : int; via : string }
-  | Codes of { codes : int array; tally : tally }
+  | Resolved of string option
   | Member_added of
       { session : string; cls : string; member : string; member_id : int;
         rows : int; invalidated : bool; epoch : int;
@@ -451,34 +461,62 @@ let handle_batch t s semantics qs =
        { graph = Session.graph s; semantics; answers;
          tally = tally (Array.of_list codes) })
 
-let id_error ~cls ~member = function
-  | `Bad_class -> error P.Unknown_class "unknown class id %d" cls
-  | `Bad_member -> error P.Bad_request "unknown member id %d" member
-
-let handle_lookup_ids t s ~cls ~member =
-  Telemetry.Counter.incr t.lookups;
-  match Session.lookup_code s ~cls ~member with
-  | Ok (code, served) -> Ok (Code { code; via = Session.served_string served })
-  | Error e -> id_error ~cls ~member e
-
-(* A bad id fails the whole id batch: ids come from the server's own
+(* The id path.  Each pair is read from the frame and resolved through
+   the member's row (one read; {!Session.resolve_code} on a miss), and
+   its verdict is written into [out] as the tally is kept, with the
+   session's and the store's counters added once per request.  A bad
+   id fails the whole request: ids come from the server's own
    symbols/delta stream, so an out-of-range id is a client bug, not
-   data-dependent drift worth per-query reporting. *)
-let handle_batch_ids t s pairs =
-  Telemetry.Counter.incr t.batch_requests;
-  Telemetry.Counter.add t.batch_queries (Array.length pairs);
-  let codes = Array.make (Array.length pairs) 0 in
-  let rec fill i =
-    if i = Array.length pairs then Ok (Codes { codes; tally = tally codes })
-    else
-      let cls, member = pairs.(i) in
-      match Session.lookup_code s ~cls ~member with
-      | Ok (code, _) ->
-        codes.(i) <- code;
-        fill (i + 1)
-      | Error e -> id_error ~cls ~member e
-  in
-  fill 0
+   data-dependent drift worth per-query reporting.  The pairs before it
+   are counted as resolved; the frame's codec drops what was written. *)
+let resolve_ids t s { frame = f; batch; pairs; count; out } =
+  if batch then begin
+    Telemetry.Counter.incr t.batch_requests;
+    Telemetry.Counter.add t.batch_queries count
+  end
+  else Telemetry.Counter.incr t.lookups;
+  let classes = Session.num_classes s and members = Session.num_member_symbols s in
+  let start = Frame.open_ok out f (Frame.id_at f) in
+  if batch then Outbuf.add_u32 out count;
+  let i = ref 0 and hits = ref 0 and r = ref 0 and a = ref 0 and n = ref 0 in
+  let cls = ref 0 and member = ref 0 in
+  while
+    !i < count
+    && begin
+         cls := Frame.u32_at f (pairs + (8 * !i));
+         member := Frame.u32_at f (pairs + (8 * !i) + 4);
+         !cls < classes && !member < members
+       end
+  do
+    let code = Session.row_code s ~cls:!cls ~member:!member in
+    let code =
+      if code <> Session.no_row then begin
+        incr hits;
+        code
+      end
+      else Session.resolve_code s ~cls:!cls ~member:!member
+    in
+    Frame.add_verdict out code;
+    if code >= 0 then incr r else if code = -2 then incr a else incr n;
+    incr i
+  done;
+  Session.count_codes s ~lookups:!i ~row_hits:!hits ~resolved:!r ~ambiguous:!a
+    ~not_found:!n;
+  if !i < count then
+    if !cls >= classes then error P.Unknown_class "unknown class id %d" !cls
+    else error P.Bad_request "unknown member id %d" !member
+  else begin
+    if batch then begin
+      Outbuf.add_u32 out !r;
+      Outbuf.add_u32 out !a;
+      Outbuf.add_u32 out !n
+    end;
+    Frame.close_ok out start;
+    Ok
+      (Resolved
+         (if batch then None
+          else Some (Session.served_string (Session.served s !member))))
+  end
 
 let handle_lint t s sem rules =
   Telemetry.Counter.incr t.lints;
@@ -690,9 +728,7 @@ let dispatch t rq =
   | Named P.Metrics -> fields (handle_metrics t)
   | Named P.Symbols -> with_session handle_symbols
   | Named P.Close -> fields (with_session (handle_close t))
-  | Lookup_ids { cls; member } ->
-    with_session (fun s -> handle_lookup_ids t s ~cls ~member)
-  | Batch_ids pairs -> with_session (fun s -> handle_batch_ids t s pairs)
+  | Ids ids -> with_session (fun s -> resolve_ids t s ids)
   | Add_member_id { cls; member } ->
     with_session (fun s ->
         let g = Session.graph s in
@@ -759,7 +795,7 @@ let json_fields = function
         ("classes", strings classes);
         ("members", strings members) ]
   | Fields fields -> Ok fields
-  | Code _ | Codes _ -> error P.Internal "an id answer has no JSON encoding"
+  | Resolved _ -> error P.Internal "an id answer has no JSON encoding"
 
 let json =
   { encode =
@@ -770,11 +806,6 @@ let json =
     size = (fun j -> String.length (J.to_string j)) }
 
 let frame_resp = function
-  | Code { code; _ } -> Frame.Ok_lookup code
-  | Codes { codes; tally = { resolved; ambiguous; not_found } } ->
-    Frame.Ok_batch
-      { ob_codes = codes; ob_resolved = resolved; ob_ambiguous = ambiguous;
-        ob_not_found = not_found }
   | Member_added { member_id; rows; invalidated; epoch; new_symbols; _ } ->
     Frame.Ok_add_member
       { oam_member = member_id; oam_rows = rows; oam_invalidated = invalidated;
@@ -785,16 +816,25 @@ let frame_resp = function
         oac_new_symbols = new_symbols }
   | Symbols { epoch; classes; members; _ } ->
     Frame.Ok_symbols { os_epoch = epoch; os_classes = classes; os_members = members }
-  | Verdict _ | Verdicts _ | Fields _ ->
+  | Verdict _ | Verdicts _ | Fields _ | Resolved _ ->
     Frame.Err (P.Internal, "a by-name answer has no 1b encoding")
 
-let frame =
+(* A frame codec appends to [out] and answers the bytes it appended.
+   Every response echoes the request's own 8 id bytes ({!Frame.id_at});
+   an error first drops whatever the id path had written. *)
+let frame ?(request = "") out =
+  let at = Frame.id_at request in
+  let start = Outbuf.length out in
   { encode =
-      (fun ~id result ->
-        let id = match id with J.Int n -> n | _ -> 0 in
-        Frame.encode_response ~id
-          (match result with Ok r -> frame_resp r | Error (c, m) -> Frame.Err (c, m)));
-    size = String.length }
+      (fun ~id:_ result ->
+        (match result with
+        | Ok (Resolved _) -> ()
+        | Ok r -> Frame.add_response out request at (frame_resp r)
+        | Error (c, m) ->
+          Outbuf.truncate out start;
+          Frame.add_response out request at (Frame.Err (c, m)));
+        Outbuf.length out - start);
+    size = Fun.id }
 
 (* ---- decoding ------------------------------------------------------ *)
 
@@ -806,44 +846,65 @@ let of_protocol (rq : P.request) =
 let decode_line ?shallow line =
   Result.map of_protocol (P.parse_request ?shallow line)
 
-let of_frame (fr : Frame.request) =
-  { rq_id = J.Int fr.Frame.fr_id;
-    rq_session = Some fr.Frame.fr_session;
-    rq_op =
-      (match fr.Frame.fr_op with
-      | Frame.Lookup { lk_class; lk_member } ->
-        Lookup_ids { cls = lk_class; member = lk_member }
-      | Frame.Batch_lookup pairs -> Batch_ids pairs
-      | Frame.Add_member { am_class; am_member } ->
-        Add_member_id { cls = am_class; member = am_member }
-      | Frame.Add_class { ac_name; ac_bases; ac_members } ->
-        Named
-          (P.Mutate
-             (P.Add_class
-                { mc_name = ac_name; mc_bases = ac_bases; mc_members = ac_members }))
-      | Frame.Symbols -> Named P.Symbols) }
+(* The pair count of a lookup or batch_lookup frame whose payload has
+   exactly the op's shape — the frames answered in place — else -1. *)
+let id_pairs f =
+  let op = if Frame.id_at f < 0 then -1 else Char.code f.[1] in
+  if op = Frame.op_lookup || op = Frame.op_batch_lookup then Frame.id_count f
+  else -1
 
-(* A complete 1b frame (header + payload) to a request.  Failures echo
-   the request id when the [i64 id | string session] prefix survived; a
-   header the reader could not even frame is a [parse_error]. *)
-let request_of_frame f =
+(* Any other complete 1b frame (header + payload): its echoed id,
+   session and typed op.  Failures echo the request id when the
+   [i64 id | string session] prefix survived; a header the reader could
+   not even frame is a [parse_error]. *)
+let typed_frame f =
   match Frame.parse_header f with
   | Error msg -> Error (J.Int 0, P.Parse_error, msg)
   | Ok (_, len) when String.length f <> Frame.header_len + len ->
     Error (J.Int 0, P.Parse_error, "frame length disagrees with header")
   | Ok (op, len) ->
-    let body = String.sub f Frame.header_len len in
-    (match Frame.decode_request ~op body with
-    | Ok fr -> Ok (of_frame fr)
-    | Error msg ->
-      let id =
-        match Frame.session_of_request body with Ok (id, _) -> id | Error _ -> 0
-      in
-      Error (J.Int id, P.Bad_request, msg))
+    let id = J.Int (Frame.id_value f (Frame.id_at f)) in
+    (match Frame.decode_request ~op (String.sub f Frame.header_len len) with
+    | Error msg -> Error (id, P.Bad_request, msg)
+    | Ok { Frame.fr_session; fr_op; _ } ->
+      (match fr_op with
+      | Frame.Add_member { am_class; am_member } ->
+        Ok (id, fr_session, Add_member_id { cls = am_class; member = am_member })
+      | Frame.Add_class { ac_name; ac_bases; ac_members } ->
+        Ok
+          ( id, fr_session,
+            Named
+              (P.Mutate
+                 (P.Add_class
+                    { mc_name = ac_name; mc_bases = ac_bases; mc_members = ac_members }))
+          )
+      | Frame.Symbols -> Ok (id, fr_session, Named P.Symbols)
+      | Frame.Lookup _ | Frame.Batch_lookup _ ->
+        (* [id_pairs] accepts every id frame this decode does; kept
+           total rather than trusted *)
+        Error (id, P.Internal, "id frame shape check disagrees with its decode")))
 
-let decode_frame t f =
+let route_frame f =
+  if id_pairs f >= 0 then Ok (Frame.session_name f, true)
+  else Result.map (fun (_, session, op) -> (session, read_only op)) (typed_frame f)
+
+let decode_frame t out f =
   let t0 = Telemetry.Clock.now_ns () in
-  let decoded = request_of_frame f in
+  let count = id_pairs f in
+  let decoded =
+    if count >= 0 then
+      Ok
+        { rq_id = J.Int (Frame.id_value f (Frame.id_at f));
+          rq_session = Some (Frame.session_name f);
+          rq_op =
+            Ids
+              { frame = f; batch = Char.code f.[1] = Frame.op_batch_lookup;
+                pairs = Frame.pairs_at f; count; out } }
+    else
+      Result.map
+        (fun (id, session, op) -> { rq_id = id; rq_session = Some session; rq_op = op })
+        (typed_frame f)
+  in
   Telemetry.Histogram.record t.frame_decode_ns (Telemetry.Clock.elapsed_ns ~since:t0);
   decoded
 
@@ -884,11 +945,8 @@ let error_series t code =
 (* One finished request: per-verb latency histogram and request
    counter, per-error-code counter, slow-threshold accounting, a
    flight-recorder push, and (when configured) one JSON log line.
-   [bytes] runs only when the log is on: for a JSON response, measuring
-   means serializing it a second time. *)
-let observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =
-  let latency = Telemetry.Clock.elapsed_ns ~since:t0 in
-  Mutex.protect t.obs_mutex @@ fun () ->
+   Under [obs_mutex]. *)
+let observe_locked conn t ~verb ~session ~id ~latency ~outcome ~via ~bytes =
   let duration, requests = verb_series t verb in
   Telemetry.Histogram.record duration latency;
   Telemetry.Counter.incr requests;
@@ -900,68 +958,86 @@ let observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =
     { Request_log.e_seq = t.next_seq; e_conn = conn; e_verb = verb;
       e_session = session;
       e_id = id; e_outcome = outcome; e_latency_ns = latency;
-      e_bytes = (match t.request_log with Some _ -> bytes () | None -> 0);
-      e_via = via; e_slow = slow }
+      e_bytes = bytes; e_via = via; e_slow = slow }
   in
   Telemetry.Ring.push t.flight entry;
   match t.request_log with
   | Some lg -> Request_log.log lg entry
   | None -> ()
 
+let observe conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =
+  let latency = Telemetry.Clock.elapsed_ns ~since:t0 in
+  Mutex.lock t.obs_mutex;
+  match observe_locked conn t ~verb ~session ~id ~latency ~outcome ~via ~bytes with
+  | () -> Mutex.unlock t.obs_mutex
+  | exception e ->
+    Mutex.unlock t.obs_mutex;
+    raise e
+
 (* Encode and account one answered (or refused) request. *)
 let finish ?conn t codec ~verb ~session ~id ~t0 result =
   let outcome, via =
     match result with
     | Ok (Verdict { answer; _ }) -> ("ok", Some answer.a_via)
-    | Ok (Code { via; _ }) -> ("ok", Some via)
+    | Ok (Resolved via) -> ("ok", via)
     | Ok _ -> ("ok", None)
     | Error (code, _) ->
       Telemetry.Counter.incr t.errors;
       (P.code_string code, None)
   in
   let out = codec.encode ~id result in
-  observe ?conn t ~verb ~session ~id ~t0 ~outcome ~via
-    ~bytes:(fun () -> codec.size out);
+  (* measured only for the log: for a JSON response, measuring means
+     serializing it a second time *)
+  let bytes = match t.request_log with Some _ -> codec.size out | None -> 0 in
+  observe conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes;
   out
+
+(* The follower gate, then the verb. *)
+let gated t rq verb =
+  if t.role = Follower && not (read_only rq.rq_op) then
+    error P.Not_leader "this node is a read-only replica; send %S to the leader"
+      verb
+  else dispatch t rq
+
+(* the gauge of a verb [inflight] does not list; it lists every verb *)
+let untracked = Atomic.make 0
 
 let execute ?conn t codec rq =
   Telemetry.Counter.incr t.requests;
   let verb = verb rq.rq_op in
-  let inflight = List.assoc_opt verb t.inflight in
-  Option.iter Atomic.incr inflight;
+  let inflight =
+    match List.assoc verb t.inflight with g -> g | exception Not_found -> untracked
+  in
+  Atomic.incr inflight;
   let t0 = Telemetry.Clock.now_ns () in
-  let run () =
-    if t.role = Follower && not (read_only rq.rq_op) then
-      error P.Not_leader "this node is a read-only replica; send %S to the leader"
-        verb
-    else dispatch t rq
-  in
-  let run () =
-    if Telemetry.Sink.enabled t.sink then begin
-      Telemetry.Sink.emit t.sink "request"
-        (("op", Telemetry.Event.Str verb)
-         ::
-         (match rq.rq_session with
-         | Some s -> [ ("session", Telemetry.Event.Str s) ]
-         | None -> []));
-      Telemetry.Span.run t.spans ("rpc:" ^ verb) run
-    end
-    else run ()
-  in
-  let result, internal =
+  let internal = ref false in
+  let result =
     (* an exception is a bug, not a bad request: answer [internal]
        instead of dying, and dump the flight recorder below so the
        requests leading here are preserved *)
-    match run () with
-    | r -> (r, false)
-    | exception exn -> (Error (P.Internal, Printexc.to_string exn), true)
+    match
+      if Telemetry.Sink.enabled t.sink then begin
+        Telemetry.Sink.emit t.sink "request"
+          (("op", Telemetry.Event.Str verb)
+           ::
+           (match rq.rq_session with
+           | Some s -> [ ("session", Telemetry.Event.Str s) ]
+           | None -> []));
+        Telemetry.Span.run t.spans ("rpc:" ^ verb) (fun () -> gated t rq verb)
+      end
+      else gated t rq verb
+    with
+    | r -> r
+    | exception exn ->
+      internal := true;
+      Error (P.Internal, Printexc.to_string exn)
   in
-  Option.iter Atomic.decr inflight;
+  Atomic.decr inflight;
   let out =
     finish ?conn t codec ~verb ~session:rq.rq_session ~id:rq.rq_id ~t0 result
   in
   (* after observe, so the failing request itself is in the ring *)
-  if internal then dump_flight t stderr;
+  if !internal then dump_flight t stderr;
   out
 
 (* A request refused without execution — undecodable input, and the
@@ -973,9 +1049,9 @@ let reject ?conn t codec ~verb ~id code msg =
   finish ?conn t codec ~verb ~session:None ~id ~t0:(Telemetry.Clock.now_ns ())
     (Error (code, msg))
 
-let handle ?conn ?(around = fun _ run -> run ()) t codec = function
+let handle ?conn ?(around = fun _ _ run -> run ()) t codec = function
   | Error (id, code, msg) -> reject ?conn t codec ~verb:"invalid" ~id code msg
-  | Ok rq -> around rq (fun () -> execute ?conn t codec rq)
+  | Ok rq -> around codec rq (fun () -> execute ?conn t codec rq)
 
 let handle_request ?conn t rq = execute ?conn t json (of_protocol rq)
 
@@ -984,7 +1060,15 @@ let handle_json ?conn t j =
 
 let handle_line ?conn t line = handle ?conn t json (decode_line line)
 
-let handle_frame ?conn t f = handle ?conn t frame (decode_frame t f)
+let answer_frame ?conn ?around t out f =
+  handle ?conn ?around t (frame ~request:f out) (decode_frame t out f)
+
+let handle_frame ?conn t f =
+  (* room for an id frame's answer: 5 bytes a verdict at most *)
+  let pairs = id_pairs f in
+  let out = Outbuf.create (if pairs < 0 then 64 else 32 + (5 * pairs)) in
+  ignore (answer_frame ?conn t out f);
+  Outbuf.contents out
 
 (* ---- replication entry points --------------------------------------
 

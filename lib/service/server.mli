@@ -138,13 +138,24 @@ val counters : t -> (string * int) list
     encodes the typed result in the caller's framing.  Errors are
     values ([ok:false] responses / error frames), never exceptions. *)
 
+(** A 1b lookup or batch_lookup left in its frame: the payload has
+    been checked to have exactly the op's shape, and its [count]
+    (class id, member id) pairs, from offset [pairs] of [frame], are
+    resolved at execution with the ok response written into [out]. *)
+type ids = {
+  frame : string;
+  batch : bool;
+  pairs : int;
+  count : int;
+  out : Outbuf.t;
+}
+
 (** JSON verbs travel as {!Protocol.op} (1b [add_class] and [symbols]
     name their classes, so they decode to the same variants); the rest
     are the 1b requests addressed by interned ids. *)
 type op =
   | Named of Protocol.op
-  | Lookup_ids of { cls : int; member : int }
-  | Batch_ids of (int * int) array  (** (class id, member id) pairs *)
+  | Ids of ids
   | Add_member_id of { cls : int; member : Chg.Graph.member }
 
 (** [rq_id] is the echoed id: any JSON value, or [Int] for a frame. *)
@@ -164,13 +175,15 @@ val read_only : op -> bool
     passed through: the routing decode). *)
 val decode_line : ?shallow:bool -> string -> decoded
 
-(** One complete 1b frame (header + payload, as read off the wire).
-    Failures echo the request id when the [i64 id | string session]
-    prefix survived; a header that does not frame is a [parse_error]. *)
-val request_of_frame : string -> decoded
-
-(** {!request_of_frame}, timed into [cxxlookup_server_frame_decode_ns]. *)
-val decode_frame : t -> string -> decoded
+(** [route_frame f] — what routing needs of one complete 1b frame
+    (header + payload, as read off the wire): its session and whether
+    it only reads, with every check the server's own decode applies,
+    and no id resolved.  A failure is the id to echo (when the
+    [i64 id | string session] prefix survived) and a structured error:
+    [parse_error] for a header that does not frame, else
+    [bad_request]. *)
+val route_frame :
+  string -> (string * bool, Chg.Json.t * Protocol.error_code * string) result
 
 (** An encoder of typed results into one framing. *)
 type 'a codec
@@ -178,8 +191,10 @@ type 'a codec
 (** JSON-lines responses (the document, without its newline). *)
 val json : Chg.Json.t codec
 
-(** 1b response frames. *)
-val frame : string codec
+(** [frame ?request out] — 1b response frames appended to [out]; the
+    encoding answers the bytes appended.  Each frame echoes the 8 id
+    bytes of [request] ({!Frame.id_at}; zeros without one). *)
+val frame : ?request:string -> Outbuf.t -> int codec
 
 (** [reject t codec ~verb ~id code msg] — refuse a request without
     executing it: counts as a request and an error, bumps the overload
@@ -192,12 +207,12 @@ val reject :
   Protocol.error_code -> string -> 'a
 
 (** [handle ?around t codec d] — {!reject} a decoding failure as
-    [invalid], or execute the request inside [around] (default: run
-    it directly).  The networked server passes its admission control
-    and verb-class lock as [around]. *)
+    [invalid], or execute the request inside [around codec] (default:
+    run it directly).  The networked server passes its admission
+    control and verb-class lock as [around]. *)
 val handle :
-  ?conn:int -> ?around:(request -> (unit -> 'a) -> 'a) -> t -> 'a codec ->
-  decoded -> 'a
+  ?conn:int -> ?around:('a codec -> request -> (unit -> 'a) -> 'a) -> t ->
+  'a codec -> decoded -> 'a
 
 (** [handle_request t rq] / [handle_json t j] / [handle_line t line] —
     one JSON request at the corresponding decoding stage, answered with
@@ -208,10 +223,20 @@ val handle_json : ?conn:int -> t -> Chg.Json.t -> Chg.Json.t
 
 val handle_line : ?conn:int -> t -> string -> Chg.Json.t
 
-(** [handle_frame t frame] — one complete binary ([cxxlookup-rpc/1b])
-    request frame in, one complete response frame out.  Malformed
+(** [answer_frame ?around t out f] — one complete binary
+    ([cxxlookup-rpc/1b]) request frame in, its response frame appended
+    to [out]; answers the bytes appended.  A lookup or batch_lookup is
+    decoded in place and its verdicts written straight into [out], with
+    no allocation per pair once the members' rows are built.  Malformed
     frames answer [bad_request] (a header the reader could not even
-    frame, [parse_error]); never raises. *)
+    frame, [parse_error]), with {!Frame.decode_request}'s message; never
+    raises.  [around] as for {!handle}. *)
+val answer_frame :
+  ?conn:int -> ?around:(int codec -> request -> (unit -> int) -> int) -> t ->
+  Outbuf.t -> string -> int
+
+(** [handle_frame t frame] — {!answer_frame} into a fresh buffer: one
+    request frame in, one response frame out. *)
 val handle_frame : ?conn:int -> t -> string -> string
 
 (** [serve ?after_response t ic oc] — the JSON-lines loop: read a

@@ -192,11 +192,13 @@ let lookup t cls member =
 
    Classes are addressed by graph id (declaration order, append-only by
    construction); members by the session's dense intern ids.  Both are
-   what the binary framing carries, so the resolved hot path below is
-   int-only: bounds checks, one array read into the published store,
-   one packed probe, no hashing.  Its one allocation is the boxed
-   [Ok (code, Compiled)] result, 5 minor words per call. *)
+   what the binary framing carries, so the id path is int-only: a
+   member's first id lookup builds its resolve-code row from the
+   resident column, and every later one is one read of that row —
+   bounds checks, no hashing, no decoding, no allocation.  Rows live as
+   long as the store's publication: every mutation drops them all. *)
 
+let num_classes t = G.num_classes t.graph
 let num_member_symbols t = t.member_count
 let member_symbol_name t id = t.member_names_arr.(id)
 
@@ -218,29 +220,51 @@ let code_of_verdict = function
   | Some (Engine.Blue _) -> -2
   | None -> -1
 
-let count_code t code =
-  if code >= 0 then Telemetry.Counter.incr t.resolved
-  else if code = -2 then Telemetry.Counter.incr t.ambiguous
-  else Telemetry.Counter.incr t.not_found
+let no_row = min_int
 
-(* [lookup_code t ~cls ~member] — verdict as a resolve code ([-1]
-   absent, [-2] ambiguous, else the declaring class id), by interned
-   ids.  Counter accounting is identical to {!lookup} for the same
-   query. *)
+let row_code t ~cls ~member =
+  let row = Table_cache.row t.store member in
+  let at = 4 * cls in
+  if at < Bytes.length row then Int32.to_int (Bytes.get_int32_le row at)
+  else no_row
+
+(* The miss: the column answers (compiled first while the engine is
+   lazy) and its row is built for the next lookup, or — once a mutation
+   has forced the engine and the column is not resident — the engine's
+   row answers and no resolve-code row is built. *)
+let resolve_code t ~cls ~member =
+  match column t member with
+  | Some col ->
+    Mutex.protect t.lock (fun () ->
+        if Bytes.length (Table_cache.row t.store member) = 0 then
+          Table_cache.fill_row t.store member col);
+    Packed.column_resolve_code col cls
+  | None -> code_of_verdict (engine_verdict t cls member)
+
+let served t member =
+  if Bytes.length (Table_cache.row t.store member) > 0 then Compiled
+  else Memoised
+
+let count_codes t ~lookups ~row_hits ~resolved ~ambiguous ~not_found =
+  let add c n = if n > 0 then Telemetry.Counter.add c n in
+  add t.lookups lookups;
+  add t.resolved resolved;
+  add t.ambiguous ambiguous;
+  add t.not_found not_found;
+  if row_hits > 0 then Table_cache.count_hits t.store row_hits
+
 let lookup_code t ~cls ~member =
-  if cls < 0 || cls >= G.num_classes t.graph then Error `Bad_class
+  if cls < 0 || cls >= num_classes t then Error `Bad_class
   else if member < 0 || member >= t.member_count then Error `Bad_member
   else begin
-    Telemetry.Counter.incr t.lookups;
-    match column t member with
-    | Some col ->
-      let code = Packed.column_resolve_code col cls in
-      count_code t code;
-      Ok (code, Compiled)
-    | None ->
-      let code = code_of_verdict (engine_verdict t cls member) in
-      count_code t code;
-      Ok (code, Memoised)
+    let hit = row_code t ~cls ~member in
+    let code = if hit <> no_row then hit else resolve_code t ~cls ~member in
+    count_codes t ~lookups:1
+      ~row_hits:(if hit <> no_row then 1 else 0)
+      ~resolved:(if code >= 0 then 1 else 0)
+      ~ambiguous:(if code = -2 then 1 else 0)
+      ~not_found:(if code = -1 then 1 else 0);
+    Ok (code, served t member)
   end
 
 (* The opt-in linearized-semantics path: one {!Mro.t} per requested

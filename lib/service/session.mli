@@ -125,20 +125,55 @@ val member_symbol : t -> string -> int option
     mutation). *)
 val member_symbols_from : t -> int -> (int * string) list
 
+(** [num_classes t] — the class count of {!graph}[ t]: valid class ids
+    are [0 .. num_classes t - 1]. *)
+val num_classes : t -> int
+
 (** [lookup_code t ~cls ~member] answers by interned ids with a resolve
     code: [-1] absent, [-2] ambiguous, else the declaring class id.
     It takes the same store and miss rules as {!lookup}, and its
-    counter accounting matches.  When the member's column is resident
-    the path does no hashing and builds no verdict, but it is not
-    allocation-free: the [Ok (code, Compiled)] result is boxed, 5 minor
-    words per call (measured over 100k warm calls on a 200-class
-    [random_dag]). *)
+    counter accounting matches.  It is {!row_code}, then
+    {!resolve_code} on a miss, then {!count_codes}; the boxed
+    [Ok (code, served)] result is its one allocation. *)
 val lookup_code :
   t -> cls:int -> member:int ->
   (int * served, [ `Bad_class | `Bad_member ]) result
 
 (** The resolve code of a verdict, in {!lookup_code}'s convention. *)
 val code_of_verdict : Lookup_core.Engine.verdict option -> int
+
+(** {3 The id path in parts}
+
+    What {!lookup_code} does, split so that a caller resolving many
+    pairs allocates nothing and counts once.  Ids must already be in
+    range ([cls < num_classes], [member < num_member_symbols]). *)
+
+(** What {!row_code} answers when the member has no row. *)
+val no_row : int
+
+(** [row_code t ~cls ~member] is the pair's resolve code read from the
+    member's row — one read — or {!no_row}.  Counts nothing. *)
+val row_code : t -> cls:int -> member:int -> int
+
+(** [resolve_code t ~cls ~member] answers a {!row_code} miss by the
+    store's rules: the member's column (compiled on first use while no
+    mutation has been applied) answers, and the member's row is built
+    from it under the session lock; after a mutation, a member with no
+    resident column is answered by the engine and gets no row.  Counts
+    the store's hit or miss, as {!lookup} does. *)
+val resolve_code : t -> cls:int -> member:int -> int
+
+(** [served t member] — [Compiled] when the member has a row (its
+    column answers), else [Memoised]: which layer answered a resolved
+    id lookup. *)
+val served : t -> int -> served
+
+(** [count_codes t ~lookups ~row_hits ~resolved ~ambiguous ~not_found]
+    adds a run of id lookups to the session's counters, and
+    [row_hits] — those {!row_code} answered — to the store's hits. *)
+val count_codes :
+  t -> lookups:int -> row_hits:int -> resolved:int -> ambiguous:int ->
+  not_found:int -> unit
 
 (** [mro_lookup t v cls member] serves one query under the linearized
     semantics [v] (the protocol's opt-in ["semantics"] field): the

@@ -6,14 +6,20 @@ type t = {
   published : column option array Atomic.t;
       (* slots by member intern id.  Filled in place under the owner's
          lock, replaced wholesale by [update]; read lock-free. *)
+  mutable rows : Bytes.t array;
+      (* resolve-code rows by member intern id, [no_row] where none.
+         Published like the columns; [update] drops them all. *)
   hits : Telemetry.Counter.t;
   misses : Telemetry.Counter.t;
   promotions : Telemetry.Counter.t;
   evictions : Telemetry.Counter.t;
 }
 
+let no_row = Bytes.empty
+
 let create () =
   { published = Atomic.make [||];
+    rows = [||];
     hits = Telemetry.Counter.make "table_hits";
     misses = Telemetry.Counter.make "table_misses";
     promotions = Telemetry.Counter.make "table_promotions";
@@ -46,7 +52,35 @@ let fill t id col =
   a.(id) <- Some col;
   Telemetry.Counter.incr t.promotions
 
+(* A row is the column's resolve codes as little-endian int32s, one per
+   class: the id path's answer in one read, with no decoding. *)
+let row_of_column col =
+  let n = Packed.column_classes col in
+  let row = Bytes.create (4 * n) in
+  for c = 0 to n - 1 do
+    Bytes.set_int32_le row (4 * c) (Int32.of_int (Packed.column_resolve_code col c))
+  done;
+  row
+
+let row t id =
+  let rows = t.rows in
+  if id < Array.length rows then Array.unsafe_get rows id else no_row
+
+let fill_row t id col =
+  let row = row_of_column col in
+  let rows = t.rows in
+  if id < Array.length rows then rows.(id) <- row
+  else begin
+    let grown = Array.make (max (id + 1) (2 * Array.length rows)) no_row in
+    Array.blit rows 0 grown 0 (Array.length rows);
+    grown.(id) <- row;
+    t.rows <- grown
+  end
+
+let count_hits t n = Telemetry.Counter.add t.hits n
+
 let update t n f =
+  t.rows <- [||];
   let a = Atomic.get t.published in
   let next = Array.make n None in
   Array.iteri

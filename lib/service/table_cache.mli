@@ -15,6 +15,14 @@
     the owner runs with readers excluded.  Nothing is ever evicted: the
     store holds at most one column per declared member name.
 
+    Beside the columns the store holds {e resolve-code rows}: a
+    member's column re-encoded as one little-endian int32 per class,
+    the code {!Lookup_core.Packed.column_resolve_code} decodes ([-1]
+    absent, [-2] ambiguous, else the declaring class id).  The binary
+    id path answers from a row with one read.  A row is built whole
+    from a resident column ({!fill_row}) and published like a column;
+    {!update} drops every row.  A row costs 4 bytes per class.
+
     Which slots get filled, and how mutations repair them, is the
     session's job (see DESIGN.md §6). *)
 
@@ -38,10 +46,26 @@ val peek : t -> int -> column option
     lock. *)
 val fill : t -> int -> column -> unit
 
+(** The empty row: what {!row} answers for a member with none. *)
+val no_row : Bytes.t
+
+(** [row t id] is member [id]'s row, or {!no_row}.  Lock-free; counts
+    nothing. *)
+val row : t -> int -> Bytes.t
+
+(** [fill_row t id col] builds member [id]'s row from its resident
+    column [col] in one pass and publishes it.  Under the owner's
+    lock. *)
+val fill_row : t -> int -> column -> unit
+
+(** [count_hits t n] counts [n] lookups answered from rows as table
+    hits, as {!find} would have counted them one by one. *)
+val count_hits : t -> int -> unit
+
 (** [update t n f] publishes a fresh [n]-slot array in which each
     resident column [col] at [id < n] becomes [f id col] ([None] drops
-    it) and every other slot is empty.  The array readers held before
-    is left as it was. *)
+    it) and every other slot is empty, and drops every row.  The array
+    readers held before is left as it was. *)
 val update : t -> int -> (int -> column -> column option) -> unit
 
 (** [columns t] — every resident [(id, column)], by increasing id. *)

@@ -760,6 +760,48 @@ let test_router_frame_unavailable () =
     Alcotest.failf "expected backend_unavailable under id 4242, got id %d" id);
   Net.Client.close cl
 
+(* The router's own error frames copy the request's 8 id bytes, like
+   the backends' answers: an [int] cannot hold ids outside ±2^62. *)
+let test_router_frame_errors_echo_id_bytes () =
+  let dead =
+    let fd, bound = Net.Server.listen_on (Net.Server.Tcp ("127.0.0.1", 0)) in
+    Unix.close fd;
+    bound
+  in
+  let config =
+    { Cluster.Router.default_config with retries = 0; backoff_ms = 10 }
+  in
+  with_router ~config ~leader:0 [ dead; dead ] @@ fun raddr ->
+  let cl = Net.Client.connect raddr in
+  List.iter
+    (fun id ->
+      let with_id f =
+        let b = Bytes.of_string f in
+        Bytes.set_int64_le b F.header_len id;
+        b
+      in
+      let lookup =
+        with_id (frame_of ~id:0 ~session:"s" (F.Lookup { lk_class = 0; lk_member = 0 }))
+      in
+      (* one byte past the pair: a shape the router answers itself *)
+      let trailing = Bytes.cat lookup (Bytes.make 1 '\000') in
+      Bytes.set_int32_le trailing 2
+        (Int32.of_int (Bytes.length trailing - F.header_len));
+      List.iter
+        (fun (what, req, code) ->
+          let resp = routed_frame cl (Bytes.to_string req) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %Lx: id bytes" what id)
+            (Bytes.sub_string req F.header_len 8)
+            (String.sub resp F.header_len 8);
+          match F.decode_response ~op:F.op_lookup resp with
+          | Ok (_, F.Err (c, _)) when c = code -> ()
+          | _ -> Alcotest.failf "%s %Lx: not the expected error frame" what id)
+        [ ("backend_unavailable", lookup, P.Backend_unavailable);
+          ("bad_request", trailing, P.Bad_request) ])
+    [ 0x4000000000000001L; 0x8000000000000000L ];
+  Net.Client.close cl
+
 (* ---- the router's connection guards --------------------------------- *)
 
 let must_request cl line =
@@ -989,4 +1031,6 @@ let suite =
     Alcotest.test_case "router open by chg / source: caller's bytes to leader"
       `Quick test_router_open_forwards_callers_bytes;
     Alcotest.test_case "router redials a backend-closed idle slot" `Quick
-      test_router_redials_idle_closed_slot ]
+      test_router_redials_idle_closed_slot;
+    Alcotest.test_case "router 1b error frames echo id bytes" `Quick
+      test_router_frame_errors_echo_id_bytes ]

@@ -743,3 +743,261 @@ let suite =
         prop_mmap_matches_oracle;
         prop_corrupt_snapshot;
         prop_corrupt_fast_no_crash ]
+
+(* ---- id frames in place = the typed decode they replaced -------------
+
+   Lookup and batch_lookup frames are decoded where they lie and
+   answered straight into the connection's buffer.  Their answers must
+   be, byte for byte, what the typed path answered.  The expectation is
+   built the way that path built it: {!Frame.decode_request}, the
+   typed request's session and id checks (class before member, the
+   first bad pair failing a batch), the spec oracle's verdicts, and
+   {!Frame.encode_response}.  The frames are random well-formed ones
+   and the malformed ones the in-place shape check must reject:
+   truncated payloads, trailing bytes, batch counts past or short of the
+   payload, bad session lengths, length mismatches, unknown sessions,
+   bad class and member ids.  Every response echoes the request's 8 id
+   bytes verbatim, including ids outside ±2^62 that an [int] cannot
+   hold; for every other id that is exactly what
+   [Frame.encode_response ~id] wrote.  The session's counters must agree
+   with the pairs resolved, bad batches counting the pairs before their
+   first bad id. *)
+
+let set_u32 b pos v = Bytes.set_int32_le b pos (Int32.of_int v)
+
+(* [f] with its header's payload length made to agree with it *)
+let refit b =
+  set_u32 b 2 (Bytes.length b - Frame.header_len);
+  Bytes.to_string b
+
+let extreme_ids =
+  [| 0x4000000000000001L; 0x8000000000000000L; 0x7fffffffffffffffL;
+     0xC000000000000001L; -1L; 0L |]
+
+let random_frame rs ~session ~classes ~members =
+  let id () =
+    match Random.State.int rs 4 with
+    | 0 -> extreme_ids.(Random.State.int rs (Array.length extreme_ids))
+    | 1 -> Random.State.int64 rs Int64.max_int
+    | _ -> Int64.of_int (Random.State.int rs 1000)
+  in
+  (* mostly valid ids, sometimes one past the end or far out *)
+  let pick n =
+    match Random.State.int rs 20 with
+    | 0 -> n + Random.State.int rs 3
+    | 1 -> 0xffffffff
+    | _ -> if n = 0 then 0 else Random.State.int rs n
+  in
+  let pair () = (pick classes, pick members) in
+  let op =
+    if Random.State.bool rs then
+      let c, m = pair () in
+      Frame.Lookup { lk_class = c; lk_member = m }
+    else Frame.Batch_lookup (Array.init (Random.State.int rs 70) (fun _ -> pair ()))
+  in
+  let session = if Random.State.int rs 10 = 0 then "nosuch" else session in
+  let f =
+    Bytes.of_string
+      (Frame.encode_request { Frame.fr_id = 0; fr_session = session; fr_op = op })
+  in
+  Bytes.set_int64_le f Frame.header_len (id ());
+  let len = Bytes.length f in
+  let batch = match op with Frame.Batch_lookup _ -> true | _ -> false in
+  let count_at = Frame.header_len + 12 + String.length session in
+  match Random.State.int rs 12 with
+  | 0 ->
+    (* a truncated payload, header refitted *)
+    refit (Bytes.sub f 0 (Frame.header_len + Random.State.int rs (len - Frame.header_len)))
+  | 1 ->
+    (* trailing bytes *)
+    refit (Bytes.cat f (Bytes.make (1 + Random.State.int rs 8) '\007'))
+  | 2 when batch ->
+    (* a count past the payload, or short of it *)
+    let count = Int32.to_int (Bytes.get_int32_le f count_at) in
+    set_u32 f count_at
+      (if Random.State.bool rs then count + 1 + Random.State.int rs 3
+       else if Random.State.bool rs then max 0 (count - 1)
+       else 0xffffffff);
+    Bytes.to_string f
+  | 3 ->
+    (* a session length past the payload *)
+    set_u32 f (Frame.header_len + 8)
+      (if Random.State.bool rs then len else 0xfffffff0);
+    Bytes.to_string f
+  | 4 ->
+    (* header and payload disagree *)
+    Bytes.sub_string f 0 (len - 1 - Random.State.int rs (len - 1))
+  | _ -> Bytes.to_string f
+
+(* What the typed path answered for [f]. *)
+let typed_answer ~g ~names ~session f =
+  let nc = G.num_classes g and nm = Array.length names in
+  match Frame.parse_header f with
+  | Error msg -> (Frame.encode_response ~id:0 (Frame.Err (P.Parse_error, msg)), 0, None)
+  | Ok (_, len) when String.length f <> Frame.header_len + len ->
+    ( Frame.encode_response ~id:0
+        (Frame.Err (P.Parse_error, "frame length disagrees with header")),
+      0, None )
+  | Ok (op, len) ->
+    let body = String.sub f Frame.header_len len in
+    (* the typed path echoed the id when the [i64 id | string session]
+       prefix read *)
+    let prefix =
+      try
+        let r = B.Reader.of_string body in
+        let id = B.Reader.i64 r in
+        ignore (B.Reader.string r);
+        Some id
+      with B.Corrupt _ -> None
+    in
+    let id = Option.value prefix ~default:0 in
+    let id_bytes = Option.map (fun _ -> String.sub body 0 8) prefix in
+    let answer r =
+      let typed = Frame.encode_response ~id r in
+      match id_bytes with
+      | None -> typed
+      | Some b ->
+        let fixed = Bytes.of_string typed in
+        Bytes.blit_string b 0 fixed Frame.header_len 8;
+        let fixed = Bytes.to_string fixed in
+        if Int64.of_int (Int64.to_int (String.get_int64_le b 0)) = String.get_int64_le b 0
+           && fixed <> typed
+        then Alcotest.fail "an in-range id encodes differently when echoed";
+        fixed
+    in
+    let bad (c, m) =
+      if c >= nc then Some (P.Unknown_class, Printf.sprintf "unknown class id %d" c)
+      else if m >= nm then Some (P.Bad_request, Printf.sprintf "unknown member id %d" m)
+      else None
+    in
+    let code (c, m) = oracle_code g c names.(m) in
+    (match Frame.decode_request ~op body with
+    | Error msg -> (answer (Frame.Err (P.Bad_request, msg)), 0, None)
+    | Ok { Frame.fr_session; _ } when fr_session <> session ->
+      ( answer
+          (Frame.Err (P.Unknown_session, Printf.sprintf "no open session %S" fr_session)),
+        0, None )
+    | Ok { Frame.fr_op = Frame.Lookup { lk_class; lk_member }; _ } ->
+      (match bad (lk_class, lk_member) with
+      | Some (c, m) -> (answer (Frame.Err (c, m)), 0, None)
+      | None ->
+        let c = code (lk_class, lk_member) in
+        (answer (Frame.Ok_lookup c), 1, Some [ c ]))
+    | Ok { Frame.fr_op = Frame.Batch_lookup pairs; _ } ->
+      let rec first_bad i =
+        if i = Array.length pairs then None
+        else match bad pairs.(i) with Some e -> Some (i, e) | None -> first_bad (i + 1)
+      in
+      (match first_bad 0 with
+      | Some (i, (c, m)) ->
+        (answer (Frame.Err (c, m)), i, Some (List.init i (fun k -> code pairs.(k))))
+      | None ->
+        let codes = Array.map code pairs in
+        let count p = Array.fold_left (fun n c -> if p c then n + 1 else n) 0 codes in
+        ( answer
+            (Frame.Ok_batch
+               { ob_codes = codes; ob_resolved = count (fun c -> c >= 0);
+                 ob_ambiguous = count (( = ) (-2));
+                 ob_not_found = count (( = ) (-1)) }),
+          Array.length codes, Some (Array.to_list codes) ))
+    | Ok _ -> Alcotest.fail "the generator made a frame that is not a lookup")
+
+let hex s = String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+let session_counters srv ~session =
+  let stats =
+    Server.handle_line srv
+      (Printf.sprintf {|{"id":0,"op":"stats","session":%S}|} session)
+  in
+  let get path =
+    match
+      List.fold_left (fun j k -> Result.bind j (J.member k)) (Ok stats) path
+    with
+    | Ok (J.Int n) -> n
+    | _ -> Alcotest.failf "stats lacks %s" (String.concat "." path)
+  in
+  let c k = get [ "stats"; "counters"; k ] and tb k = get [ "stats"; "table"; k ] in
+  ( c "lookups", c "resolved", c "ambiguous", c "not_found",
+    tb "table_hits" + tb "table_misses" )
+
+let prop_id_frames_in_place =
+  QCheck.Test.make ~count:100
+    ~name:"id frames in place = the typed decode, byte for byte"
+    (QCheck.pair instance_arb QCheck.small_nat)
+    (fun (inst, seed) ->
+      let g = inst.Hiergen.Families.graph in
+      let session = "d" in
+      let srv = server_with g ~session in
+      let mids = member_ids srv ~session in
+      let names = Array.make (Hashtbl.length mids) "" in
+      Hashtbl.iter (fun n i -> names.(i) <- n) mids;
+      let rs = Random.State.make [| seed |] in
+      let want_lookups = ref 0 and want_codes = ref [] in
+      let out = Service.Outbuf.create 16 in
+      for _ = 1 to 60 do
+        let f =
+          random_frame rs ~session ~classes:(G.num_classes g)
+            ~members:(Array.length names)
+        in
+        let want, n, codes = typed_answer ~g ~names ~session f in
+        let got = Server.handle_frame srv f in
+        if got <> want then
+          QCheck.Test.fail_reportf "frame %s\n answered %s\n expected %s" (hex f)
+            (hex got) (hex want);
+        want_lookups := !want_lookups + n;
+        want_codes := Option.value codes ~default:[] @ !want_codes;
+        (* into a buffer that already holds bytes: they stay, and a
+           failure drops only what its own request wrote *)
+        Service.Outbuf.clear out;
+        Service.Outbuf.add_string out "prior";
+        let k = Server.answer_frame srv out f in
+        if Service.Outbuf.contents out <> "prior" ^ want || k <> String.length want
+        then QCheck.Test.fail_reportf "frame %s: answer_frame disagrees" (hex f);
+        want_lookups := !want_lookups + n;
+        want_codes := Option.value codes ~default:[] @ !want_codes
+      done;
+      let lookups, resolved, ambiguous, not_found, table = session_counters srv ~session in
+      let count p = List.length (List.filter p !want_codes) in
+      if
+        (lookups, resolved, ambiguous, not_found, table)
+        <> ( !want_lookups, count (fun c -> c >= 0), count (( = ) (-2)),
+             count (( = ) (-1)), !want_lookups )
+      then
+        QCheck.Test.fail_reportf
+          "counters lookups/resolved/ambiguous/not_found/table %d/%d/%d/%d/%d, \
+           want %d" lookups resolved ambiguous not_found table !want_lookups;
+      true)
+
+(* The extreme ids by hand: the typed path answered 0x4000000000000001
+   as 0xC000000000000001. *)
+let test_extreme_ids_echoed () =
+  let g = Hiergen.Figures.fig3 () in
+  let session = "x" in
+  let srv = server_with g ~session in
+  List.iter
+    (fun (what, id, session, op) ->
+      let f =
+        Bytes.of_string
+          (Frame.encode_request { Frame.fr_id = 0; fr_session = session; fr_op = op })
+      in
+      Bytes.set_int64_le f Frame.header_len id;
+      let resp = Server.handle_frame srv (Bytes.to_string f) in
+      Alcotest.(check string) what
+        (hex (Bytes.sub_string f Frame.header_len 8))
+        (hex (String.sub resp Frame.header_len 8)))
+    (List.concat_map
+       (fun id ->
+         let s = Printf.sprintf "%Lx" id in
+         [ ("lookup " ^ s, id, session, Frame.Lookup { lk_class = 0; lk_member = 0 });
+           ( "batch " ^ s, id, session,
+             Frame.Batch_lookup [| (0, 0); (1, 0) |] );
+           ("bad class " ^ s, id, session, Frame.Lookup { lk_class = 99; lk_member = 0 });
+           ("unknown session " ^ s, id, "nosuch", Frame.Symbols);
+           ("symbols " ^ s, id, session, Frame.Symbols) ])
+       [ 0x4000000000000001L; 0x8000000000000000L ])
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "ids outside ±2^62 echo verbatim" `Quick
+        test_extreme_ids_echoed;
+      QCheck_alcotest.to_alcotest prop_id_frames_in_place ]

@@ -962,6 +962,232 @@ let test_request_garbage () =
   if fmajor >= 50. then
     Alcotest.failf "1b lookup: %.1f major words per request (< 50)" fmajor
 
+(* A warm id batch allocates per request, not per lookup: once every
+   member's row is built, 64 pairs cost the same minor words as 1.
+   Measured on {!Server.answer_frame} into a buffer that is reused, as
+   a connection's is — [handle_frame]'s fresh result string grows with
+   the answer. *)
+let test_id_batch_allocates_per_request () =
+  let i =
+    Hiergen.Families.random_dag ~n:60 ~max_bases:3 ~virtual_prob:0.3
+      ~declare_prob:0.3
+      ~members:(List.init 8 (Printf.sprintf "m%d"))
+      ~seed:5
+  in
+  let g = i.Hiergen.Families.graph in
+  let srv = Server.create () in
+  let opened =
+    Server.handle_line srv
+      (J.to_string
+         (J.Obj
+            [ ("id", J.Int 0); ("op", J.String "open"); ("session", J.String "s");
+              ("chg", Chg.Serialize.to_json g) ]))
+  in
+  Alcotest.(check bool) "opened" true (J.member "ok" opened = Ok (J.Bool true));
+  let members =
+    match
+      Frame.decode_response ~op:Frame.op_symbols
+        (Server.handle_frame srv
+           (Frame.encode_request
+              { Frame.fr_id = 0; fr_session = "s"; fr_op = Frame.Symbols }))
+    with
+    | Ok (_, Frame.Ok_symbols { os_members; _ }) -> Array.length os_members
+    | _ -> Alcotest.fail "symbols did not answer"
+  in
+  let classes = G.num_classes g in
+  let batch k =
+    Frame.encode_request
+      { Frame.fr_id = 7; fr_session = "s";
+        fr_op =
+          Frame.Batch_lookup
+            (Array.init k (fun j -> (j * 7 mod classes, j mod members))) }
+  in
+  let out = Service.Outbuf.create 4096 in
+  (* the fewest words over many calls: a call the thread scheduler did
+     not interrupt, so no other thread's allocation is counted *)
+  let minor f =
+    let fewest = ref infinity in
+    for _ = 1 to 2_000 do
+      Service.Outbuf.clear out;
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Server.answer_frame srv out f));
+      fewest := Float.min !fewest (Gc.minor_words () -. w0)
+    done;
+    !fewest
+  in
+  let one = minor (batch 1) and many = minor (batch 64) in
+  if many <> one then
+    Alcotest.failf
+      "warm id batch: %.0f minor words for 64 pairs, %.0f for 1 (want equal)"
+      many one
+
+(* ---- a 1b mutation trace against the spec oracle ----
+
+   The trace above, driven over frames alone: add_class and add_member
+   frames interleaved with id lookups and batches over every (class,
+   member) pair, each answer checked against the oracle on the trace's
+   own graph.  The first round builds every member's resolve-code row;
+   a row that outlived a mutation would answer the verdict from before
+   it.  Symbol ids come from the symbols frame and the mutation
+   responses' deltas, as a client's would.  [line] and [frame] are one
+   round trip each; the net variant sends batches and mutations on one
+   connection and single lookups on another, each served by its own
+   worker domain. *)
+let run_1b_trace ~line ~frame ~single (g, ops) =
+  let session = "t1b" in
+  (match
+     J.of_string
+       (line
+          (J.to_string
+             (J.Obj
+                [ ("id", J.Int 0); ("op", J.String "open");
+                  ("session", J.String session);
+                  ("chg", Chg.Serialize.to_json g) ])))
+   with
+  | Ok j when J.member "ok" j = Ok (J.Bool true) -> ()
+  | _ -> QCheck.Test.fail_report "open failed");
+  let ask ?(via = frame) op =
+    let opcode =
+      match op with
+      | Frame.Lookup _ -> Frame.op_lookup
+      | Frame.Batch_lookup _ -> Frame.op_batch_lookup
+      | Frame.Add_member _ -> Frame.op_add_member
+      | Frame.Add_class _ -> Frame.op_add_class
+      | Frame.Symbols -> Frame.op_symbols
+    in
+    match
+      Frame.decode_response ~op:opcode
+        (via (Frame.encode_request { Frame.fr_id = 1; fr_session = session; fr_op = op }))
+    with
+    | Ok (_, r) -> r
+    | Error msg -> QCheck.Test.fail_reportf "undecodable response: %s" msg
+  in
+  let names =
+    ref
+      (match ask Frame.Symbols with
+      | Frame.Ok_symbols { os_members; _ } -> os_members
+      | _ -> QCheck.Test.fail_report "symbols did not answer")
+  in
+  let learn delta =
+    List.iter
+      (fun (id, name) ->
+        if id <> Array.length !names then
+          QCheck.Test.fail_reportf "delta id %d, expected %d" id (Array.length !names);
+        names := Array.append !names [| name |])
+      delta
+  in
+  let g = ref g in
+  let round () =
+    let n = G.num_classes !g in
+    let pairs =
+      List.concat_map
+        (fun c -> List.init (Array.length !names) (fun m -> (c, m)))
+        (List.init n Fun.id)
+    in
+    let want (c, m) = expect_code !g c !names.(m) in
+    let rec batches = function
+      | [] -> ()
+      | ps ->
+        let k = min 64 (List.length ps) in
+        let chunk = List.filteri (fun i _ -> i < k) ps in
+        (match ask (Frame.Batch_lookup (Array.of_list chunk)) with
+        | Frame.Ok_batch { ob_codes; _ } ->
+          List.iteri
+            (fun i (c, m) ->
+              if ob_codes.(i) <> want (c, m) then
+                QCheck.Test.fail_reportf "batch (%s, %s): %d, oracle %d"
+                  (G.name !g c) !names.(m) ob_codes.(i) (want (c, m)))
+            chunk
+        | _ -> QCheck.Test.fail_report "batch did not answer Ok_batch");
+        batches (List.filteri (fun i _ -> i >= k) ps)
+    in
+    batches pairs;
+    List.iter
+      (fun (c, m) ->
+        match ask ~via:single (Frame.Lookup { lk_class = c; lk_member = m }) with
+        | Frame.Ok_lookup code when code = want (c, m) -> ()
+        | _ ->
+          QCheck.Test.fail_reportf "lookup (%s, %s) disagrees with the oracle"
+            (G.name !g c) !names.(m))
+      pairs
+  in
+  let decl (m, static) = G.member ~static (List.nth trace_members m) in
+  round ();
+  List.iteri
+    (fun k op ->
+      let n = G.num_classes !g in
+      (match op with
+      | T_class { t_bases; t_members } ->
+        let bases =
+          List.sort_uniq compare (List.map (fun (b, v) -> (b mod n, v)) t_bases)
+          |> List.fold_left
+               (fun acc (b, v) -> if List.mem_assoc b acc then acc else (b, v) :: acc)
+               []
+          |> List.rev_map (fun (b, v) ->
+                 (G.name !g b, (if v then G.Virtual else G.Non_virtual), G.Public))
+        in
+        let members =
+          List.sort_uniq (fun (a, _) (b, _) -> compare a b) t_members |> List.map decl
+        in
+        let name = Printf.sprintf "T%d" k in
+        (match ask (Frame.Add_class { ac_name = name; ac_bases = bases; ac_members = members }) with
+        | Frame.Ok_add_class { oac_class; oac_new_symbols; _ } when oac_class = n ->
+          learn oac_new_symbols
+        | _ -> QCheck.Test.fail_report "add_class did not answer Ok_add_class");
+        g := fst (G.extend !g name ~bases ~members)
+      | T_member { t_cls; t_member; t_static } ->
+        let c = t_cls mod n in
+        let m = decl (t_member, t_static) in
+        if not (G.declares !g c m.G.m_name) then begin
+          (match ask (Frame.Add_member { am_class = c; am_member = m }) with
+          | Frame.Ok_add_member { oam_new_symbols; _ } -> learn oam_new_symbols
+          | _ -> QCheck.Test.fail_report "add_member did not answer Ok_add_member");
+          g := G.with_member !g (G.name !g c) m
+        end);
+      round ())
+    ops;
+  true
+
+let prop_1b_trace_in_process =
+  QCheck.Test.make ~count:100 ~name:"1b mutation trace = oracle, in process"
+    trace_arb (fun ({ Hiergen.Families.graph = g; _ }, ops) ->
+      let srv = Server.create () in
+      run_1b_trace
+        ~line:(fun l -> J.to_string (Server.handle_line srv l))
+        ~frame:(Server.handle_frame srv) ~single:(Server.handle_frame srv) (g, ops))
+
+let prop_1b_trace_net =
+  QCheck.Test.make ~count:20 ~name:"1b mutation trace = oracle, net server, 2 workers"
+    trace_arb (fun ({ Hiergen.Families.graph = g; _ }, ops) ->
+      let srv = Server.create () in
+      let net =
+        Net.Server.create
+          ~config:{ Net.Server.default_config with workers = 2 }
+          srv (Net.Server.Tcp ("127.0.0.1", 0))
+      in
+      let th = Thread.create Net.Server.run net in
+      Fun.protect
+        ~finally:(fun () ->
+          Net.Server.stop net;
+          Thread.join th)
+        (fun () ->
+          let addr = Net.Server.bound_addr net in
+          let a = Net.Client.connect addr and b = Net.Client.connect addr in
+          Fun.protect
+            ~finally:(fun () ->
+              Net.Client.close a;
+              Net.Client.close b)
+            (fun () ->
+              let some = function
+                | Some r -> r
+                | None -> QCheck.Test.fail_report "server closed the connection"
+              in
+              run_1b_trace
+                ~line:(fun l -> some (Net.Client.request a l))
+                ~frame:(fun f -> some (Net.Client.request_frame a f))
+                ~single:(fun f -> some (Net.Client.request_frame b f))
+                (g, ops))))
+
 let suite =
   [ Alcotest.test_case "cache invalidate/update" `Quick
       test_cache_invalidate_and_update;
@@ -1006,3 +1232,7 @@ let suite =
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_batch_matches_spec; prop_serve_sessions_promote;
         prop_mutation_trace_matches_spec ]
+  @ [ Alcotest.test_case "warm id batch allocates per request, not per lookup"
+        `Quick test_id_batch_allocates_per_request ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ prop_1b_trace_in_process; prop_1b_trace_net ]
