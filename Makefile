@@ -12,8 +12,10 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Packed-table checks only (PAR1 determinism, PAK1 size floor) on a
-# small family: seconds, not minutes, so CI can afford it per push.
+# Packed-table checks (PAR1 determinism, PAK1 size floor) on a small
+# family, the MRO figures, and the open-decode checks (OPN1: the tree
+# and in-place decodes agree, in place is faster) on one ~660 KB line:
+# seconds, not minutes, so CI can afford it per push.
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

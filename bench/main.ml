@@ -82,11 +82,13 @@ let () =
   Format.printf "cxxlookup benchmark harness — ";
   Format.printf "A Member Lookup Algorithm for C++ (PLDI 1997)@.";
   (* `smoke` (make bench-smoke, CI) runs only the packed-table checks on
-     a small family: determinism and the size floor, in seconds.  The
-     full run regenerates every figure and BENCH_lookup.json. *)
+     a small family (determinism and the size floor), the MRO figures
+     and the open-decode checks on one document, in seconds.  The full
+     run regenerates every figure and BENCH_lookup.json. *)
   if Array.exists (String.equal "smoke") Sys.argv then begin
     Packed_bench.smoke ();
     Mro_bench.smoke ();
+    Open_bench.smoke ();
     Format.printf "@.%s@."
       (if !Fig_tables.checks_failed = 0 then "Smoke checks passed."
        else
@@ -99,8 +101,9 @@ let () =
      `svc` the session read path, `srv` the networked server, for iterating on the server; `clu` the
      cluster (router + replicas); `raw` the raw speed floor, where rows
      mmap cannot engage are reported as skipped, not failed; `rte` the
-     router's read-and-classify cost on a large open line.  The full
-     run below includes all five and regenerates the file. *)
+     router's read-and-classify cost on a large open line; `opn` the
+     server's decode of an open line into a graph.  The full run below
+     includes all six and regenerates the file. *)
   List.iter
     (fun (mode, experiment, run) ->
       if Array.exists (String.equal mode) Sys.argv then
@@ -109,7 +112,8 @@ let () =
       ("srv", "SRV1", Srv_bench.run);
       ("clu", "CLU1", Cluster_bench.run);
       ("raw", "RAW1", Raw_bench.run);
-      ("rte", "RTE1", Route_bench.run) ];
+      ("rte", "RTE1", Route_bench.run);
+      ("opn", "OPN1", Open_bench.run) ];
   Fig_tables.run ();
   Scaling.run ();
   Ablation.run ();
@@ -123,6 +127,7 @@ let () =
   Srv_bench.run ();
   Cluster_bench.run ();
   Route_bench.run ();
+  Open_bench.run ();
   Becha.run ();
   write_metrics ();
   Format.printf "@.%s@."

@@ -1806,8 +1806,8 @@ let batch_cmd =
     let text = read_file file in
     let hierarchy =
       if Filename.check_suffix file ".json" then begin
-        match Chg.Json.of_string text with
-        | Ok j -> Service.Protocol.Chg_json j
+        match Chg.Json.span_of_string text with
+        | Ok sp -> Service.Protocol.Chg_json sp
         | Error e ->
           prerr_endline ("error: " ^ e);
           exit 1

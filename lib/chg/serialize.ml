@@ -48,62 +48,72 @@ let to_json g =
       ("version", Json.Int 1);
       ("classes", Json.List (List.map class_json (Graph.classes g))) ]
 
-let ( let* ) = Result.bind
+(* The reading side of the format, written once over what a reader
+   needs of a value.  It runs over the tree ({!Json}) and over a span
+   read in place ({!Json.Cursor}); the same schema gives both the same
+   checks, in the same order, with the same text. *)
+module type VALUE = sig
+  type t
 
-let base_of_json j =
-  let* cls = Result.bind (Json.member "class" j) Json.to_str in
-  let* virt = Result.bind (Json.member "virtual" j) Json.to_bool in
-  let* acc_s = Result.bind (Json.member "access" j) Json.to_str in
-  let* acc = access_of_string acc_s in
-  Ok (cls, (if virt then Graph.Virtual else Graph.Non_virtual), acc)
+  val member : string -> t -> (t, string) result
+  val to_str : t -> (string, string) result
+  val to_bool : t -> (bool, string) result
+  val to_int : t -> (int, string) result
+  val to_list : t -> (t list, string) result
+end
 
-let member_of_json j =
-  let* name = Result.bind (Json.member "name" j) Json.to_str in
-  let* kind_s = Result.bind (Json.member "kind" j) Json.to_str in
-  let* kind = kind_of_string kind_s in
-  let* static = Result.bind (Json.member "static" j) Json.to_bool in
-  let* virt = Result.bind (Json.member "virtual" j) Json.to_bool in
-  let* acc_s = Result.bind (Json.member "access" j) Json.to_str in
-  let* access = access_of_string acc_s in
-  Ok
+module Schema (V : VALUE) = struct
+  (* A check's message, raised to [of_json]: reads run in sequence, so
+     the first failing check names the error. *)
+  exception Bad of string
+
+  let ok = function Ok v -> v | Error msg -> raise (Bad msg)
+  let field k read j = ok (read (ok (V.member k j)))
+
+  let base_of_json j =
+    let cls = field "class" V.to_str j in
+    let virt = field "virtual" V.to_bool j in
+    let access = ok (access_of_string (field "access" V.to_str j)) in
+    (cls, (if virt then Graph.Virtual else Graph.Non_virtual), access)
+
+  let member_of_json j =
+    let name = field "name" V.to_str j in
+    let kind = ok (kind_of_string (field "kind" V.to_str j)) in
+    let static = field "static" V.to_bool j in
+    let virt = field "virtual" V.to_bool j in
+    let access = ok (access_of_string (field "access" V.to_str j)) in
     { Graph.m_name = name;
       m_kind = kind;
       m_static = static;
       m_virtual = virt;
       m_access = access }
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-    let* y = f x in
-    let* ys = map_result f rest in
-    Ok (y :: ys)
+  let class_of_json j =
+    let name = field "name" V.to_str j in
+    let bases = List.map base_of_json (field "bases" V.to_list j) in
+    let members = List.map member_of_json (field "members" V.to_list j) in
+    { Graph.d_name = name; d_bases = bases; d_members = members }
 
-let class_of_json j =
-  let* name = Result.bind (Json.member "name" j) Json.to_str in
-  let* bases_j = Result.bind (Json.member "bases" j) Json.to_list in
-  let* bases = map_result base_of_json bases_j in
-  let* members_j = Result.bind (Json.member "members" j) Json.to_list in
-  let* members = map_result member_of_json members_j in
-  Ok { Graph.d_name = name; d_bases = bases; d_members = members }
+  let of_json j =
+    match
+      let fmt = field "format" V.to_str j in
+      if fmt <> "cxxlookup-chg" then
+        raise (Bad (Printf.sprintf "unknown format %S" fmt));
+      let version = field "version" V.to_int j in
+      if version <> 1 then
+        raise (Bad (Printf.sprintf "unsupported version %d" version));
+      List.map class_of_json (field "classes" V.to_list j)
+    with
+    | decls -> Result.map_error Graph.error_to_string (Graph.of_decls decls)
+    | exception Bad msg -> Error msg
+end
 
-let of_json j =
-  let* fmt = Result.bind (Json.member "format" j) Json.to_str in
-  if fmt <> "cxxlookup-chg" then
-    Error (Printf.sprintf "unknown format %S" fmt)
-  else
-    let* version = Result.bind (Json.member "version" j) Json.to_int in
-    if version <> 1 then
-      Error (Printf.sprintf "unsupported version %d" version)
-    else
-      let* classes_j = Result.bind (Json.member "classes" j) Json.to_list in
-      let* decls = map_result class_of_json classes_j in
-      (match Graph.of_decls decls with
-      | Ok g -> Ok g
-      | Error e -> Error (Graph.error_to_string e))
+module Tree = Schema (Json)
+module In_place = Schema (Json.Cursor)
+
+let of_json = Tree.of_json
+let of_span sp = In_place.of_json (Json.Cursor.root sp)
 
 let to_string ?pretty g = Json.to_string ?pretty (to_json g)
 
-let of_string s =
-  let* j = Json.of_string s in
-  of_json j
+let of_string s = Result.bind (Json.span_of_string s) of_span

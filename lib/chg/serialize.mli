@@ -21,5 +21,12 @@ val to_json : Graph.t -> Json.t
     graph-level errors ({!Graph.error}) as a message. *)
 val of_json : Json.t -> (Graph.t, string) result
 
+(** [of_span sp] is [of_json] of the document [sp] spans, read in
+    place: no tree is built.  The same results and error text. *)
+val of_span : Json.span -> (Graph.t, string) result
+
 val to_string : ?pretty:bool -> Graph.t -> string
+
+(** [of_string s] validates [s] ({!Json.span_of_string}), then reads
+    it in place ({!of_span}). *)
 val of_string : string -> (Graph.t, string) result

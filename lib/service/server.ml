@@ -281,8 +281,8 @@ let session t = function
     | None -> error P.Unknown_session "no open session %S" name)
 
 let graph_of_hierarchy = function
-  | P.Chg_json j ->
-    (match Chg.Serialize.of_json j with
+  | P.Chg_json sp ->
+    (match Chg.Serialize.of_span sp with
     | Ok g -> Ok g
     | Error msg -> Error (P.Bad_hierarchy, msg))
   | P.Source src ->

@@ -225,8 +225,12 @@ let open_request ?(session = "s") g =
   { P.rq_id = J.Int 0;
     rq_session = Some session;
     rq_op =
-      P.Open { o_session = Some session; o_hierarchy = P.Chg_json (Chg.Serialize.to_json g) }
-  }
+      P.Open
+        { o_session = Some session;
+          o_hierarchy =
+            P.Chg_json
+              (Result.get_ok (Chg.Json.span_of_string (Chg.Serialize.to_string g)))
+        } }
 
 let mutate_request ~session name =
   { P.rq_id = J.Int 0;
