@@ -59,7 +59,7 @@ net-smoke: build
 # The cluster layer end to end under chaos: leader + WAL-shipping
 # replica + shard router, each SIGKILLed at its worst moment — the
 # replica mid-stream (restart over the same store must recover and
-# converge), a router backend mid-fan-out (every response correct or
+# converge), a router backend mid-batch (every response correct or
 # an explicit backend_unavailable), and the router itself.
 cluster-smoke: build
 	sh test/smoke/cluster_chaos.sh

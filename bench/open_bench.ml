@@ -16,10 +16,8 @@
    line byte and minor words per line byte, each as the median and
    quartiles over timed batches.  The CHECKs: both decodes give the
    same graph, and on the 660 KB line the in-place decode is the
-   faster.  On the 124 KB line the in-place decode is not the faster:
-   its tree dies in the minor heap, building it costs no more than
-   taping the span, and [Graph.of_decls], which both decodes end in,
-   is over half of either. *)
+   faster.  On the 124 KB line the two are close: its tree dies in the
+   minor heap, and building it costs about what taping the span does. *)
 
 module G = Chg.Graph
 module J = Chg.Json

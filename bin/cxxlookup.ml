@@ -1706,9 +1706,9 @@ let router_cmd =
        ~doc:
          "Run the shard router: accept cxxlookup-rpc/1 on --listen or \
           --unix and spread it over the --backend list — reads \
-          rendezvous-hashed by session with failover, batch_lookup \
-          fanned out and merged in request order, mutations forwarded \
-          to the leader at most once, and explicit backend_unavailable \
+          rendezvous-hashed by session with failover (a batch_lookup \
+          is one read), mutations forwarded to the leader at most \
+          once, and explicit backend_unavailable \
           (never a silently wrong answer) when no backend can serve.  \
           The router's own metrics verb reports per-backend health \
           gauges, round-trip histograms and routing counters.")

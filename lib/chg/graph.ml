@@ -144,15 +144,9 @@ let add_member b cls m =
         else r)
       b.rev_classes
 
-let freeze b =
-  let recs = Array.of_list (List.rev b.rev_classes) in
-  let n = Array.length recs in
-  let names = Array.map (fun r -> r.r_name) recs in
-  let ids = Hashtbl.copy b.b_ids in
-  let base_edges = Array.map (fun r -> Array.of_list r.r_bases) recs in
-  let member_arrays =
-    chunked_of_array (Array.map (fun r -> Array.of_list r.r_members) recs)
-  in
+(* The graph of per-class arrays in id order; [ids] is kept as is. *)
+let of_arrays names ids base_edges member_arrays =
+  let n = Array.length names in
   let derived_edges = Array.make n [] in
   let num_edges = ref 0 in
   (* Walk derived classes in reverse so each adjacency list ends up in
@@ -164,7 +158,17 @@ let freeze b =
         derived_edges.(e.b_class) <- (c, e.b_kind) :: derived_edges.(e.b_class))
       base_edges.(c)
   done;
-  { names; ids; base_edges; derived_edges; member_arrays; num_edges = !num_edges }
+  { names; ids; base_edges; derived_edges;
+    member_arrays = chunked_of_array member_arrays;
+    num_edges = !num_edges }
+
+let freeze b =
+  let recs = Array.of_list (List.rev b.rev_classes) in
+  of_arrays
+    (Array.map (fun r -> r.r_name) recs)
+    (Hashtbl.copy b.b_ids)
+    (Array.map (fun r -> Array.of_list r.r_bases) recs)
+    (Array.map (fun r -> Array.of_list r.r_members) recs)
 
 let empty = freeze (create_builder ())
 
@@ -207,9 +211,55 @@ type decl = {
   d_members : member list;
 }
 
-let of_decls decls =
-  (* Topologically sort the declarations (bases first) with an explicit
-     DFS so we can report a cycle as a witness path. *)
+exception Irregular
+
+(* no member before index [i] of [ms] is named [name] *)
+let rec fresh_member name ms i =
+  i = 0
+  || ((not (String.equal ms.(i - 1).m_name name)) && fresh_member name ms (i - 1))
+
+(* The common case in one pass: every base declared before the classes
+   deriving from it, as {!Serialize} writes them, so ids are list
+   positions.  One id table sized to the class count; a repeated base
+   shows as [last_derived] already holding the class, a repeated member
+   by a scan of the class's earlier members.  Raises [Irregular] at the
+   first forward reference, duplicate, unknown base or class of more
+   than [short] members (where the scan would cost more than a table):
+   the DFS path then sorts the list and reports every error. *)
+let of_ordered_decls decls =
+  let n = List.length decls in
+  let ids = Hashtbl.create n in
+  let names = Array.make n "" in
+  let base_edges = Array.make n [||] in
+  let member_arrays = Array.make n [||] in
+  let last_derived = Array.make n (-1) in
+  let short = 32 in
+  List.iteri
+    (fun c d ->
+      if Hashtbl.mem ids d.d_name then raise Irregular;
+      let base (b, kind, acc) =
+        match Hashtbl.find_opt ids b with
+        | Some id when last_derived.(id) <> c ->
+          last_derived.(id) <- c;
+          { b_class = id; b_kind = kind; b_access = acc }
+        | _ -> raise Irregular
+      in
+      let bases = Array.of_list (List.map base d.d_bases) in
+      let ms = Array.of_list d.d_members in
+      if Array.length ms > short then raise Irregular;
+      Array.iteri
+        (fun i m -> if not (fresh_member m.m_name ms i) then raise Irregular)
+        ms;
+      Hashtbl.add ids d.d_name c;
+      names.(c) <- d.d_name;
+      base_edges.(c) <- bases;
+      member_arrays.(c) <- ms)
+    decls;
+  of_arrays names ids base_edges member_arrays
+
+(* Topologically sort the declarations (bases first) with an explicit
+   DFS so we can report a cycle as a witness path. *)
+let of_decls_sorted decls =
   let by_name = Hashtbl.create 16 in
   match
     List.iter
@@ -257,6 +307,11 @@ let of_decls decls =
        with
       | exception Error e -> Result.Error e
       | () -> Ok (freeze b)))
+
+let of_decls decls =
+  match of_ordered_decls decls with
+  | g -> Ok g
+  | exception Irregular -> of_decls_sorted decls
 
 let member ?(kind = Data) ?(static = false) ?(virtual_ = false)
     ?(access = Public) name =

@@ -130,8 +130,17 @@ type decl = {
 
 (** [of_decls decls] topologically sorts the declarations (so forward
     references are allowed) and builds the graph.  Reports
-    [Cyclic_hierarchy] when the inheritance relation has a cycle. *)
+    [Cyclic_hierarchy] when the inheritance relation has a cycle.  A
+    list whose bases all come before their derived classes, as
+    {!Serialize} writes it, is built in one pass in list order; any
+    other list, erroneous ones included, takes the sort, so the graph
+    and the error are the same either way. *)
 val of_decls : decl list -> (t, error) result
+
+(** [of_decls_sorted decls] is {!of_decls} always through the sort:
+    what {!of_decls} answers for any list it cannot build in one
+    pass. *)
+val of_decls_sorted : decl list -> (t, error) result
 
 (** Convenience: a plain member with defaults
     ([Data], non-static, non-virtual, [Public]). *)

@@ -16,11 +16,9 @@
      executed); a connection that dies mid-request is not — the
      mutation may have applied — so the router answers
      [backend_unavailable] rather than resend and double-apply.
-   - a JSON [batch_lookup] fans out in contiguous chunks, one per backend in
-     preference order, and the merged response preserves request order
-     and the single-server field shape exactly.  A chunk whose backend
-     dies mid-fan-out is re-routed (reads again); the merge is whole or
-     not at all.
+   - a [batch_lookup], in either framing, is one read: the caller's
+     bytes go whole to the session's preferred backend, so only the
+     backends that own a session compile its columns.
 
    Replicas answer [unknown_session] for sessions they have not caught
    up to (or that only the leader has seen); the router retries such
@@ -69,7 +67,6 @@ type t = {
   requests : Telemetry.Counter.t;
   forwards : Telemetry.Counter.t;
   failovers : Telemetry.Counter.t;
-  fanouts : Telemetry.Counter.t;
   leader_retries : Telemetry.Counter.t;
   unavailable : Telemetry.Counter.t;
   refused : Telemetry.Counter.t;
@@ -101,7 +98,6 @@ let create ?(config = default_config) ~leader backends =
         requests = Telemetry.Counter.make "router_requests";
         forwards = Telemetry.Counter.make "router_forwards";
         failovers = Telemetry.Counter.make "router_failovers";
-        fanouts = Telemetry.Counter.make "router_fanouts";
         leader_retries = Telemetry.Counter.make "router_leader_retries";
         unavailable = Telemetry.Counter.make "router_unavailable";
         refused = Telemetry.Counter.make "router_connections_refused";
@@ -126,9 +122,6 @@ let create ?(config = default_config) ~leader backends =
     Telemetry.Registry.attach_counter registry
       ~help:"Reads moved to another backend after a connection failure."
       "cxxlookup_router_failovers_total" t.failovers;
-    Telemetry.Registry.attach_counter registry
-      ~help:"batch_lookup requests fanned out over several backends."
-      "cxxlookup_router_fanouts_total" t.fanouts;
     Telemetry.Registry.attach_counter registry
       ~help:"Reads retried on the leader after a replica's unknown_session."
       "cxxlookup_router_leader_retries_total" t.leader_retries;
@@ -325,129 +318,6 @@ let route_mutation codec p ~id msg =
       "leader unreachable; the mutation was not confirmed and will not \
        be resent"
 
-(* ---- batch fan-out -------------------------------------------------- *)
-
-let chunk_line ~session ~semantics k queries =
-  J.to_string
-    (J.Obj
-       ([ ("id", J.Int k);
-          ("op", J.String "batch_lookup");
-          ("session", J.String session) ]
-       @ (match semantics with
-         | Mro.Cpp -> []  (* absent = cpp: keep legacy lines verbatim *)
-         | Mro.Linearized _ ->
-           [ ("semantics", J.String (Mro.semantics_string semantics)) ])
-       @ [ ("queries",
-            J.List
-              (List.map
-                 (fun (q : P.query) ->
-                   J.Obj
-                     [ ("class", J.String q.P.q_class);
-                       ("member", J.String q.P.q_member) ])
-                 queries)) ]))
-
-(* Split [qs] into at most [n] contiguous chunks of near-equal size. *)
-let chunks n qs =
-  let len = List.length qs in
-  let n = max 1 (min n len) in
-  let base = len / n and extra = len mod n in
-  let rec take k xs acc =
-    if k = 0 then (List.rev acc, xs)
-    else match xs with [] -> (List.rev acc, []) | x :: r -> take (k - 1) r (x :: acc)
-  in
-  let rec go i xs =
-    if i = n then []
-    else
-      let size = base + if i < extra then 1 else 0 in
-      let c, rest = take size xs [] in
-      c :: go (i + 1) rest
-  in
-  go 0 qs
-
-type sub = Ok_fields of J.t list * int * int * int | In_band of string
-
-(* Decode one sub-response into its merge contribution. *)
-let sub_of_response resp =
-  match J.of_string resp with
-  | Error e -> Error ("backend sent unparseable response: " ^ e)
-  | Ok j ->
-    (match J.member "ok" j with
-    | Ok (J.Bool true) ->
-      (match
-         ( J.member "results" j,
-           J.member "resolved" j,
-           J.member "ambiguous" j,
-           J.member "not_found" j )
-       with
-      | Ok (J.List rs), Ok (J.Int a), Ok (J.Int b), Ok (J.Int c) ->
-        Ok (Ok_fields (rs, a, b, c))
-      | _ -> Error "backend response missing batch fields")
-    | _ -> Ok (In_band resp))
-
-(* A backend's in-band error, re-addressed to the caller's id. *)
-let readdress_error ~id resp =
-  match Result.bind (J.of_string resp) (J.member "error") with
-  | Ok e
-    when (match (J.member "code" e, J.member "message" e) with
-         | Ok (J.String _), Ok (J.String _) -> true
-         | _ -> false) ->
-    J.to_string (J.Obj [ ("id", id); ("ok", J.Bool false); ("error", e) ])
-  | _ -> unavailable json ~request:"" ~id "backend sent a malformed error"
-
-(* Fan a batch out chunk-per-backend in preference order (one chunk
-   when the batch is small or there is one backend), re-route chunks
-   whose backend died, merge in request order.  In-band errors
-   (unknown_session on a lagging replica) send the chunk to the
-   leader; if the leader also answers in band, that error is the whole
-   request's answer — a partial merge is never returned. *)
-let route_batch p ~id ~session ~semantics ~order queries =
-  let cs = chunks (List.length order) queries in
-  if List.length cs > 1 then Telemetry.Counter.incr p.router.fanouts;
-  let order_arr = Array.of_list order in
-  let n = Array.length order_arr in
-  (* serve one chunk to a result, failing over within the preference
-     order starting at the chunk's home backend *)
-  let serve k queries =
-    let line = chunk_line ~session ~semantics k queries in
-    let rec walk attempts j =
-      if attempts = n then Error "no backend reachable for batch chunk"
-      else
-        let i = order_arr.(j mod n) in
-        match exchange json p i line with
-        | None ->
-          if attempts + 1 < n then Telemetry.Counter.incr p.router.failovers;
-          walk (attempts + 1) (j + 1)
-        | Some resp ->
-          (match sub_of_response resp with
-          | Ok (In_band resp') when
-              i <> p.router.leader && unknown_session json resp' ->
-            Telemetry.Counter.incr p.router.leader_retries;
-            (match exchange json p p.router.leader line with
-            | None -> Error "leader unreachable for batch chunk"
-            | Some resp'' -> sub_of_response resp'')
-          | sub -> sub)
-    in
-    walk 0 k
-  in
-  let rec merge k acc_rs a b c = function
-    | [] ->
-      J.to_string
-        (P.ok_response ~id
-           [ ("results", J.List (List.concat (List.rev acc_rs)));
-             ("resolved", J.Int a);
-             ("ambiguous", J.Int b);
-             ("not_found", J.Int c) ])
-    | q :: rest ->
-      (match serve k q with
-      | Ok (Ok_fields (rs, a', b', c')) ->
-        merge (k + 1) (rs :: acc_rs) (a + a') (b + b') (c + c') rest
-      | Ok (In_band resp) -> readdress_error ~id resp
-      | Error msg ->
-        Telemetry.Counter.incr p.router.unavailable;
-        unavailable json ~request:"" ~id msg)
-  in
-  merge 0 [] 0 0 0 cs
-
 (* ---- the front end -------------------------------------------------- *)
 
 let handle_metrics t ~id =
@@ -466,11 +336,6 @@ let respond p (decoded : S.decoded) line =
     let id = rq.S.rq_id in
     (match rq.S.rq_op with
     | S.Named P.Metrics -> handle_metrics p.router ~id
-    | S.Named (P.Batch_lookup { bl_queries = qs; bl_semantics })
-      when rq.S.rq_session <> None && qs <> [] ->
-      let session = Option.get rq.S.rq_session in
-      route_batch p ~id ~session ~semantics:bl_semantics
-        ~order:(preference p.router session) qs
     | op when S.read_only op ->
       let order =
         match rq.S.rq_session with
@@ -483,9 +348,7 @@ let respond p (decoded : S.decoded) line =
     | _ -> route_mutation json p ~id line)
 
 (* One 1b frame, classified without resolving anything and forwarded
-   whole: a 1b batch is routed as one read, not fanned out — interned
-   ids are per-backend-session state, so re-chunking would buy
-   nothing. *)
+   whole. *)
 let respond_frame p f =
   Telemetry.Counter.incr p.router.requests;
   match S.route_frame f with

@@ -13,9 +13,9 @@
       forwarded to the leader {e at most once}: connect retries and
       [overloaded] resends are safe, but a connection lost mid-request
       answers [backend_unavailable] rather than risk double-apply.
-    - a JSON [batch_lookup] fans out in contiguous chunks across the
-      preference order and merges in request order, byte-shaped exactly
-      like a single backend's response.
+    - a [batch_lookup], JSON or 1b, is one read like any other: the
+      caller's bytes go whole to the session's preferred backend, so a
+      session's columns are compiled only where it is placed.
     - [metrics] is answered locally from the router's own registry
       (per-backend up gauges, round-trip histograms, routing
       counters).

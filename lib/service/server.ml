@@ -419,7 +419,7 @@ let handle_open t ~session:requested hierarchy =
       ("session", J.String name);
       ("classes", J.Int (G.num_classes g));
       ("edges", J.Int (G.num_edges g));
-      ("members", J.Int (List.length (G.member_names g))) ]
+      ("members", J.Int (Session.num_member_symbols s)) ]
 
 (* One query by name, under C++ dominance or a linearized semantics
    (answered from the session's per-variant MRO table as "via":"mro"). *)

@@ -7,7 +7,7 @@
 #      the leader must survive (no SIGPIPE death), and a replica
 #      restarted over the same store must recover locally, offer its
 #      epochs, stream only the delta and converge;
-#   2. a router backend dies -9 mid-fan-out; every routed response must
+#   2. a router backend dies -9 mid-batch; every routed response must
 #      still be a well-formed answer — correct via failover, or an
 #      explicit backend_unavailable, never a hang or a torn line;
 #   3. the router itself dies -9; a restarted one serves again.
@@ -140,7 +140,7 @@ await caught_up
 req "$REP" '{"id":9,"op":"lookup","session":"chaos","class":"B","member":"m30"}' \
   | grep -q '"verdict":"red"'
 
-# --- router: fan-out, merge, forward writes to the leader ------------
+# --- router: a batch as one read, writes forwarded to the leader -----
 
 start_router() {
   "$BIN" router --backend "$LEAD" --backend "$REP" --leader 0 \
@@ -165,25 +165,25 @@ req "$ROUT" '{"id":8,"op":"mutate","session":"chaos","add_member":{"class":"A","
 }
 await caught_up
 
-# --- chaos 2: kill -9 a backend mid-fan-out --------------------------
+# --- chaos 2: kill -9 a backend mid-batch ----------------------------
 
 (sleep 0.2; kill -9 "$(cat "$WORK/replica.pid")"; rm -f "$WORK/replica.pid") &
 KILLER=$!
-: >"$WORK/fanout.out"
+: >"$WORK/midbatch.out"
 i=0
 while [ $i -lt 30 ]; do
-  req "$ROUT" "$BATCH" >>"$WORK/fanout.out"
+  req "$ROUT" "$BATCH" >>"$WORK/midbatch.out"
   i=$((i + 1))
 done
 wait "$KILLER"
-[ "$(wc -l <"$WORK/fanout.out")" = 30 ] || {
+[ "$(wc -l <"$WORK/midbatch.out")" = 30 ] || {
   echo "cluster_chaos: routed requests went unanswered during the kill" >&2
   exit 1
 }
-if grep -v '"ok":true' "$WORK/fanout.out" \
+if grep -v '"ok":true' "$WORK/midbatch.out" \
   | grep -qv '"code":"backend_unavailable"'; then
   echo "cluster_chaos: a routed response was neither a result nor explicit:" >&2
-  grep -v '"ok":true' "$WORK/fanout.out" | grep -v backend_unavailable >&2
+  grep -v '"ok":true' "$WORK/midbatch.out" | grep -v backend_unavailable >&2
   exit 1
 fi
 

@@ -4,8 +4,8 @@
    wire codecs, leader/follower catch-up end to end in-process
    (including a follower restart over its own store and leader-side
    compaction resyncs), the follower's not_leader gate, and a QCheck
-   property that routed batch_lookups — fanned out over three real
-   networked backends and merged — match the spec oracle exactly. *)
+   property that routed batch_lookups — each sent whole to one of three
+   real networked backends — match the spec oracle exactly. *)
 
 module G = Chg.Graph
 module J = Chg.Json
@@ -513,7 +513,7 @@ let check_batch_response g ~queries ~id resp =
             (fst q) (snd q) (J.to_string r))
       (List.combine queries results)
 
-let prop_router_merge_matches_oracle =
+let prop_routed_batch_matches_oracle =
   let qc_members = [ "m"; "n"; "p" ] in
   let instance_gen =
     QCheck.Gen.(
@@ -548,6 +548,87 @@ let prop_router_merge_matches_oracle =
           | None -> Alcotest.fail "router closed the connection");
           Net.Client.close cl;
           true))
+
+let labelled_count registry metric label value =
+  List.fold_left
+    (fun acc (labels, v) ->
+      if List.assoc_opt label labels = Some value then acc + v else acc)
+    0
+    (Telemetry.Registry.find_values registry metric)
+
+(* Round trips the router has timed, over every backend. *)
+let router_round_trips rt =
+  List.fold_left
+    (fun acc (name, series) ->
+      if name <> "cxxlookup_router_backend_rtt_ns" then acc
+      else
+        List.fold_left
+          (fun acc s ->
+            match s.Telemetry.Registry.s_instrument with
+            | Telemetry.Registry.Histogram h -> acc + Telemetry.Histogram.count h
+            | _ -> acc)
+          acc series)
+    0
+    (Telemetry.Registry.collect (Cluster.Router.registry rt))
+
+(* A JSON batch_lookup is one read: each costs one backend round trip,
+   its bytes are the session's preferred backend's own answer, and no
+   other backend compiles a column for the session.  The preferred
+   backend is the top rendezvous score of (session, address). *)
+let test_router_json_batch_is_one_read () =
+  let g = graph () in
+  let session = "s" in
+  with_backends g ~session (fun (s0, s1, s2) addrs ->
+      with_router_t ~leader:0 addrs @@ fun rt ->
+      let score addr =
+        Int32.to_int
+          (Chg.Binary.crc32_string (session ^ "|" ^ Net.Server.addr_string addr))
+        land 0xffffffff
+      in
+      let servers = [ s0; s1; s2 ] in
+      let preferred, others =
+        let scored = List.combine (List.map score addrs) servers in
+        match List.sort (fun (a, _) (b, _) -> compare b a) scored with
+        | (_, p) :: rest -> (p, List.map snd rest)
+        | [] -> assert false
+      in
+      let queries =
+        List.map
+          (fun (q : W.query) -> (G.name g q.W.q_class, q.W.q_member))
+          (W.exhaustive g)
+      in
+      let line = batch_line ~session ~id:11 queries in
+      let cl = Net.Client.connect (Cluster.Router.bound_addr rt) in
+      let routed () =
+        let before = router_round_trips rt in
+        let resp =
+          match Net.Client.request cl line with
+          | Some resp -> resp
+          | None -> Alcotest.fail "router closed the connection"
+        in
+        Alcotest.(check int) "one backend round trip per batch" (before + 1)
+          (router_round_trips rt);
+        resp
+      in
+      let first = routed () in
+      let second = routed () in
+      Net.Client.close cl;
+      check_batch_response g ~queries ~id:11 first;
+      Alcotest.(check string) "same answer twice" first second;
+      Alcotest.(check string) "the preferred backend's own bytes, via included"
+        (J.to_string (Service.Server.handle_line preferred line))
+        second;
+      let entries srv =
+        labelled_count (Service.Server.registry srv) "cxxlookup_table_entries"
+          "session" session
+      in
+      Alcotest.(check bool) "the preferred backend compiled columns" true
+        (entries preferred > 0);
+      List.iter
+        (fun srv ->
+          Alcotest.(check int) "no columns where the session is not placed" 0
+            (entries srv))
+        others)
 
 let test_router_forwards_mutations_to_leader () =
   let g = graph () in
@@ -646,13 +727,6 @@ let id_pairs srv ~session =
       (fun c -> List.init (Array.length os_members) (fun m -> (c, m)))
       (List.init (Array.length os_classes) Fun.id)
   | _ -> Alcotest.fail "symbols did not answer Ok_symbols"
-
-let labelled_count registry metric label value =
-  List.fold_left
-    (fun acc (labels, v) ->
-      if List.assoc_opt label labels = Some value then acc + v else acc)
-    0
-    (Telemetry.Registry.find_values registry metric)
 
 let test_router_frames_match_backend () =
   let g = graph () in
@@ -1013,7 +1087,7 @@ let suite =
       test_apply_replicated_gap_rejected;
     Alcotest.test_case "replication catch-up + restart" `Quick
       test_replication_catch_up_and_restart;
-    QCheck_alcotest.to_alcotest prop_router_merge_matches_oracle;
+    QCheck_alcotest.to_alcotest prop_routed_batch_matches_oracle;
     Alcotest.test_case "router forwards mutations to leader" `Quick
       test_router_forwards_mutations_to_leader;
     Alcotest.test_case "router failover + explicit unavailable" `Quick
@@ -1037,4 +1111,6 @@ let suite =
     Alcotest.test_case "router redials a backend-closed idle slot" `Quick
       test_router_redials_idle_closed_slot;
     Alcotest.test_case "router 1b error frames echo id bytes" `Quick
-      test_router_frame_errors_echo_id_bytes ]
+      test_router_frame_errors_echo_id_bytes;
+    Alcotest.test_case "router JSON batch: one read on the preferred backend"
+      `Quick test_router_json_batch_is_one_read ]

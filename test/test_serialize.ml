@@ -485,6 +485,131 @@ let prop_tree_and_in_place_agree =
            (match in_place with Ok s -> s | Error e -> "error " ^ e)
            expected served)
 
+(* ---- one-pass graph build = the sorting build ---- *)
+
+let decls_of g =
+  List.map
+    (fun c ->
+      { G.d_name = G.name g c;
+        d_bases =
+          List.map
+            (fun (b : G.base) -> (G.name g b.b_class, b.b_kind, b.b_access))
+            (G.bases g c);
+        d_members = G.members g c })
+    (G.classes g)
+
+(* names, ids, edges both ways and members, class by class *)
+let same_graph a b =
+  G.num_classes a = G.num_classes b
+  && G.num_edges a = G.num_edges b
+  && List.for_all
+       (fun c ->
+         let n = G.name a c in
+         n = G.name b c
+         && G.find_opt a n = Some c
+         && G.find_opt b n = Some c
+         && G.bases a c = G.bases b c
+         && G.derived a c = G.derived b c
+         && G.members a c = G.members b c)
+       (G.classes a)
+
+let shuffle st xs =
+  let a = Array.of_list xs in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int st (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+(* [decls] with the [i]th declaration passed through [f] *)
+let map_nth i f decls = List.mapi (fun k d -> if k = i then f d else d) decls
+
+(* A declaration list drawn from [g]'s, bases-first or damaged: what it
+   is, and the list. *)
+let damaged_decls st g =
+  let decls = decls_of g in
+  let n = List.length decls in
+  let pick () = Random.State.int st n in
+  let nth i = List.nth decls i in
+  let many = List.init 40 (fun k -> G.member (Printf.sprintf "x%d" k)) in
+  match Random.State.int st 9 with
+  | 0 -> ("bases first", decls)
+  | 1 -> ("shuffled", shuffle st decls)
+  | 2 ->
+    let i = pick () and at = Random.State.int st (n + 1) in
+    ( "duplicate class",
+      List.filteri (fun k _ -> k < at) decls
+      @ [ nth i ]
+      @ List.filteri (fun k _ -> k >= at) decls )
+  | 3 ->
+    ( "duplicate base",
+      map_nth (pick ())
+        (fun d ->
+          match d.G.d_bases with
+          | [] -> d
+          | b :: _ -> { d with G.d_bases = d.G.d_bases @ [ b ] })
+        decls )
+  | 4 ->
+    ( "duplicate member",
+      map_nth (pick ())
+        (fun d ->
+          match d.G.d_members with
+          | [] -> d
+          | m :: _ -> { d with G.d_members = d.G.d_members @ [ m ] })
+        decls )
+  | 5 ->
+    let dup = Random.State.bool st in
+    ( (if dup then "many members, one twice" else "many members"),
+      map_nth (pick ())
+        (fun d ->
+          { d with
+            G.d_members =
+              d.G.d_members @ many @ if dup then [ List.nth many 17 ] else [] })
+        decls )
+  | 6 ->
+    ( "unknown base",
+      map_nth (pick ())
+        (fun d ->
+          { d with G.d_bases = d.G.d_bases @ [ ("Nowhere", G.Virtual, G.Public) ] })
+        decls )
+  | 7 ->
+    ( "first derives from last",
+      map_nth 0
+        (fun d ->
+          { d with
+            G.d_bases =
+              (G.name g (n - 1), G.Non_virtual, G.Public) :: d.G.d_bases })
+        decls )
+  | _ ->
+    ( "derives from itself",
+      map_nth (pick ())
+        (fun d ->
+          { d with G.d_bases = (d.G.d_name, G.Virtual, G.Public) :: d.G.d_bases })
+        decls )
+
+let prop_one_pass_build_agrees =
+  QCheck.Test.make ~count:400
+    ~name:"one-pass graph build = the sorting build"
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let g = (family st).Hiergen.Families.graph in
+      let what, decls = damaged_decls st g in
+      let show = function
+        | Ok g -> Chg.Serialize.to_string g
+        | Error e -> "error " ^ G.error_to_string e
+      in
+      let built = G.of_decls decls and sorted = G.of_decls_sorted decls in
+      (match (built, sorted) with
+      | Ok a, Ok b ->
+        same_graph a b && (what <> "bases first" || same_graph a g)
+      | Error a, Error b -> G.error_to_string a = G.error_to_string b
+      | _ -> false)
+      || QCheck.Test.fail_reportf "%s\none pass: %s\nsorted:   %s" what
+           (show built) (show sorted))
+
 (* Every scanner failure, carried as an [open]'s [chg]: the same
    response, text and offset, as the tree decode gives. *)
 let test_error_table_as_open_chg () =
@@ -583,4 +708,5 @@ let suite =
     Alcotest.test_case "skipping a field allocates the same at any size"
       `Quick test_skip_allocation_is_flat;
     Alcotest.test_case "duplicate chg fields: first wins, linear allocation"
-      `Quick test_duplicate_chg_is_linear ]
+      `Quick test_duplicate_chg_is_linear;
+    QCheck_alcotest.to_alcotest prop_one_pass_build_agrees ]
