@@ -213,19 +213,14 @@ type decl = {
 
 exception Irregular
 
-(* no member before index [i] of [ms] is named [name] *)
-let rec fresh_member name ms i =
-  i = 0
-  || ((not (String.equal ms.(i - 1).m_name name)) && fresh_member name ms (i - 1))
-
 (* The common case in one pass: every base declared before the classes
    deriving from it, as {!Serialize} writes them, so ids are list
-   positions.  One id table sized to the class count; a repeated base
+   positions.  One id table sized to the class count and one table from
+   a member name to the last class that declared it; a repeated base
    shows as [last_derived] already holding the class, a repeated member
-   by a scan of the class's earlier members.  Raises [Irregular] at the
-   first forward reference, duplicate, unknown base or class of more
-   than [short] members (where the scan would cost more than a table):
-   the DFS path then sorts the list and reports every error. *)
+   as its name's entry already holding it.  Raises [Irregular] at the
+   first forward reference, duplicate or unknown base: the DFS path then
+   sorts the list and reports every error. *)
 let of_ordered_decls decls =
   let n = List.length decls in
   let ids = Hashtbl.create n in
@@ -233,7 +228,7 @@ let of_ordered_decls decls =
   let base_edges = Array.make n [||] in
   let member_arrays = Array.make n [||] in
   let last_derived = Array.make n (-1) in
-  let short = 32 in
+  let last_declarer = Hashtbl.create n in
   List.iteri
     (fun c d ->
       if Hashtbl.mem ids d.d_name then raise Irregular;
@@ -246,9 +241,12 @@ let of_ordered_decls decls =
       in
       let bases = Array.of_list (List.map base d.d_bases) in
       let ms = Array.of_list d.d_members in
-      if Array.length ms > short then raise Irregular;
-      Array.iteri
-        (fun i m -> if not (fresh_member m.m_name ms i) then raise Irregular)
+      Array.iter
+        (fun m ->
+          match Hashtbl.find_opt last_declarer m.m_name with
+          | Some last when !last = c -> raise Irregular
+          | Some last -> last := c
+          | None -> Hashtbl.add last_declarer m.m_name (ref c))
         ms;
       Hashtbl.add ids d.d_name c;
       names.(c) <- d.d_name;

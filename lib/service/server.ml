@@ -406,6 +406,9 @@ let handle_open t ~session:requested hierarchy =
   in
   let* g = graph_of_hierarchy hierarchy in
   let s = Session.create ~config:t.config ~name g in
+  (* counted before [register_session] lets another connection's mutate
+     intern more names *)
+  let members = Session.num_member_symbols s in
   let* _ =
     match t.store with
     | None -> Ok 0
@@ -419,7 +422,7 @@ let handle_open t ~session:requested hierarchy =
       ("session", J.String name);
       ("classes", J.Int (G.num_classes g));
       ("edges", J.Int (G.num_edges g));
-      ("members", J.Int (Session.num_member_symbols s)) ]
+      ("members", J.Int members) ]
 
 (* One query by name, under C++ dominance or a linearized semantics
    (answered from the session's per-variant MRO table as "via":"mro"). *)
