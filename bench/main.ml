@@ -79,6 +79,8 @@ let quick_mode ~experiment run =
   exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
 
 let () =
+  (* FLR1's echo server, in the child process FLR1 starts *)
+  if Array.exists (String.equal "floor-child") Sys.argv then Floor_bench.child ();
   Format.printf "cxxlookup benchmark harness — ";
   Format.printf "A Member Lookup Algorithm for C++ (PLDI 1997)@.";
   (* `smoke` (make bench-smoke, CI) runs only the packed-table checks on
@@ -102,8 +104,9 @@ let () =
      cluster (router + replicas); `raw` the raw speed floor, where rows
      mmap cannot engage are reported as skipped, not failed; `rte` the
      router's read-and-classify cost on a large open line; `opn` the
-     server's decode of an open line into a graph.  The full run below
-     includes all six and regenerates the file. *)
+     server's decode of an open line into a graph; `flr` the serving
+     floor, an echo on the connection loop.  The full run below
+     includes all seven and regenerates the file. *)
   List.iter
     (fun (mode, experiment, run) ->
       if Array.exists (String.equal mode) Sys.argv then
@@ -113,7 +116,8 @@ let () =
       ("clu", "CLU1", Cluster_bench.run);
       ("raw", "RAW1", Raw_bench.run);
       ("rte", "RTE1", Route_bench.run);
-      ("opn", "OPN1", Open_bench.run) ];
+      ("opn", "OPN1", Open_bench.run);
+      ("flr", "FLR1", Floor_bench.run) ];
   Fig_tables.run ();
   Scaling.run ();
   Ablation.run ();
@@ -128,6 +132,7 @@ let () =
   Cluster_bench.run ();
   Route_bench.run ();
   Open_bench.run ();
+  Floor_bench.run ();
   Becha.run ();
   write_metrics ();
   Format.printf "@.%s@."

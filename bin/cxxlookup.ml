@@ -858,8 +858,10 @@ let serve_cmd =
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
           ~doc:
-            "Worker domains executing requests (networked mode): read \
-             verbs run concurrently across them, mutations serialize.")
+            "Workers executing requests (networked mode), one domain each; \
+             worker 0 is the accept loop's domain, as an idle domain still \
+             pays into every stop-the-world collection.  Reads run \
+             concurrently across workers, mutations serialize.")
   in
   let max_conns =
     Arg.(
@@ -1034,7 +1036,7 @@ let serve_cmd =
           --slow-ms flags slow queries, and SIGUSR1 dumps the \
           flight recorder to stderr.  With --listen HOST:PORT or \
           --unix PATH the same protocol is served over the network: \
-          an accept loop on its own domain, --workers worker domains \
+          --workers domains, the first shared with the accept loop \
           (reads concurrent, mutations single-writer), per-connection \
           pipelining with responses in request order, bounded admission \
           answering explicit overloaded errors, and idle/slowloris \
@@ -1567,7 +1569,7 @@ let replica_cmd =
     Arg.(
       value & opt int 1
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains executing read verbs.")
+          ~doc:"Worker domains executing read verbs; worker 0 shares the accept loop's.")
   in
   let run config store_config follow follow_unix store_dir listen unix_path
       workers backoff_ms =

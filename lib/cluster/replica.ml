@@ -10,8 +10,8 @@
    the fresh handshake converges by construction.
 
    Applies run under [excl], the serving front end's exclusive lock,
-   so replicated mutations never race the read verbs executing on
-   worker domains. *)
+   so replicated mutations never race the read verbs executing on the
+   workers. *)
 
 type excl = { excl : 'a. (unit -> 'a) -> 'a }
 

@@ -4,13 +4,14 @@ module P = Service.Protocol
 (* The networked front end for the cxxlookup-rpc/1 JSON-lines
    protocol.
 
-   Topology: the accept loop runs on the calling domain; [workers]
-   spawned domains each own a mailbox of freshly accepted connections,
-   filled round-robin.  A worker serves every connection assigned to it
-   on one systhread, which reads, decodes, executes and writes: blocking
-   I/O releases the domain's runtime lock, so connections interleave
-   within a domain while connections on different domains run OCaml
-   code in parallel.
+   Topology: connections go round-robin to [workers] workers.  Worker 0
+   is the calling domain, which runs the accept loop (an idle domain
+   would still stop for every minor collection, DESIGN §11); workers 1
+   and up are spawned domains fed through mailboxes.  A worker serves
+   each connection on one systhread, which reads, decodes, executes and
+   writes: blocking I/O releases the domain's runtime lock, so
+   connections interleave within a domain while connections on
+   different domains run OCaml code in parallel.
 
    Concurrency contract: every verb is classified by
    [Service.Server.read_only].  Read verbs execute under the shared
@@ -53,7 +54,7 @@ type t = {
   bound : addr;  (* actual address — the ephemeral port resolved *)
   stop : bool Atomic.t;
   conns : Conns.t;  (* open sockets, for stop *)
-  mailboxes : (int * Unix.file_descr) Bqueue.t array;  (* one per worker *)
+  mailboxes : (int * Unix.file_descr) Bqueue.t array;  (* workers 1 .. *)
 }
 
 (* ---- setup ---------------------------------------------------------- *)
@@ -112,7 +113,7 @@ let create ?(config = default_config) srv addr =
     stop = Atomic.make false;
     conns = Conns.create ();
     mailboxes =
-      Array.init config.workers (fun _ ->
+      Array.init (config.workers - 1) (fun _ ->
           Bqueue.create (config.max_conns + 1)) }
 
 let bound_addr t = t.bound
@@ -406,20 +407,20 @@ let handle_conn t ~conn fd =
       serve_conn ~idle_timeout:t.cfg.idle_timeout ~max_line:t.cfg.max_line fd
         (service_handler t ~conn) timed_out)
 
-(* ---- worker domains and the accept loop ----------------------------- *)
+(* ---- workers and the accept loop ------------------------------------ *)
 
 (* A worker starts one systhread per connection and keeps no handle to
    it: the thread closes and forgets its own connection ({!Conns}),
    which is what teardown waits on. *)
-let worker_loop t mailbox () =
-  let rec loop () =
-    match Bqueue.pop mailbox with
-    | None -> ()
-    | Some (conn, fd) ->
-      ignore (Thread.create (fun () -> handle_conn t ~conn fd) ());
-      loop ()
-  in
-  loop ()
+let start_conn t (conn, fd) =
+  ignore (Thread.create (fun () -> handle_conn t ~conn fd) ())
+
+let rec worker_loop t mailbox () =
+  match Bqueue.pop mailbox with
+  | None -> ()
+  | Some c ->
+    start_conn t c;
+    worker_loop t mailbox ()
 
 let stop t = Atomic.set t.stop true
 
@@ -462,7 +463,7 @@ let refuse_conn ~max_conns fd =
 
 let run t =
   let net = Service.Server.net t.srv in
-  let workers =
+  let domains =
     Array.map (fun mb -> Domain.spawn (worker_loop t mb)) t.mailboxes
   in
   accept_loop ~stop:t.stop t.listen_fd t.bound (fun fd ->
@@ -474,12 +475,15 @@ let run t =
         let conn = Conns.add t.conns fd in
         Atomic.incr net.Service.Server.net_active;
         Telemetry.Counter.incr net.Service.Server.net_accepted;
-        let mb = t.mailboxes.((conn - 1) mod Array.length t.mailboxes) in
-        if not (Bqueue.push mb (conn, fd)) then Conns.close t.conns conn fd
+        match (conn - 1) mod t.cfg.workers with
+        | 0 -> start_conn t (conn, fd)
+        | w ->
+          if not (Bqueue.push t.mailboxes.(w - 1) (conn, fd)) then
+            Conns.close t.conns conn fd
       end);
   (* wake every connection — a thread blocked in [select] sees EOF, one
-     blocked in [write] an error — and wait until each has closed; the
-     workers then find their mailboxes closed and exit *)
+     blocked in [write] an error — and wait until each has closed, on
+     every worker; the spawned ones then find their mailboxes closed *)
   Conns.drain t.conns;
   Array.iter Bqueue.close t.mailboxes;
-  Array.iter Domain.join workers
+  Array.iter Domain.join domains

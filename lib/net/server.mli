@@ -2,13 +2,14 @@
     Unix-domain-socket JSON-lines server over a shared
     {!Service.Server.t}.
 
-    Topology: the accept loop runs on the calling domain and hands
-    connections round-robin to [workers] spawned domains; each
-    connection is served start to finish — read, decode, execute,
-    write — by one systhread on its worker's domain.  Read verbs
-    execute concurrently under a shared {!Rwlock}; mutations serialize
-    through its exclusive side — the single writer path owning the
-    session table and WAL.
+    Topology: connections go round-robin to [workers] workers, worker
+    0 on the calling domain beside the accept loop and the rest on
+    spawned domains (no idle domain joins the stop-the-world minor
+    collections); each connection is served start to finish — read,
+    decode, execute, write — by one systhread on its worker's domain.
+    Read verbs execute concurrently under a shared {!Rwlock}; mutations
+    serialize through its exclusive side — the single writer path
+    owning the session table and WAL.
 
     Ordering: a connection executes one request at a time, so
     pipelined responses leave in request order and a single-connection
@@ -33,7 +34,7 @@
 type addr = Tcp of string * int | Unix_path of string
 
 type config = {
-  workers : int;  (** worker domains executing requests *)
+  workers : int;  (** worker domains executing requests, the caller's first *)
   max_conns : int;  (** connections accepted concurrently *)
   queue_depth : int;  (** global admission bound (requests in flight) *)
   idle_timeout : float;  (** seconds; also the slowloris deadline *)
@@ -107,15 +108,15 @@ val refuse_conn : max_conns:int -> Unix.file_descr -> unit
 
 (** [exclusively t f] runs [f] under the exclusive (writer) side of the
     server's verb-class lock — how the replication applier mutates
-    sessions without racing the read verbs executing on worker
-    domains. *)
+    sessions without racing the read verbs executing on the
+    workers. *)
 val exclusively : t -> (unit -> 'a) -> 'a
 
-(** [run t] spawns the worker domains and runs the accept loop on the
-    calling domain until {!stop}; then it closes the listener, wakes
-    every open connection (a thread blocked reading or writing its
-    socket included), waits until each has closed and joins the
-    workers. *)
+(** [run t] spawns workers 1 and up as domains and runs the accept
+    loop and worker 0 on the calling domain until {!stop}; then it
+    closes the listener, wakes every open connection (a thread blocked
+    reading or writing its socket included), waits until each has
+    closed and joins the spawned workers. *)
 val run : t -> unit
 
 (** Signal-safe: sets a flag the accept loop polls (≤ 0.2 s latency).

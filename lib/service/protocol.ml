@@ -98,7 +98,7 @@ type op =
 type request = { rq_id : J.t; rq_session : string option; rq_op : op }
 
 (* The networked server's reader/writer split: read-only verbs execute
-   concurrently across worker domains against shared immutable packed
+   concurrently across the workers against shared immutable packed
    columns; everything else serializes through the single writer path
    that owns the session table and the WAL. *)
 let op_string = function

@@ -174,6 +174,19 @@ let create ?(role = Leader) ?(config = Session.default_config)
         "cxxlookup_server_inflight"
         (fun () -> Atomic.get gauge))
     t.inflight;
+  (* read at scrape time only: nothing on the request path *)
+  List.iter
+    (fun (name, help, read) ->
+      Telemetry.Registry.gauge registry ~help name (fun () ->
+          read (Gc.quick_stat ())))
+    [ ("cxxlookup_gc_minor_collections", "Minor collections since start.",
+       fun (s : Gc.stat) -> s.minor_collections);
+      ("cxxlookup_gc_major_collections", "Major collection cycles since start.",
+       fun s -> s.major_collections);
+      ("cxxlookup_gc_heap_words", "Major heap size, in words.",
+       fun s -> s.heap_words);
+      ("cxxlookup_gc_top_heap_words", "Largest major heap size, in words.",
+       fun s -> s.top_heap_words) ];
   (match store with None -> () | Some s -> Store.register s registry);
   t
 

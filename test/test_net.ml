@@ -545,6 +545,92 @@ let test_guard_texts () =
     (message (raw_request ~within:5. fd {|{"id":3,"op":"stats"}|}));
   Unix.close fd
 
+(* ---- topology: worker 0 on the calling domain ---- *)
+
+(* Connections go to the workers round-robin in accept order, so
+   [workers] + 1 connections opened one after another give every
+   worker one (worker 0, the calling domain, two).  [stop] must then
+   end [run] with every connection still open: drain them all, on the
+   calling domain and on the spawned ones, and join the domains. *)
+let test_every_worker_serves_then_stops () =
+  List.iter
+    (fun workers ->
+      let srv = Server.create () in
+      let config = { Net.Server.default_config with workers } in
+      let net = Net.Server.create ~config srv (Net.Server.Tcp ("127.0.0.1", 0)) in
+      let returned = Atomic.make false in
+      let th =
+        Thread.create (fun () -> Net.Server.run net; Atomic.set returned true) ()
+      in
+      let addr = Net.Server.bound_addr net in
+      let clients =
+        List.init (workers + 1) (fun i ->
+            let cl = Net.Client.connect addr in
+            Alcotest.(check bool)
+              (Printf.sprintf "workers=%d: connection %d answered" workers i)
+              true
+              (ok_resp (must_recv_request cl {|{"id":1,"op":"stats"}|}));
+            cl)
+      in
+      Net.Server.stop net;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while (not (Atomic.get returned)) && Unix.gettimeofday () < deadline do
+        Thread.delay 0.01
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "workers=%d: run returned" workers) true
+        (Atomic.get returned);
+      Thread.join th;
+      (* run returns only once Net.Conns is empty; the counters say the
+         same from the service's side *)
+      let stats = Server.net srv in
+      Alcotest.(check int) "no connection active" 0
+        (Atomic.get stats.Server.net_active);
+      Alcotest.(check int) "every accepted connection closed" (workers + 1)
+        (Telemetry.Counter.value stats.Server.net_closed);
+      Alcotest.(check int) "every connection accepted" (workers + 1)
+        (Telemetry.Counter.value stats.Server.net_accepted);
+      List.iter
+        (fun cl ->
+          Alcotest.(check (option string)) "client sees EOF" None
+            (Net.Client.recv_line cl);
+          Net.Client.close cl)
+        clients)
+    [ 1; 3 ]
+
+(* At [workers = 1] the accept loop shares worker 0's domain: a second
+   connection made while the first is still sending a large [open] is
+   accepted and answered, and the [open] then completes. *)
+let test_accept_beside_a_streaming_open () =
+  with_server @@ fun addr ->
+  let g =
+    (Hiergen.Families.random_dag ~n:600 ~max_bases:2 ~virtual_prob:0.2
+       ~declare_prob:0.05
+       ~members:(List.init 96 (Printf.sprintf "m%d"))
+       ~seed:1)
+      .Hiergen.Families.graph
+  in
+  let line =
+    Printf.sprintf {|{"id":1,"op":"open","session":"big","chg":%s}|}
+      (Chg.Serialize.to_string g)
+  in
+  let n = String.length line in
+  Alcotest.(check bool) "a few hundred KB" true (n > 200_000 && n < 1 lsl 20);
+  let fd = raw_connect addr in
+  let half = n / 2 in
+  let sent = ref 0 in
+  while !sent < half do
+    sent := !sent + Unix.write_substring fd line !sent (min 16384 (half - !sent));
+    Thread.delay 0.002
+  done;
+  let cl = Net.Client.connect addr in
+  Alcotest.(check bool) "second connection answered mid-stream" true
+    (ok_resp (must_recv_request cl {|{"id":2,"op":"stats"}|}));
+  Net.Client.close cl;
+  Alcotest.(check bool) "the large open answered" true
+    (ok_resp (raw_request ~within:10. fd (String.sub line half (n - half))));
+  Unix.close fd
+
 let suite =
   [ Alcotest.test_case "bqueue order, bounds, close" `Quick
       test_bqueue_order_and_bounds;
@@ -571,3 +657,7 @@ let suite =
     Alcotest.test_case "guard texts and counts across read boundaries"
       `Quick test_guard_texts ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_concurrent_reads_match_spec ]
+  @ [ Alcotest.test_case "every worker serves; stop drains and joins all"
+        `Quick test_every_worker_serves_then_stops;
+      Alcotest.test_case "workers=1: accept beside a streaming open" `Quick
+        test_accept_beside_a_streaming_open ]
