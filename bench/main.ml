@@ -81,6 +81,8 @@ let quick_mode ~experiment run =
 let () =
   (* FLR1's echo server, in the child process FLR1 starts *)
   if Array.exists (String.equal "floor-child") Sys.argv then Floor_bench.child ();
+  (* OPN1's cold open, in the children OPN1 starts *)
+  if Array.exists (String.equal "open-child") Sys.argv then Open_bench.child ();
   Format.printf "cxxlookup benchmark harness — ";
   Format.printf "A Member Lookup Algorithm for C++ (PLDI 1997)@.";
   (* `smoke` (make bench-smoke, CI) runs only the packed-table checks on

@@ -4,20 +4,29 @@
    The line carries a whole cxxlookup-chg document as its [chg]: a
    600-class random DAG drawn with the serving benchmark's parameters,
    with 24 member names (~124 KB, read-json's shape) and with 256
-   (~660 KB, read-1b-wide's).  Two decodes, in-process:
+   (~660 KB, read-1b-wide's).  Two decodes, in-process and warm:
 
    + in place (the server's): [Protocol.parse_request] validates the
-     line and cuts the span of its [chg], which [Serialize.of_span]
-     reads where it lies;
+     line and, in the same pass, [Serialize.read] reads its [chg] where
+     it lies;
    + tree (the former decode): [Json.of_string] builds the whole line
      as a tree and [Serialize.of_json] walks it into declarations.
 
-   Both end at the same [Graph.t].  Per decode and document: ns per
-   line byte and minor words per line byte, each as the median and
-   quartiles over timed batches.  The CHECKs: both decodes give the
-   same graph, and on the 660 KB line the in-place decode is the
-   faster.  On the 124 KB line the two are close: its tree dies in the
-   minor heap, and building it costs about what taping the span does. *)
+   Both end at the same [Graph.t].  Per decode and document: ns, minor
+   words and major words (promoted or allocated there) per line byte,
+   each as the median and quartiles over timed batches.
+
+   A cold row per document: what a fresh server pays for its first
+   [open], the case a benchmark's set-up meets.  Each run is a child
+   process ([main.exe open-child]) that reads the line from a pipe and
+   answers it on a new [Server.t]; the child reports the CPU of that
+   one [handle_line] from [getrusage], and the parent the child's whole
+   CPU from the rusage of its reaped children.  Median and quartiles
+   over [cold_runs] children.
+
+   The CHECKs: both decodes give the same graph, every cold open
+   answers ok, and on the 660 KB line the in-place decode is the
+   faster. *)
 
 module G = Chg.Graph
 module J = Chg.Json
@@ -37,8 +46,7 @@ let open_line ~members =
 
 let in_place line =
   match P.parse_request line with
-  | Ok { P.rq_op = P.Open { o_hierarchy = P.Chg_json sp; _ }; _ } ->
-    Chg.Serialize.of_span sp
+  | Ok { P.rq_op = P.Open { o_hierarchy = P.Chg_json chg; _ }; _ } -> chg
   | _ -> Error "OPN1: not an open with a chg"
 
 let tree line =
@@ -54,38 +62,117 @@ let quartiles xs =
 
 let per_call = 3
 
+(* [Gc.counters]' major figure: words promoted or allocated in the
+   major heap, counted as they happen *)
+let major_words () =
+  let _, _, w = Gc.counters () in
+  w
+
 (* [repeats] batches of [per_call] decodes after a warm-up: per batch,
-   ns and minor words per line byte *)
+   ns, minor words and major words per line byte *)
 let measure ~repeats decode line =
   let bytes = float_of_int (per_call * String.length line) in
   for _ = 1 to 2 do
     ignore (Sys.opaque_identity (decode line))
   done;
-  let ns = Array.make repeats 0. and words = Array.make repeats 0. in
+  let ns = Array.make repeats 0.
+  and words = Array.make repeats 0.
+  and major = Array.make repeats 0. in
   for r = 0 to repeats - 1 do
-    let w0 = Gc.minor_words () in
+    let w0 = Gc.minor_words () and m0 = major_words () in
     let t0 = Telemetry.Clock.now_ns () in
     for _ = 1 to per_call do
       ignore (Sys.opaque_identity (decode line))
     done;
     ns.(r) <- float_of_int (Telemetry.Clock.elapsed_ns ~since:t0) /. bytes;
-    words.(r) <- (Gc.minor_words () -. w0) /. bytes
+    words.(r) <- (Gc.minor_words () -. w0) /. bytes;
+    major.(r) <- (major_words () -. m0) /. bytes
   done;
-  (quartiles ns, quartiles words)
+  (quartiles ns, quartiles words, quartiles major)
 
 let same_graph a b =
   match (a, b) with
   | Ok a, Ok b -> Chg.Serialize.to_string a = Chg.Serialize.to_string b
   | _ -> false
 
+(* ---- cold: the first open of a fresh process ---- *)
+
+let cold_runs = 9
+
+let cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let children_cpu_s () =
+  let t = Unix.times () in
+  t.Unix.tms_cutime +. t.Unix.tms_cstime
+
+(* The child: one [open] line from stdin, answered by a new server;
+   prints the CPU µs of that answer and whether it was ok. *)
+let child () =
+  let line = In_channel.input_all stdin in
+  let c0 = cpu_s () in
+  let r = Service.Server.handle_line (Service.Server.create ()) line in
+  let c1 = cpu_s () in
+  Printf.printf "%.0f %b\n%!" ((c1 -. c0) *. 1e6)
+    (J.member "ok" r = Ok (J.Bool true));
+  exit 0
+
+(* One child: the CPU µs of its open, of its whole life, and whether
+   the open answered ok. *)
+let cold_run line =
+  let in_r, in_w = Unix.pipe ~cloexec:true () in
+  let out_r, out_w = Unix.pipe ~cloexec:true () in
+  let before = children_cpu_s () in
+  let pid =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; "open-child" |] in_r out_w Unix.stderr
+  in
+  Unix.close in_r;
+  Unix.close out_w;
+  let oc = Unix.out_channel_of_descr in_w in
+  output_string oc line;
+  close_out oc;
+  let ic = Unix.in_channel_of_descr out_r in
+  let reply = try input_line ic with End_of_file -> "" in
+  close_in ic;
+  ignore (Unix.waitpid [] pid);
+  let whole = (children_cpu_s () -. before) *. 1e6 in
+  match String.split_on_char ' ' reply with
+  | [ us; ok ] -> (float_of_string us, whole, ok = "true")
+  | _ -> (0., whole, false)
+
+let cold ~kb ~bytes ~size line =
+  let runs = List.init cold_runs (fun _ -> cold_run line) in
+  let open_ms = Array.of_list (List.map (fun (us, _, _) -> us /. 1e3) runs) in
+  let whole_ms = Array.of_list (List.map (fun (_, us, _) -> us /. 1e3) runs) in
+  Fig_tables.check
+    (Printf.sprintf "%d KB line: every cold open answered ok" kb)
+    (List.for_all (fun (_, _, ok) -> ok) runs);
+  let (o, o1, o3) = quartiles open_ms and (w, w1, w3) = quartiles whole_ms in
+  let family = Printf.sprintf "open decode: cold, first open, %d KB" kb in
+  Format.printf
+    "  %-32s %6.2f CPU ms [%6.2f, %6.2f]  child %6.2f CPU ms [%6.2f, %6.2f]@."
+    family o o1 o3 w w1 w3;
+  let f x = Telemetry.Json.Float x in
+  Scaling.record ~experiment:"OPN1" ~family ~n_plus_e:size ~time_ns:(o *. 1e6)
+    (Telemetry.Json.Obj
+       [ ("line_bytes", Telemetry.Json.Int bytes);
+         ("runs", Telemetry.Json.Int cold_runs);
+         ("open_cpu_ms", f o); ("open_cpu_ms_q1", f o1);
+         ("open_cpu_ms_q3", f o3);
+         ("child_cpu_ms", f w); ("child_cpu_ms_q1", f w1);
+         ("child_cpu_ms_q3", f w3) ])
+
 (* [docs]: (member names, whether to CHECK that in place wins) *)
-let run_with ~repeats ~docs =
+let run_with ~repeats ~cold_rows ~docs =
   Format.printf "@.---- OPN1: decoding an open line into a graph ----@.";
   List.iter
     (fun (members, check_faster) ->
       let g, line = open_line ~members in
       let bytes = String.length line in
       let kb = bytes / 1024 in
+      let size = G.num_classes g + G.num_edges g in
       Fig_tables.check
         (Printf.sprintf "%d KB line: in-place and tree decodes give the same graph" kb)
         (same_graph (in_place line) (tree line)
@@ -95,14 +182,13 @@ let run_with ~repeats ~docs =
           ("tree (former)", measure ~repeats tree line) ]
       in
       List.iter
-        (fun (decode, ((ns, ns_q1, ns_q3), (w, w_q1, w_q3))) ->
+        (fun (decode, ((ns, ns_q1, ns_q3), (w, w_q1, w_q3), (m, m_q1, m_q3))) ->
           let family = Printf.sprintf "open decode: %s, %d KB" decode kb in
           Format.printf
-            "  %-32s %6.2f ns/byte [%6.2f, %6.2f]  %5.2f minor words/byte [%5.2f, %5.2f]@."
-            family ns ns_q1 ns_q3 w w_q1 w_q3;
+            "  %-32s %6.2f ns/byte [%6.2f, %6.2f]  %5.2f minor [%5.2f, %5.2f]  %5.2f major words/byte [%5.2f, %5.2f]@."
+            family ns ns_q1 ns_q3 w w_q1 w_q3 m m_q1 m_q3;
           let f x = Telemetry.Json.Float x in
-          Scaling.record ~experiment:"OPN1" ~family
-            ~n_plus_e:(G.num_classes g + G.num_edges g)
+          Scaling.record ~experiment:"OPN1" ~family ~n_plus_e:size
             ~time_ns:(ns *. float_of_int bytes)
             (Telemetry.Json.Obj
                [ ("line_bytes", Telemetry.Json.Int bytes);
@@ -112,10 +198,14 @@ let run_with ~repeats ~docs =
                  ("ns_per_byte_q3", f ns_q3);
                  ("minor_words_per_byte", f w);
                  ("minor_words_per_byte_q1", f w_q1);
-                 ("minor_words_per_byte_q3", f w_q3) ]))
+                 ("minor_words_per_byte_q3", f w_q3);
+                 ("major_words_per_byte", f m);
+                 ("major_words_per_byte_q1", f m_q1);
+                 ("major_words_per_byte_q3", f m_q3) ]))
         rows;
+      if cold_rows then cold ~kb ~bytes ~size line;
       let median decode =
-        let (ns, _, _), _ = List.assoc decode rows in
+        let (ns, _, _), _, _ = List.assoc decode rows in
         ns
       in
       if check_faster then
@@ -124,7 +214,7 @@ let run_with ~repeats ~docs =
           (median "in place" < median "tree (former)"))
     docs
 
-let run () = run_with ~repeats:15 ~docs:[ (24, false); (256, true) ]
+let run () = run_with ~repeats:15 ~cold_rows:true ~docs:[ (24, false); (256, true) ]
 
-(* make bench-smoke: the 660 KB line only, few repeats *)
-let smoke () = run_with ~repeats:5 ~docs:[ (256, true) ]
+(* make bench-smoke: the 660 KB line only, few repeats, no children *)
+let smoke () = run_with ~repeats:5 ~cold_rows:false ~docs:[ (256, true) ]

@@ -1,13 +1,19 @@
 (* SRV1: networked-server latency and saturation — loadgen against the
-   TCP server at 1, 2 and 4 worker domains on the paper's figure-9
-   hierarchy.
+   TCP server at 1, 2 and 4 workers on the paper's figure-9 hierarchy.
 
-   Two runs per worker count over a loopback ephemeral port.  An
+   Three runs per measurement over a loopback ephemeral port.  An
    open-loop run at a fixed aggregate rate gives the p50/p99 a client
    would see when the server keeps up (latencies measured from the
-   coordinated-omission-safe schedule, so stalls are charged).  A
-   closed-loop run — every connection sending as fast as the server
-   answers — gives the saturation throughput.
+   coordinated-omission-safe schedule, so stalls are charged).  Two
+   closed-loop runs — every connection sending as fast as the server
+   answers, over JSON lines and over cxxlookup-rpc/1b — give the
+   saturation throughput.
+
+   One 1-s run per row cannot resolve a change, so each row is measured
+   [repeats] times, each on a fresh server, with the rows interleaved
+   (1, 2, 4 workers, then 4, 2, 1, ...) so drift on the host falls on
+   every row alike; a row reports the median and quartiles of each
+   figure, as CLU1 does.
 
    Worker scaling is honest, not flattering: on a single-core host the
    1/2/4-worker rows measure the cost of domain coordination, not a
@@ -19,10 +25,6 @@ module J = Chg.Json
 module Figures = Hiergen.Figures
 
 let header id title = Format.printf "@.---- %s: %s ----@." id title
-
-let counters_json pairs =
-  Telemetry.Json.Obj
-    (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) pairs)
 
 let response_ok line =
   match J.of_string line with
@@ -71,6 +73,39 @@ let with_server ~workers f =
 
 let open_loop_qps = 2000.
 let measure_s = 1.0
+let repeats = 5
+
+type sample = {
+  fixed : Telemetry.Histogram.t;  (* the open-loop run's latencies *)
+  fixed_answered : int;
+  sat_qps : float;
+  sat_answered : int;
+  sat_b_qps : float;
+  sat_b_answered : int;
+  errors : int;  (* in-band errors over the three runs *)
+}
+
+(* One measurement of a row, on a fresh server. *)
+let measure ~workers g queries =
+  with_server ~workers @@ fun addr ->
+  let session = "bench" in
+  open_and_warm addr ~session g queries;
+  let mix = [ ("lookup", 9); ("batch_lookup", 1) ] in
+  let base =
+    { Net.Loadgen.conns = 4; qps = 0.; duration = measure_s; mix;
+      batch_size = 8; binary = false }
+  in
+  (* fixed-rate run: client-visible latency when the server keeps up *)
+  let fixed =
+    Net.Loadgen.run addr { base with qps = open_loop_qps } ~session ~queries
+  in
+  (* saturation runs, both framings: JSON lines vs cxxlookup-rpc/1b *)
+  let sat = Net.Loadgen.run addr base ~session ~queries in
+  let sat_b = Net.Loadgen.run addr { base with binary = true } ~session ~queries in
+  { fixed = fixed.hist; fixed_answered = fixed.answered;
+    sat_qps = sat.achieved_qps; sat_answered = sat.answered;
+    sat_b_qps = sat_b.achieved_qps; sat_b_answered = sat_b.answered;
+    errors = fixed.errors + sat.errors + sat_b.errors }
 
 let run () =
   header "SRV1" "networked server: loadgen latency and saturation";
@@ -85,58 +120,57 @@ let run () =
   in
   Format.printf
     "  fig9: %d classes; %d query candidates; open loop %.0f qps, %gs per \
-     run@."
-    (G.num_classes g) (Array.length queries) open_loop_qps measure_s;
+     run; %d runs per row, rows interleaved; median [q1, q3]@."
+    (G.num_classes g) (Array.length queries) open_loop_qps measure_s repeats;
+  let rows = [ 1; 2; 4 ] in
+  let samples = Hashtbl.create 3 in
+  for r = 0 to repeats - 1 do
+    List.iter
+      (fun workers -> Hashtbl.add samples workers (measure ~workers g queries))
+      (if r mod 2 = 0 then rows else List.rev rows)
+  done;
   List.iter
     (fun workers ->
-      with_server ~workers @@ fun addr ->
-      let session = "bench" in
-      open_and_warm addr ~session g queries;
-      let mix = [ ("lookup", 9); ("batch_lookup", 1) ] in
-      let base =
-        { Net.Loadgen.conns = 4; qps = 0.; duration = measure_s; mix;
-          batch_size = 8; binary = false }
-      in
-      (* fixed-rate run: client-visible latency when the server keeps up *)
-      let fixed =
-        Net.Loadgen.run addr { base with qps = open_loop_qps } ~session
-          ~queries
-      in
-      (* saturation runs, both framings: JSON lines vs cxxlookup-rpc/1b *)
-      let sat = Net.Loadgen.run addr base ~session ~queries in
-      let sat_b =
-        Net.Loadgen.run addr { base with binary = true } ~session ~queries
-      in
-      let h = fixed.hist in
-      let p q = Telemetry.Histogram.quantile h q in
-      let sat_qps = int_of_float sat.achieved_qps in
-      let sat_b_qps = int_of_float sat_b.achieved_qps in
+      let ss = Hashtbl.find_all samples workers in
+      let q f = Open_bench.quartiles (Array.of_list (List.map f ss)) in
+      let sum f = List.fold_left (fun a s -> a + f s) 0 ss in
+      let pct p s = float_of_int (Telemetry.Histogram.quantile s.fixed p) in
+      let p50, p50_q1, p50_q3 = q (pct 0.50) in
+      let p99, p99_q1, p99_q3 = q (pct 0.99) in
+      let sat, sat_q1, sat_q3 = q (fun s -> s.sat_qps) in
+      let sat_b, sat_b_q1, sat_b_q3 = q (fun s -> s.sat_b_qps) in
+      let errors = sum (fun s -> s.errors) in
       Format.printf
-        "  workers=%d  p50=%d ns  p99=%d ns  (open loop, %d answered)  \
-         saturation json=%d req/s (%d answered)  binary=%d req/s (%d \
-         answered)@."
-        workers (p 0.50) (p 0.99) fixed.answered sat_qps sat.answered
-        sat_b_qps sat_b.answered;
-      if fixed.errors > 0 || sat.errors > 0 || sat_b.errors > 0 then
-        Format.printf
-          "  WARNING: in-band errors: fixed=%d saturation=%d binary=%d@."
-          fixed.errors sat.errors sat_b.errors;
+        "  workers=%d  p50=%.0f [%.0f, %.0f] ns  p99=%.0f [%.0f, %.0f] ns  \
+         saturation json=%.0f [%.0f, %.0f] req/s  binary=%.0f [%.0f, %.0f] \
+         req/s@."
+        workers p50 p50_q1 p50_q3 p99 p99_q1 p99_q3 sat sat_q1 sat_q3 sat_b
+        sat_b_q1 sat_b_q3;
+      if errors > 0 then
+        Format.printf "  WARNING: %d in-band errors at %d workers@." errors
+          workers;
+      (* the open-loop runs' latencies, merged losslessly *)
+      let fixed = Telemetry.Histogram.create () in
+      List.iter (fun s -> Telemetry.Histogram.merge_into ~into:fixed s.fixed) ss;
+      let i x = Telemetry.Json.Int x and f x = Telemetry.Json.Float x in
       Scaling.record ~experiment:"SRV1"
         ~family:(Printf.sprintf "fig9 tcp %d workers" workers)
         ~n_plus_e:size
-        ~time_ns:
-          (if sat.answered = 0 then 0.
-           else sat.elapsed *. 1e9 /. float_of_int sat.answered)
-        ~latency:h
-        (counters_json
-           [ ("workers", workers);
-             ("open_loop_qps_target", int_of_float open_loop_qps);
-             ("open_loop_answered", fixed.answered);
-             ("open_loop_errors", fixed.errors);
-             ("saturation_qps", sat_qps);
-             ("saturation_answered", sat.answered);
-             ("saturation_errors", sat.errors);
-             ("binary_saturation_qps", sat_b_qps);
-             ("binary_saturation_answered", sat_b.answered);
-             ("binary_saturation_errors", sat_b.errors) ]))
-    [ 1; 2; 4 ]
+        ~time_ns:(if sat = 0. then 0. else 1e9 /. sat)
+        ~latency:fixed
+        (Telemetry.Json.Obj
+           [ ("workers", i workers);
+             ("runs", i (List.length ss));
+             ("open_loop_qps_target", i (int_of_float open_loop_qps));
+             ("open_loop_answered", i (sum (fun s -> s.fixed_answered)));
+             ("p50_ns", f p50); ("p50_ns_q1", f p50_q1); ("p50_ns_q3", f p50_q3);
+             ("p99_ns", f p99); ("p99_ns_q1", f p99_q1); ("p99_ns_q3", f p99_q3);
+             ("saturation_qps", f sat); ("saturation_qps_q1", f sat_q1);
+             ("saturation_qps_q3", f sat_q3);
+             ("saturation_answered", i (sum (fun s -> s.sat_answered)));
+             ("binary_saturation_qps", f sat_b);
+             ("binary_saturation_qps_q1", f sat_b_q1);
+             ("binary_saturation_qps_q3", f sat_b_q3);
+             ("binary_saturation_answered", i (sum (fun s -> s.sat_b_answered)));
+             ("errors", i errors) ]))
+    rows

@@ -1808,8 +1808,8 @@ let batch_cmd =
     let text = read_file file in
     let hierarchy =
       if Filename.check_suffix file ".json" then begin
-        match Chg.Json.span_of_string text with
-        | Ok sp -> Service.Protocol.Chg_json sp
+        match Chg.Json.read_string Chg.Serialize.read text with
+        | Ok chg -> Service.Protocol.Chg_json chg
         | Error e ->
           prerr_endline ("error: " ^ e);
           exit 1

@@ -193,26 +193,48 @@ let read_list r f =
   let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (f r :: acc) in
   go n []
 
+(* In-order array read, likewise.  Each element takes at least
+   [min_bytes], so a count past what the bytes left can hold fails in an
+   element's read before the array, sized by those bytes, would
+   overflow. *)
+let read_array r ~min_bytes f =
+  let n = Reader.u32 r in
+  if n = 0 then [||]
+  else begin
+    let x = f r in
+    let a = Array.make (min n ((Reader.remaining r / min_bytes) + 1)) x in
+    for k = 1 to n - 1 do
+      let x = f r in
+      a.(k) <- x
+    done;
+    a
+  end
+
+(* A class takes at least its three u32 counts (name, bases, members);
+   a base an id, its kind and access; a member its name's length and
+   four bytes. *)
+let class_bytes = 12
+let base_bytes = 6
+let member_bytes = 8
+
 let read_graph r =
   let n = Reader.u32 r in
-  let b = Graph.create_builder () in
+  let o = Graph.ordered (min n ((Reader.remaining r / class_bytes) + 1)) in
   (* ids are assigned densely in declaration order, so a base id must
-     refer to an earlier class; names collects them as they appear *)
-  let names = Array.make (max n 1) "" in
+     refer to an earlier class *)
   (try
      for i = 0 to n - 1 do
        let name = Reader.string r in
        let bases =
-         read_list r (fun r ->
+         read_array r ~min_bytes:base_bytes (fun r ->
              let id = Reader.u32 r in
              if id >= i then corrupt "base id %d of class %d not earlier" id i;
              let kind = read_edge_kind r in
              let access = read_access r in
-             (names.(id), kind, access))
+             { Graph.b_class = id; b_kind = kind; b_access = access })
        in
-       let members = read_list r read_member in
-       names.(i) <- name;
-       ignore (Graph.add_class b name ~bases ~members)
+       let members = read_array r ~min_bytes:member_bytes read_member in
+       Graph.add_ordered o name ~bases ~members
      done
    with Graph.Error e -> corrupt "graph rejected: %s" (Graph.error_to_string e));
-  Graph.freeze b
+  Graph.of_ordered o

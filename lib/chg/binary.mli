@@ -67,8 +67,8 @@ end
 
     Encodes a frozen {!Graph.t} structurally: classes in id
     (declaration) order, each with its name, direct bases (by id — ids
-    are a topological order, so decoding can rebuild through the
-    builder) and members.  The encoding has no version field of its own;
+    are a topological order, so decoding fills the graph's arrays in
+    one pass, {!Graph.add_ordered}) and members.  The encoding has no version field of its own;
     the store's snapshot header versions the whole container. *)
 
 (** [read_list r f] reads a u32 count then that many elements with [f],
@@ -77,7 +77,9 @@ val read_list : Reader.t -> (Reader.t -> 'a) -> 'a list
 
 val write_graph : Writer.t -> Graph.t -> unit
 
-(** [read_graph r] rebuilds the graph.
+(** [read_graph r] rebuilds the graph, with every check of the
+    builder: a base id must be an earlier class, and a duplicate class,
+    base or member is "graph rejected: " and the {!Graph.error} text.
     @raise Corrupt on malformed input (including graph-level errors such
     as an out-of-range base id). *)
 val read_graph : Reader.t -> Graph.t

@@ -211,49 +211,90 @@ type decl = {
   d_members : member list;
 }
 
+(* Classes in id order, bases already ids: the one-pass build behind
+   {!of_ordered_decls} and the snapshot decode.  A repeated base shows
+   as [last_derived] already holding the class, a repeated member as
+   its name's entry in [last_declarer] already holding it. *)
+type ordered = {
+  mutable o_names : string array;
+  o_ids : (string, int) Hashtbl.t;
+  mutable o_bases : base array array;
+  mutable o_members : member array array;
+  mutable last_derived : int array;
+  last_declarer : (string, int ref) Hashtbl.t;
+  mutable o_count : int;
+}
+
+let ordered n =
+  let n = max n 1 in
+  { o_names = Array.make n ""; o_ids = Hashtbl.create n;
+    o_bases = Array.make n [||]; o_members = Array.make n [||];
+    last_derived = Array.make n (-1); last_declarer = Hashtbl.create n;
+    o_count = 0 }
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* The checks of {!resolve_class}, in its order, against ids. *)
+let add_ordered o name ~bases ~members =
+  let c = o.o_count in
+  if Hashtbl.mem o.o_ids name then raise (Error (Duplicate_class name));
+  Array.iter
+    (fun m ->
+      match Hashtbl.find_opt o.last_declarer m.m_name with
+      | Some last when !last = c ->
+        raise (Error (Duplicate_member { cls = name; member = m.m_name }))
+      | Some last -> last := c
+      | None -> Hashtbl.add o.last_declarer m.m_name (ref c))
+    members;
+  Array.iter
+    (fun b ->
+      if b.b_class < 0 || b.b_class >= c then
+        invalid_arg "Graph.add_ordered: a base must be an earlier class";
+      if o.last_derived.(b.b_class) = c then
+        raise
+          (Error (Duplicate_base { cls = name; base = o.o_names.(b.b_class) }));
+      o.last_derived.(b.b_class) <- c)
+    bases;
+  if c = Array.length o.o_names then begin
+    o.o_names <- grow o.o_names "";
+    o.o_bases <- grow o.o_bases [||];
+    o.o_members <- grow o.o_members [||];
+    o.last_derived <- grow o.last_derived (-1)
+  end;
+  Hashtbl.add o.o_ids name c;
+  o.o_names.(c) <- name;
+  o.o_bases.(c) <- bases;
+  o.o_members.(c) <- members;
+  o.o_count <- c + 1
+
+let of_ordered o =
+  let fit a = if Array.length a = o.o_count then a else Array.sub a 0 o.o_count in
+  of_arrays (fit o.o_names) o.o_ids (fit o.o_bases) (fit o.o_members)
+
 exception Irregular
 
 (* The common case in one pass: every base declared before the classes
    deriving from it, as {!Serialize} writes them, so ids are list
-   positions.  One id table sized to the class count and one table from
-   a member name to the last class that declared it; a repeated base
-   shows as [last_derived] already holding the class, a repeated member
-   as its name's entry already holding it.  Raises [Irregular] at the
-   first forward reference, duplicate or unknown base: the DFS path then
-   sorts the list and reports every error. *)
+   positions.  Raises [Irregular] at the first forward reference or
+   unknown base, [Error] at a duplicate: the DFS path then sorts the
+   list and reports every error. *)
 let of_ordered_decls decls =
-  let n = List.length decls in
-  let ids = Hashtbl.create n in
-  let names = Array.make n "" in
-  let base_edges = Array.make n [||] in
-  let member_arrays = Array.make n [||] in
-  let last_derived = Array.make n (-1) in
-  let last_declarer = Hashtbl.create n in
-  List.iteri
-    (fun c d ->
-      if Hashtbl.mem ids d.d_name then raise Irregular;
+  let o = ordered (List.length decls) in
+  List.iter
+    (fun d ->
       let base (b, kind, acc) =
-        match Hashtbl.find_opt ids b with
-        | Some id when last_derived.(id) <> c ->
-          last_derived.(id) <- c;
-          { b_class = id; b_kind = kind; b_access = acc }
-        | _ -> raise Irregular
+        match Hashtbl.find_opt o.o_ids b with
+        | Some id -> { b_class = id; b_kind = kind; b_access = acc }
+        | None -> raise Irregular
       in
-      let bases = Array.of_list (List.map base d.d_bases) in
-      let ms = Array.of_list d.d_members in
-      Array.iter
-        (fun m ->
-          match Hashtbl.find_opt last_declarer m.m_name with
-          | Some last when !last = c -> raise Irregular
-          | Some last -> last := c
-          | None -> Hashtbl.add last_declarer m.m_name (ref c))
-        ms;
-      Hashtbl.add ids d.d_name c;
-      names.(c) <- d.d_name;
-      base_edges.(c) <- bases;
-      member_arrays.(c) <- ms)
+      add_ordered o d.d_name
+        ~bases:(Array.of_list (List.map base d.d_bases))
+        ~members:(Array.of_list d.d_members))
     decls;
-  of_arrays names ids base_edges member_arrays
+  of_ordered o
 
 (* Topologically sort the declarations (bases first) with an explicit
    DFS so we can report a cycle as a witness path. *)
@@ -309,7 +350,7 @@ let of_decls_sorted decls =
 let of_decls decls =
   match of_ordered_decls decls with
   | g -> Ok g
-  | exception Irregular -> of_decls_sorted decls
+  | exception (Irregular | Error _) -> of_decls_sorted decls
 
 let member ?(kind = Data) ?(static = false) ?(virtual_ = false)
     ?(access = Public) name =

@@ -142,6 +142,29 @@ val of_decls : decl list -> (t, error) result
     pass. *)
 val of_decls_sorted : decl list -> (t, error) result
 
+(** {1 Building from ids}
+
+    Classes added in id order with their bases already ids, as a
+    binary snapshot holds them: no names to resolve and no per-class
+    tables. *)
+
+type ordered
+
+(** [ordered n] is an empty build, with room for [n] classes (it grows
+    past them). *)
+val ordered : int -> ordered
+
+(** [add_ordered o name ~bases ~members] adds the next class, checked
+    as {!add_class} checks it and in its order: a fresh name, distinct
+    members, distinct bases.  The arrays are kept, not copied.
+    @raise Error on a duplicate class, member or base.
+    @raise Invalid_argument on a base that is not an earlier class. *)
+val add_ordered :
+  ordered -> string -> bases:base array -> members:member array -> unit
+
+(** [of_ordered o] is the graph of the classes added so far. *)
+val of_ordered : ordered -> t
+
 (** Convenience: a plain member with defaults
     ([Data], non-static, non-virtual, [Public]). *)
 val member : ?kind:member_kind -> ?static:bool -> ?virtual_:bool ->

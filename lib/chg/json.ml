@@ -71,19 +71,6 @@ let to_string ?(pretty = false) j =
 
 exception Parse of string * int
 
-(* One JSON value the scanner below has validated, with its tape: per
-   value, entry [i] ([entry tape i]) is the offset of its first byte in
-   [src] and entry [i + 1] the index just past its subtree.  A container's
-   children follow it, an array's elements or an object's keys and
-   values alternating; value 0 is the span's own. *)
-type span = { src : string; tape : Bytes.t }
-
-(* The tape's entries are 64-bit words in bytes: a bytes block is
-   neither initialised when made nor scanned by the collector, so
-   growing a tape costs one copy of what it holds. *)
-let entry tape i = Int64.to_int (Bytes.get_int64_le tape (8 * i))
-let set_entry tape i v = Bytes.set_int64_le tape (8 * i) (Int64.of_int v)
-
 let hex_digit = function
   | '0' .. '9' as c -> Char.code c - 48
   | 'a' .. 'f' as c -> Char.code c - 87
@@ -128,27 +115,35 @@ let rec named k = function [] -> false | x :: l -> String.equal x k || named k l
 (* The scanner's state over one document [s]: a byte scanner whose
    characters are read in place, where a string without escapes is one
    [String.sub], and a value that is only validated ([skip_value])
-   allocates nothing unless its tape is kept.  Failure text and offsets
-   are part of the wire contract (parse errors are echoed to clients),
-   and the building and the validating paths raise the same errors at
-   the same offsets.  The state is one record and the scanner's
-   functions take it, so a scan allocates no closures.
+   allocates nothing.  Failure text and offsets are part of the wire
+   contract (parse errors are echoed to clients), and the building, the
+   validating and the reading paths raise the same errors at the same
+   offsets.  The state is one record and the scanner's functions take
+   it, so a scan allocates no closures.
 
    [skip] names top-level object fields that are validated, not built:
-   each comes back hollow, of its own kind.  With [keep], the first
-   value of each such field also gets its span: [tape] is written while
-   [taping], then joins [spans]. *)
+   each comes back hollow, of its own kind.  So does the top-level
+   field [read_key], except that its first value, while [reading],
+   goes to [on_read].  [str_at], [str_end] and [str_esc] are the last string
+   scanned: its content bytes and whether an escape is among them.
+   [shared] is an open-addressing set of the strings {!shared_str} has
+   returned ([vacant] where empty), [shared_n] how many it holds. *)
 type scanner = {
   s : string;
   n : int;
   mutable pos : int;
   skip : string list;
-  keep : bool;
-  mutable taping : bool;
-  mutable tape : Bytes.t;
-  mutable fill : int;
-  mutable spans : (string * span) list;
+  read_key : string option;
+  mutable reading : bool;
+  on_read : scanner -> unit;
+  mutable str_at : int;
+  mutable str_end : int;
+  mutable str_esc : bool;
+  mutable shared : string array;
+  mutable shared_n : int;
 }
+
+type reader = scanner
 
 let error st msg = raise (Parse (msg, st.pos))
 
@@ -181,21 +176,6 @@ let literal st word value =
     value
   end
   else error st (Printf.sprintf "invalid literal (expected %s)" word)
-
-(* A node for the value at [pos]: its tape index, or -1.  The tape
-   starts small and doubles, so it is sized by what was scanned. *)
-let node st =
-  if not st.taping then -1
-  else begin
-    let i = st.fill in
-    if 8 * (i + 2) > Bytes.length st.tape then
-      st.tape <- Bytes.extend st.tape 0 (Bytes.length st.tape);
-    set_entry st.tape i st.pos;
-    st.fill <- i + 2;
-    i
-  end
-
-let close st i = if i >= 0 then set_entry st.tape (i + 1) st.fill
 
 (* The rest of a string from its escape at [pos], appended to [buf]
    unless only validating. *)
@@ -259,11 +239,14 @@ let parse_string st =
     Buffer.contents b
   end
 
+(* Validates the string at [pos] and notes where its contents lie. *)
 let skip_string st =
-  let i = node st in
   expect st '"';
-  if plain st st.pos >= 0 then escaped st None;
-  close st i
+  let start = st.pos in
+  st.str_esc <- plain st start >= 0;
+  if st.str_esc then escaped st None;
+  st.str_at <- start;
+  st.str_end <- st.pos - 1
 
 let rec digits st =
   if st.pos < st.n then
@@ -282,62 +265,60 @@ let parse_int st =
   | v -> v
   | exception Exit -> error st "malformed number"
 
+let rec item_loop st f a =
+  f st a;
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    item_loop st f a
+  end
+  else if at st ']' then st.pos <- st.pos + 1
+  else error st "expected ',' or ']'"
+
+(* The array at [pos]: [f st a] per element, which must consume it. *)
+let read_items st f a =
+  st.pos <- st.pos + 1;
+  skip_ws st;
+  if at st ']' then st.pos <- st.pos + 1 else item_loop st f a
+
+let rec field_loop st f a =
+  skip_ws st;
+  skip_string st;
+  skip_ws st;
+  expect st ':';
+  f st a;
+  skip_ws st;
+  if at st ',' then begin
+    st.pos <- st.pos + 1;
+    field_loop st f a
+  end
+  else if at st '}' then st.pos <- st.pos + 1
+  else error st "expected ',' or '}'"
+
+(* The object at [pos]: per field, its key is scanned, then [f st a]
+   must consume the value. *)
+let read_fields st f a =
+  st.pos <- st.pos + 1;
+  skip_ws st;
+  if at st '}' then st.pos <- st.pos + 1 else field_loop st f a
+
 let rec skip_value st =
   skip_ws st;
   if st.pos >= st.n then error st "unexpected end of input";
   match String.unsafe_get st.s st.pos with
   | '"' -> skip_string st
-  | '[' ->
-    let i = node st in
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st ']' then st.pos <- st.pos + 1 else skip_items st;
-    close st i
-  | '{' ->
-    let i = node st in
-    st.pos <- st.pos + 1;
-    skip_ws st;
-    if at st '}' then st.pos <- st.pos + 1 else skip_fields st;
-    close st i
-  | _ -> skip_scalar st
-
-and skip_scalar st =
-  let i = node st in
-  (match String.unsafe_get st.s st.pos with
+  | '[' -> read_items st skip_one ()
+  | '{' -> read_fields st skip_one ()
   | 'n' -> literal st "null" ()
   | 't' -> literal st "true" ()
   | 'f' -> literal st "false" ()
   | '-' | '0' .. '9' -> ignore (parse_int st)
-  | c -> error st (Printf.sprintf "unexpected character '%c'" c));
-  close st i
+  | c -> error st (Printf.sprintf "unexpected character '%c'" c)
 
-and skip_items st =
-  skip_value st;
-  skip_ws st;
-  if at st ',' then begin
-    st.pos <- st.pos + 1;
-    skip_items st
-  end
-  else if at st ']' then st.pos <- st.pos + 1
-  else error st "expected ',' or ']'"
+and skip_one st () = skip_value st
 
-and skip_fields st =
-  skip_ws st;
-  skip_string st;
-  skip_ws st;
-  expect st ':';
-  skip_value st;
-  skip_ws st;
-  if at st ',' then begin
-    st.pos <- st.pos + 1;
-    skip_fields st
-  end
-  else if at st '}' then st.pos <- st.pos + 1
-  else error st "expected ',' or '}'"
-
-let rec has_span k = function
-  | [] -> false
-  | (x, _) :: l -> String.equal x k || has_span k l
+let is_read_key st k =
+  match st.read_key with Some r -> String.equal r k | None -> false
 
 (* [top]: the document's outermost value, whose fields [skip] names *)
 let rec parse_value st ~top =
@@ -386,7 +367,8 @@ and fields st ~top acc =
   skip_ws st;
   expect st ':';
   let v =
-    if top && named k st.skip then skipped st k else parse_value st ~top:false
+    if top && (named k st.skip || is_read_key st k) then skipped st k
+    else parse_value st ~top:false
   in
   let acc = (k, v) :: acc in
   skip_ws st;
@@ -400,20 +382,18 @@ and fields st ~top acc =
   end
   else error st "expected ',' or '}'"
 
-(* A skipped value: validated, hollow (the hollow values are constants,
-   so they allocate nothing), and taped if it is the first of its key
-   and spans are kept.  A later duplicate, which no reader sees (the
-   first key wins), is only validated: a line's tapes are one per
-   skipped key, together no longer than the line. *)
+(* A skipped value: validated and hollow (the hollow values are
+   constants, so they allocate nothing), or, for the first [read_key],
+   read by [on_read] and [Null] in the tree.  A later duplicate, which
+   no reader sees (the first key wins), is only validated. *)
 and skipped st k =
   skip_ws st;
-  let kept = st.keep && not (has_span k st.spans) in
-  if kept then begin
-    st.taping <- true;
-    st.tape <- Bytes.create (8 * 64);
-    st.fill <- 0
-  end;
-  let v =
+  if st.reading && is_read_key st k then begin
+    st.reading <- false;
+    st.on_read st;
+    Null
+  end
+  else
     match if st.pos < st.n then String.unsafe_get st.s st.pos else ' ' with
     | '"' ->
       skip_value st;
@@ -424,152 +404,142 @@ and skipped st k =
     | '{' ->
       skip_value st;
       Obj []
-    | _ ->
-      let i = node st in
-      let v = parse_value st ~top:false in
-      close st i;
-      v
-  in
-  if kept then begin
-    st.taping <- false;
-    st.spans <- (k, { src = st.s; tape = st.tape }) :: st.spans
-  end;
+    | _ -> parse_value st ~top:false
+
+let vacant = "\000"
+
+let scanner ?read_key ?(on_read = ignore) ~skip s =
+  { s; n = String.length s; pos = 0; skip; read_key;
+    reading = read_key <> None; on_read; str_at = 0; str_end = 0;
+    str_esc = false; shared = [||]; shared_n = 0 }
+
+(* [v], the value of the document [st] scans, once its end is checked *)
+let ended st v =
+  skip_ws st;
+  if st.pos <> st.n then error st "trailing garbage";
   v
 
-let scanner ~skip ~keep s =
-  { s; n = String.length s; pos = 0; skip; keep; taping = false;
-    tape = Bytes.empty; fill = 0; spans = [] }
+let json_error msg at =
+  Error (Printf.sprintf "JSON error at offset %d: %s" at msg)
 
-(* The document [st] scans; [whole] validates it as one skipped value. *)
-let scanned ~whole st =
-  match
-    let v = if whole then skipped st "" else parse_value st ~top:true in
-    skip_ws st;
-    if st.pos <> st.n then error st "trailing garbage";
-    v
-  with
+let of_string ?(skip = []) s =
+  let st = scanner ~skip s in
+  match ended st (parse_value st ~top:true) with
   | v -> Ok v
-  | exception Parse (msg, at) ->
-    Error (Printf.sprintf "JSON error at offset %d: %s" at msg)
+  | exception Parse (msg, at) -> json_error msg at
 
-let of_string ?(skip = []) s = scanned ~whole:false (scanner ~skip ~keep:false s)
+let of_string_reading ~read f s =
+  let got = ref None in
+  let st =
+    scanner ~read_key:read ~on_read:(fun r -> got := Some (f r)) ~skip:[] s
+  in
+  match ended st (parse_value st ~top:true) with
+  | j -> Ok (j, !got)
+  | exception Parse (msg, at) -> json_error msg at
 
-let of_string_spans ~skip s =
-  let st = scanner ~skip ~keep:true s in
-  match scanned ~whole:false st with
-  | Ok v -> Ok (v, List.rev st.spans)
-  | Error msg -> Error msg
+let read_string f s =
+  let st = scanner ~skip:[] s in
+  match ended st (f st) with
+  | v -> Ok v
+  | exception Parse (msg, at) -> json_error msg at
 
-let span_of_string s =
-  let st = scanner ~skip:[] ~keep:true s in
-  match scanned ~whole:true st with
-  | Ok _ -> Ok (snd (List.hd st.spans) (* the document's, its only one *))
-  | Error msg -> Error msg
+(* -- reading a document as it is validated ------------------------------ *)
 
-(* -- reading a validated span in place ---------------------------------- *)
+let peek st =
+  skip_ws st;
+  if st.pos >= st.n then error st "unexpected end of input";
+  String.unsafe_get st.s st.pos
 
-(* A value of a span is its tape index: a reader steps over a value in
-   O(1) and reads its bytes only to decode it.  The scanner vouched for
-   the grammar; every read is still bounds-checked. *)
-module Cursor = struct
-  type t = { sp : span; node : int }
+let skip = skip_value
+let int = parse_int
+let str = skip_string
 
-  let root sp = { sp; node = 0 }
-  let first_byte { sp; node } = sp.src.[entry sp.tape node]
+(* the last string scanned, escapes decoded *)
+let str_value st =
+  let len = st.str_end - st.str_at in
+  if not st.str_esc then String.sub st.s st.str_at len
+  else begin
+    let pos = st.pos and b = Buffer.create len in
+    st.pos <- st.str_at;
+    escaped st (Some b);
+    st.pos <- pos;
+    Buffer.contents b
+  end
 
-  (* the byte a backslash at [i] stands for, and the escape's length *)
-  let escape_char s i =
-    match s.[i + 1] with
-    | 'n' -> '\n'
-    | 't' -> '\t'
-    | 'r' -> '\r'
-    | 'b' -> '\b'
-    | 'u' -> Char.chr (hex4 s (i + 2))
-    | c -> c
+(* [s.[k .. j - 1]] is the rest of [x], which [s.[i ..]] holds *)
+let rec same_from x s i j k =
+  k = j
+  || (String.unsafe_get s k = String.unsafe_get x (k - i) && same_from x s i j (k + 1))
 
-  let escape_len s i = if s.[i + 1] = 'u' then 6 else 2
+(* [s.[i .. j - 1]] is [x] *)
+let same_slice x s i j = String.length x = j - i && same_from x s i j i
 
-  (* the string whose contents start at [i], from offset [p] of [k] on,
-     decodes to the rest of [k] *)
-  let rec key_is s i k p =
-    match s.[i] with
-    | '"' -> p = String.length k
-    | '\\' ->
-      p < String.length k
-      && escape_char s i = k.[p]
-      && key_is s (i + escape_len s i) k (p + 1)
-    | c -> p < String.length k && c = k.[p] && key_is s (i + 1) k (p + 1)
+(* the last string scanned, without escapes, is [x]; its length and
+   first byte are checked before its other bytes *)
+let same_str st x =
+  String.length x = st.str_end - st.str_at
+  && String.length x > 0
+  && String.unsafe_get x 0 = String.unsafe_get st.s st.str_at
+  && same_from x st.s st.str_at st.str_end st.str_at
 
-  (* the value of the first key named [k], from key node [key] on, or
-     -1; a key is a string, so its value is the next node *)
-  let rec find_key sp k key stop =
-    if key >= stop then -1
-    else if key_is sp.src (entry sp.tape key + 1) k 0 then key + 2
-    else find_key sp k (entry sp.tape (key + 3)) stop
+(* the first of [left] strings of [xs] from [k] on, wrapping, that
+   the last string scanned ([d] decoded, when it has escapes) is, or
+   -1 *)
+let rec str_index_from st d xs k left =
+  if left = 0 then -1
+  else
+    let k = if k = Array.length xs then 0 else k in
+    let x = Array.unsafe_get xs k in
+    if if st.str_esc then String.equal d x else same_str st x then k
+    else str_index_from st d xs (k + 1) (left - 1)
 
-  let member k ({ sp; node } as c) =
-    if first_byte c <> '{' then
-      Error (Printf.sprintf "expected an object with field %S" k)
-    else
-      let v = find_key sp k (node + 2) (entry sp.tape (node + 1)) in
-      if v < 0 then Error (Printf.sprintf "missing field %S" k)
-      else Ok { sp; node = v }
+let str_index st xs ~from =
+  let d = if st.str_esc then str_value st else "" in
+  str_index_from st d xs from (Array.length xs)
 
-  let[@tail_mod_cons] rec elements sp i stop =
-    if i >= stop then []
-    else { sp; node = i } :: elements sp (entry sp.tape (i + 1)) stop
+let rec hash s i j h =
+  if i = j then h land max_int
+  else hash s (i + 1) j ((h * 31) + Char.code (String.unsafe_get s i))
 
-  let to_list ({ sp; node } as c) =
-    if first_byte c <> '[' then Error "expected an array"
-    else Ok (elements sp (node + 2) (entry sp.tape (node + 1)))
+(* the slot of [s.[i .. j - 1]] in [tbl]: where it is, or [vacant] *)
+let rec slot tbl s i j k =
+  let x = Array.unsafe_get tbl k in
+  if x == vacant || same_slice x s i j then k
+  else slot tbl s i j ((k + 1) land (Array.length tbl - 1))
 
-  let rec digits_end s i =
-    if i < String.length s && (s.[i] = '-' || (s.[i] >= '0' && s.[i] <= '9'))
-    then digits_end s (i + 1)
-    else i
+(* [s.[i .. j - 1]] as a shared string: the one [shared] holds, or a
+   new one added to it (a copy of the slice of the document, or the
+   decoded string [s] itself).  The set doubles past half full. *)
+let rec intern st s i j =
+  let size = Array.length st.shared in
+  if 2 * (st.shared_n + 1) > size then begin
+    let old = st.shared in
+    let tbl = Array.make (max 256 (2 * size)) vacant in
+    Array.iter
+      (fun x ->
+        if x != vacant then
+          let len = String.length x in
+          tbl.(slot tbl x 0 len (hash x 0 len 0 land (Array.length tbl - 1))) <- x)
+      old;
+    st.shared <- tbl;
+    intern st s i j
+  end
+  else
+    let k = slot st.shared s i j (hash s i j 0 land (size - 1)) in
+    let x = st.shared.(k) in
+    if x != vacant then x
+    else begin
+      let x = if s == st.s then String.sub s i (j - i) else s in
+      st.shared.(k) <- x;
+      st.shared_n <- st.shared_n + 1;
+      x
+    end
 
-  let to_int ({ sp; node } as c) =
-    match first_byte c with
-    | '-' | '0' .. '9' ->
-      let at = entry sp.tape node in
-      (match decimal sp.src at (digits_end sp.src at) with
-      | v -> Ok v
-      | exception Exit -> Error "expected an integer")
-    | _ -> Error "expected an integer"
-
-  (* from [i]: the closing quote, or the first escape *)
-  let rec plain_end s i =
-    match s.[i] with '"' | '\\' -> i | _ -> plain_end s (i + 1)
-
-  let rec unescape s b i =
-    match s.[i] with
-    | '"' -> ()
-    | '\\' ->
-      Buffer.add_char b (escape_char s i);
-      unescape s b (i + escape_len s i)
-    | c ->
-      Buffer.add_char b c;
-      unescape s b (i + 1)
-
-  let to_str ({ sp; node } as c) =
-    if first_byte c <> '"' then Error "expected a string"
-    else
-      let s = sp.src and start = entry sp.tape node + 1 in
-      let e = plain_end s start in
-      if s.[e] = '"' then Ok (String.sub s start (e - start))
-      else begin
-        let b = Buffer.create (e - start + 16) in
-        Buffer.add_substring b s start (e - start);
-        unescape s b e;
-        Ok (Buffer.contents b)
-      end
-
-  let to_bool c =
-    match first_byte c with
-    | 't' -> Ok true
-    | 'f' -> Ok false
-    | _ -> Error "expected a boolean"
-end
+let shared_str st =
+  if st.str_esc then
+    let d = str_value st in
+    intern st d 0 (String.length d)
+  else intern st st.s st.str_at st.str_end
 
 (* -- accessors ----------------------------------------------------------- *)
 

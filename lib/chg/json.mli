@@ -31,36 +31,73 @@ val to_string : ?pretty:bool -> t -> string
     only the shape of its large ones. *)
 val of_string : ?skip:string list -> string -> (t, string) result
 
-(** The bytes of one JSON value that {!of_string}'s scanner validated,
-    read in place by {!Cursor}.  Only the scanner makes one. *)
-type span
+(** The scanner, driven by a reader of one document's schema: see
+    {!of_string_reading}. *)
+type reader
 
-(** [of_string_spans ~skip s] is [of_string ~skip s] plus the span of
-    each skipped field's first value, in document order (the value a
-    reader sees: the first of duplicate keys wins).  A later duplicate
-    is validated and nothing more, so a line's spans together are no
-    larger than the line. *)
-val of_string_spans :
-  skip:string list -> string -> (t * (string * span) list, string) result
+(** [of_string_reading ~read f s] is [of_string s], except that the
+    first value of the top-level field [read] is handed to [f]
+    as the scanner reaches it, and its result comes back beside the
+    tree ([None] without such a field).  [f] reads exactly that one
+    value through the functions below, so the document is validated
+    and read in one pass; the field itself is [Null] in the tree, and a
+    later duplicate is only validated (the first key wins).  A syntax
+    error anywhere in [s] is the result, whatever [f] made of what came
+    before it. *)
+val of_string_reading :
+  read:string -> (reader -> 'a) -> string -> (t * 'a option, string) result
 
-(** [span_of_string s] validates [s] as one JSON document, building
-    nothing: the span of its value, or {!of_string}'s error text. *)
-val span_of_string : string -> (span, string) result
+(** [read_string f s] validates [s] as one JSON document that [f]
+    reads: [f]'s result, or {!of_string}'s error text. *)
+val read_string : (reader -> 'a) -> string -> ('a, string) result
 
-(** A value inside a {!span}, read where it lies: the accessors below
-    with the same results and error text as their tree counterparts
-    (the first of duplicate keys wins), allocating only what they
-    return. *)
-module Cursor : sig
-  type t
+(** {2 Reading a value where it lies}
 
-  val root : span -> t
-  val member : string -> t -> (t, string) result
-  val to_list : t -> (t list, string) result
-  val to_int : t -> (int, string) result
-  val to_str : t -> (string, string) result
-  val to_bool : t -> (bool, string) result
-end
+    A reader is the scanner, stopped before a value.  Each function
+    below consumes one value and raises the scanner's own syntax
+    errors, which the calls above turn into their error text; the
+    caller decides what a value means, and {!skip} validates a value
+    it does not want.  Nothing is built but what the caller asks
+    for. *)
+
+(** [peek r] is the first byte of the next value (after whitespace):
+    ['{'], ['['], ['"'], ['t'], ['f'], ['n'], ['-'] or a digit for a
+    well-formed one. *)
+val peek : reader -> char
+
+(** [skip r] validates the next value and builds nothing. *)
+val skip : reader -> unit
+
+(** [int r] reads the number {!peek} found. *)
+val int : reader -> int
+
+(** [str r] validates the string {!peek} found; {!str_index},
+    {!str_value} and {!shared_str} then read it, until the next string
+    (or key) is scanned. *)
+val str : reader -> unit
+
+(** [str_index r xs ~from] is the index of the string of [xs] that the
+    last string scanned decodes to, or -1.  [xs] are distinct; they are
+    tried from [from] on, wrapping around, so a reader that expects a
+    key there pays one comparison when it comes.  Compared in place
+    when the string has no escapes. *)
+val str_index : reader -> string array -> from:int -> int
+
+(** The last string scanned, decoded. *)
+val str_value : reader -> string
+
+(** {!str_value}, shared: equal strings read by one reader are one
+    string, so a document's repeated names cost one copy. *)
+val shared_str : reader -> string
+
+(** [read_items r f a] reads the array {!peek} found: [f r a] per
+    element, which must consume it. *)
+val read_items : reader -> (reader -> 'a -> unit) -> 'a -> unit
+
+(** [read_fields r f a] reads the object {!peek} found: per field, its
+    key is scanned (read it with {!str_index}), then [f r a] must consume
+    the value. *)
+val read_fields : reader -> (reader -> 'a -> unit) -> 'a -> unit
 
 (** Accessors returning [Error] with a path-aware message. *)
 

@@ -21,12 +21,14 @@ val to_json : Graph.t -> Json.t
     graph-level errors ({!Graph.error}) as a message. *)
 val of_json : Json.t -> (Graph.t, string) result
 
-(** [of_span sp] is [of_json] of the document [sp] spans, read in
-    place: no tree is built.  The same results and error text. *)
-val of_span : Json.span -> (Graph.t, string) result
+(** [read r] reads the cxxlookup-chg document at [r] as the scanner
+    validates it ({!Json.of_string_reading}, {!Json.read_string}): in
+    one pass, building no tree, with [of_json]'s results and error
+    text.  Repeated names are shared strings. *)
+val read : Json.reader -> (Graph.t, string) result
 
 val to_string : ?pretty:bool -> Graph.t -> string
 
-(** [of_string s] validates [s] ({!Json.span_of_string}), then reads
-    it in place ({!of_span}). *)
+(** [of_string s] reads [s] in one pass ({!read}): {!Json}'s error text
+    for malformed JSON, else [of_json]'s result. *)
 val of_string : string -> (Graph.t, string) result

@@ -71,7 +71,7 @@ let code_of_byte = function
 type query = { q_class : string; q_member : string }
 
 type hierarchy =
-  | Chg_json of J.span  (** inline cxxlookup-chg document, in place *)
+  | Chg_json of (G.t, string) result  (** inline cxxlookup-chg document, read *)
   | Source of string  (** C++-subset translation unit text *)
 
 type mutation =
@@ -315,7 +315,7 @@ let op_of_json ~chg op j =
   | "close" -> Ok Close
   | other -> Error (Unknown_op, Printf.sprintf "unknown op %S" other)
 
-(* [chg] is the span of the first [chg] field's value, if there is one. *)
+(* [chg] is the reading of the first [chg] field, if there is one. *)
 let request_of ~chg j =
   let id = match field "id" j with Some v -> v | None -> J.Null in
   let fail code msg = Error (id, code, msg) in
@@ -340,32 +340,33 @@ let request_of ~chg j =
 
 (* The [chg] of a request with none, and of every routing decode's
    [open]: the router never reads an [open]'s hierarchy. *)
-let hollow_chg = Result.get_ok (J.span_of_string "{}")
+let hollow_chg = Ok G.empty
 
 let request_of_json j =
   let chg =
     match field "chg" j with
-    | Some v -> Result.get_ok (J.span_of_string (J.to_string v))
+    | Some v -> Chg.Serialize.of_json v
     | None -> hollow_chg
   in
   request_of ~chg j
 
-(* An [open]'s [chg] is never built as a tree: the scanner validates
-   it and hands back its span, which the server reads in place.  The
-   routing decode skips [source] too and keeps no span.  Together these
-   fields are all but a few bytes of a large [open] line. *)
+(* An [open]'s [chg] is never built as a tree: the scanner hands it to
+   the cxxlookup-chg reader as it validates the line, so the line is
+   read once.  The routing decode skips [source] and a batch's
+   [queries] too and reads nothing: together these fields are all but
+   a few bytes of a large request. *)
 let parse_request ?(shallow = false) line =
   let scanned =
     if shallow then
-      match J.of_string ~skip:[ "chg"; "source" ] line with
-      | Ok j -> Ok (j, [])
+      match J.of_string ~skip:[ "chg"; "source"; "queries" ] line with
+      | Ok j -> Ok (j, None)
       | Error msg -> Error msg
-    else J.of_string_spans ~skip:[ "chg" ] line
+    else J.of_string_reading ~read:"chg" Chg.Serialize.read line
   in
   match scanned with
   | Error msg -> Error (J.Null, Parse_error, msg)
-  | Ok (j, (_, chg) :: _) -> request_of ~chg j
-  | Ok (j, []) -> request_of ~chg:hollow_chg j
+  | Ok (j, Some chg) -> request_of ~chg j
+  | Ok (j, None) -> request_of ~chg:hollow_chg j
 
 (* ---- responses ----------------------------------------------------- *)
 

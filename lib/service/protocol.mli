@@ -88,9 +88,10 @@ val code_of_byte : int -> error_code option
 type query = { q_class : string; q_member : string }
 
 type hierarchy =
-  | Chg_json of Chg.Json.span
-      (** inline cxxlookup-chg document: its bytes, validated by the
-          JSON scanner and read in place ({!Chg.Serialize.of_span}) *)
+  | Chg_json of (Chg.Graph.t, string) result
+      (** inline cxxlookup-chg document, read as the JSON scanner
+          validated it ({!Chg.Serialize.read}): the graph, or the
+          error an [open] answers with [bad_hierarchy] *)
   | Source of string  (** C++-subset translation unit text *)
 
 type mutation =
@@ -132,13 +133,18 @@ val read_only : op -> bool
     id to echo plus a structured error.
 
     [parse_request] never builds an [open]'s [chg] as a tree: the JSON
-    scanner validates it and the request carries its span in [line]
-    ([request_of_json] prints the subtree to get one).
+    scanner hands it to {!Chg.Serialize.read} as it validates the line,
+    so the line is read once ([request_of_json] reads the subtree with
+    {!Chg.Serialize.of_json}, to the same result).  A JSON syntax error
+    anywhere in the line is the answer, whatever the [chg] held.
     [~shallow:true] is the routing decode: an [open]'s [chg] / [source]
-    value is validated by the JSON grammar but neither built nor kept,
-    so the request's hierarchy is hollow (one constant span of [{}], or
-    [Source ""]).  Every check of the full decode still
-    applies — the same errors, text and offsets, for the same lines. *)
+    value and a [batch_lookup]'s [queries] are validated by the JSON
+    grammar but not read, so the request's hierarchy is hollow
+    ([Chg_json (Ok Chg.Graph.empty)], or [Source ""]) and its batch
+    empty when the queries are an array.  Every other check of the full
+    decode still applies — the same errors, text and offsets, for the
+    same lines; a batch whose queries only the full decode rejects is
+    routed, and its backend gives that answer. *)
 val request_of_json :
   Chg.Json.t -> (request, Chg.Json.t * error_code * string) result
 

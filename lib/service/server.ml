@@ -183,10 +183,14 @@ let create ?(role = Leader) ?(config = Session.default_config)
        fun (s : Gc.stat) -> s.minor_collections);
       ("cxxlookup_gc_major_collections", "Major collection cycles since start.",
        fun s -> s.major_collections);
-      ("cxxlookup_gc_heap_words", "Major heap size, in words.",
-       fun s -> s.heap_words);
-      ("cxxlookup_gc_top_heap_words", "Largest major heap size, in words.",
-       fun s -> s.top_heap_words) ];
+      ( "cxxlookup_gc_heap_words",
+        "Major heap size, in words, as of the last finished major cycle \
+         (0 before the first).",
+        fun s -> s.heap_words );
+      ( "cxxlookup_gc_top_heap_words",
+        "Largest major heap size, in words, as of the last finished major \
+         cycle (0 before the first).",
+        fun s -> s.top_heap_words ) ];
   (match store with None -> () | Some s -> Store.register s registry);
   t
 
@@ -294,10 +298,8 @@ let session t = function
     | None -> error P.Unknown_session "no open session %S" name)
 
 let graph_of_hierarchy = function
-  | P.Chg_json sp ->
-    (match Chg.Serialize.of_span sp with
-    | Ok g -> Ok g
-    | Error msg -> Error (P.Bad_hierarchy, msg))
+  | P.Chg_json (Ok g) -> Ok g
+  | P.Chg_json (Error msg) -> Error (P.Bad_hierarchy, msg)
   | P.Source src ->
     let r = Frontend.Sema.analyze_source src in
     if Frontend.Sema.ok r then Ok r.Frontend.Sema.graph

@@ -228,8 +228,7 @@ let open_request ?(session = "s") g =
       P.Open
         { o_session = Some session;
           o_hierarchy =
-            P.Chg_json
-              (Result.get_ok (Chg.Json.span_of_string (Chg.Serialize.to_string g)))
+            P.Chg_json (Chg.Serialize.of_string (Chg.Serialize.to_string g))
         } }
 
 let mutate_request ~session name =
@@ -629,6 +628,45 @@ let test_router_json_batch_is_one_read () =
           Alcotest.(check int) "no columns where the session is not placed" 0
             (entries srv))
         others)
+
+(* The routing decode reads a batch's op and session, not its queries:
+   a batch whose queries array holds a malformed query is forwarded
+   whole, and the backend's answer comes back; queries that are not an
+   array the router answers itself.  Either way, the caller gets the
+   bytes a backend gives the same line directly. *)
+let test_router_malformed_batch_matches_direct () =
+  let g = graph () in
+  let session = "s" in
+  with_backends g ~session (fun (s0, _, _) addrs ->
+      with_router_t ~leader:0 addrs @@ fun rt ->
+      let cl = Net.Client.connect (Cluster.Router.bound_addr rt) in
+      Fun.protect ~finally:(fun () -> Net.Client.close cl) @@ fun () ->
+      List.iter
+        (fun (queries, forwarded) ->
+          let line =
+            Printf.sprintf
+              {|{"id":5,"op":"batch_lookup","session":"s","queries":%s}|}
+              queries
+          in
+          let before = router_round_trips rt in
+          let routed =
+            match Net.Client.request cl line with
+            | Some resp -> resp
+            | None -> Alcotest.fail "router closed the connection"
+          in
+          Alcotest.(check string) line
+            (J.to_string (Service.Server.handle_line s0 line))
+            routed;
+          Alcotest.(check int) (line ^ ": backend round trips")
+            (if forwarded then before + 1 else before)
+            (router_round_trips rt))
+        [ ({|[1]|}, true);
+          ({|[{"class":"A","member":"m"},{"class":1,"member":"m"}]|}, true);
+          ({|[{"class":"A"}]|}, true);
+          ({|[{"member":"m","class":"A"},"x"]|}, true);
+          ({|{"class":"A","member":"m"}|}, false);
+          ({|"queries"|}, false);
+          ({|7|}, false) ])
 
 let test_router_forwards_mutations_to_leader () =
   let g = graph () in
@@ -1113,4 +1151,6 @@ let suite =
     Alcotest.test_case "router 1b error frames echo id bytes" `Quick
       test_router_frame_errors_echo_id_bytes;
     Alcotest.test_case "router JSON batch: one read on the preferred backend"
-      `Quick test_router_json_batch_is_one_read ]
+      `Quick test_router_json_batch_is_one_read;
+    Alcotest.test_case "router malformed batch = the backend's direct answer"
+      `Quick test_router_malformed_batch_matches_direct ]
