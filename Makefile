@@ -13,8 +13,9 @@ bench:
 	dune exec bench/main.exe
 
 # Packed-table checks (PAR1 determinism, PAK1 size floor) on a small
-# family, the MRO figures, and the open-decode checks (OPN1: the tree
-# and in-place decodes agree, in place is faster) on one ~660 KB line:
+# family, the MRO figures, the open-decode checks (OPN1: the tree
+# and in-place decodes agree, in place is faster) on one ~660 KB line,
+# and that line echoed intact through the connection loop (FLR1):
 # seconds, not minutes, so CI can afford it per push.
 bench-smoke:
 	dune exec bench/main.exe -- smoke

@@ -86,13 +86,15 @@ let () =
   Format.printf "cxxlookup benchmark harness — ";
   Format.printf "A Member Lookup Algorithm for C++ (PLDI 1997)@.";
   (* `smoke` (make bench-smoke, CI) runs only the packed-table checks on
-     a small family (determinism and the size floor), the MRO figures
-     and the open-decode checks on one document, in seconds.  The full
+     a small family (determinism and the size floor), the MRO figures,
+     the open-decode checks on one document and a short large-line echo
+     through the connection loop, in seconds.  The full
      run regenerates every figure and BENCH_lookup.json. *)
   if Array.exists (String.equal "smoke") Sys.argv then begin
     Packed_bench.smoke ();
     Mro_bench.smoke ();
     Open_bench.smoke ();
+    Floor_bench.smoke ();
     Format.printf "@.%s@."
       (if !Fig_tables.checks_failed = 0 then "Smoke checks passed."
        else

@@ -8,8 +8,8 @@
    caller's bytes.  Rows, per line, in-process over a Unix socketpair
    (a writer thread on one end, the reader on the other):
 
-   + read: the shared connection loop ([Net.Server.serve_conn]: span
-     copies between newlines), against a per-byte channel reader (one
+   + read: the shared connection loop ([Net.Server.serve_conn]: the
+     line decoded where it was read), against a per-byte channel reader (one
      [input_char] per byte — how the router read lines before it ran on
      the shared loop), each answering a one-byte reply;
    + classify: the routing decode ([Service.Server.decode_line
@@ -94,12 +94,13 @@ let time_reads serve line =
   Unix.close far;
   t
 
-(* The shared loop, answering each complete line with [on_line]. *)
+(* The shared loop, answering each complete line with [on_line s pos
+   len], the line's region of the connection's buffer. *)
 let shared_loop on_line fd =
   Net.Server.serve_conn ~idle_timeout:60. ~max_line:(1 lsl 20) fd
     (fun out -> function
-      | Net.Server.Line l ->
-        on_line l;
+      | Net.Server.Line (b, pos, len) ->
+        on_line (Bytes.unsafe_to_string b) pos len;
         Service.Outbuf.add_char out '.'
       | _ -> failwith "RTE1: unexpected message")
     (ref false)
@@ -120,7 +121,7 @@ let per_byte on_line fd =
           go ()
       in
       go ();
-      on_line (Buffer.contents b);
+      on_line (Buffer.contents b) 0 (Buffer.length b);
       ignore (Unix.write_substring fd "." 0 1)
     done
   with End_of_file -> ()
@@ -137,9 +138,11 @@ let run () =
   Fig_tables.check "shallow and full decode classify the open line alike"
     (classify (full line) = classify (shallow line)
      && classify (full line) = "open rte");
-  let ignore_line _ = () in
-  let route l = ignore (Sys.opaque_identity (shallow l)) in
-  let former l = ignore (Sys.opaque_identity (full l)) in
+  let ignore_line _ _ _ = () in
+  let route s pos len =
+    ignore (Sys.opaque_identity (S.decode_line ~shallow:true ~pos ~len s))
+  in
+  let former s _ _ = ignore (Sys.opaque_identity (full s)) in
   let rows =
     [ ("read: shared loop", time_reads (shared_loop ignore_line) line);
       ("read: per-byte channel (former)", time_reads (per_byte ignore_line) line);

@@ -408,8 +408,13 @@ and skipped st k =
 
 let vacant = "\000"
 
-let scanner ?read_key ?(on_read = ignore) ~skip s =
-  { s; n = String.length s; pos = 0; skip; read_key;
+(* A scanner over [s.[pos .. pos + len - 1]]; its error offsets are
+   relative to [pos] (see {!json_error}). *)
+let scanner ?read_key ?(on_read = ignore) ~skip ?(pos = 0) ?len s =
+  let len = Option.value len ~default:(String.length s - pos) in
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Chg.Json: region outside the string";
+  { s; n = pos + len; pos; skip; read_key;
     reading = read_key <> None; on_read; str_at = 0; str_end = 0;
     str_esc = false; shared = [||]; shared_n = 0 }
 
@@ -419,23 +424,25 @@ let ended st v =
   if st.pos <> st.n then error st "trailing garbage";
   v
 
-let json_error msg at =
-  Error (Printf.sprintf "JSON error at offset %d: %s" at msg)
+(* [at] counts from the region's first byte [pos] *)
+let json_error ?(pos = 0) msg at =
+  Error (Printf.sprintf "JSON error at offset %d: %s" (at - pos) msg)
 
-let of_string ?(skip = []) s =
-  let st = scanner ~skip s in
+let of_string ?(skip = []) ?pos ?len s =
+  let st = scanner ~skip ?pos ?len s in
   match ended st (parse_value st ~top:true) with
   | v -> Ok v
-  | exception Parse (msg, at) -> json_error msg at
+  | exception Parse (msg, at) -> json_error ?pos msg at
 
-let of_string_reading ~read f s =
+let of_string_reading ~read ?pos ?len f s =
   let got = ref None in
   let st =
-    scanner ~read_key:read ~on_read:(fun r -> got := Some (f r)) ~skip:[] s
+    scanner ~read_key:read ~on_read:(fun r -> got := Some (f r)) ~skip:[]
+      ?pos ?len s
   in
   match ended st (parse_value st ~top:true) with
   | j -> Ok (j, !got)
-  | exception Parse (msg, at) -> json_error msg at
+  | exception Parse (msg, at) -> json_error ?pos msg at
 
 let read_string f s =
   let st = scanner ~skip:[] s in

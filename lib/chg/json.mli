@@ -19,9 +19,13 @@ type t =
     newlines and two-space indentation. *)
 val to_string : ?pretty:bool -> t -> string
 
-(** [of_string ?skip s] parses.  Rejects trailing garbage, unterminated
-    strings, floats, and other malformed input with a message and byte
-    offset.
+(** [of_string ?skip ?pos ?len s] parses [s], or its region of [len]
+    bytes from [pos] (default: all of [s]).  Rejects trailing garbage,
+    unterminated strings, floats, and other malformed input with a
+    message and byte offset, counted from [pos].  Every string in the
+    result is a copy: none shares [s]'s bytes, so a region of a buffer
+    that is later overwritten may be parsed.  Raises [Invalid_argument]
+    when the region is not inside [s].
 
     [skip] (default none) names fields of the top-level object whose
     values are validated by the same grammar — the same error text and
@@ -29,23 +33,25 @@ val to_string : ?pretty:bool -> t -> string
     kind ([String ""], [List []], [Obj []]; [Null], [Bool] and [Int]
     as parsed).  For readers that need a document's small fields and
     only the shape of its large ones. *)
-val of_string : ?skip:string list -> string -> (t, string) result
+val of_string :
+  ?skip:string list -> ?pos:int -> ?len:int -> string -> (t, string) result
 
 (** The scanner, driven by a reader of one document's schema: see
     {!of_string_reading}. *)
 type reader
 
-(** [of_string_reading ~read f s] is [of_string s], except that the
-    first value of the top-level field [read] is handed to [f]
-    as the scanner reaches it, and its result comes back beside the
-    tree ([None] without such a field).  [f] reads exactly that one
+(** [of_string_reading ~read ?pos ?len f s] is [of_string ?pos ?len s],
+    except that the first value of the top-level field [read] is handed
+    to [f] as the scanner reaches it, and its result comes back beside
+    the tree ([None] without such a field).  [f] reads exactly that one
     value through the functions below, so the document is validated
     and read in one pass; the field itself is [Null] in the tree, and a
     later duplicate is only validated (the first key wins).  A syntax
     error anywhere in [s] is the result, whatever [f] made of what came
     before it. *)
 val of_string_reading :
-  read:string -> (reader -> 'a) -> string -> (t * 'a option, string) result
+  read:string -> ?pos:int -> ?len:int -> (reader -> 'a) -> string ->
+  (t * 'a option, string) result
 
 (** [read_string f s] validates [s] as one JSON document that [f]
     reads: [f]'s result, or {!of_string}'s error text. *)

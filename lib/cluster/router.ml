@@ -204,21 +204,24 @@ let client p i =
 
 (* ---- the two framings ------------------------------------------------
 
-   What routing needs of a framing: one admitted round trip, the
-   in-band error code of a response, and an error of its own in the
-   caller's framing, echoing the request's id ([id] for a JSON line,
-   the id bytes of the [request] frame).  Only an error response is
-   parsed for its code. *)
+   What routing needs of a framing: one admitted round trip of a
+   request ['m] (a JSON line's region of the connection's buffer, or a
+   frame), the in-band error code of a response, and an error of its
+   own in the caller's framing, echoing the request's id ([id] for a
+   JSON line, the id bytes of the [request] frame).  Only an error
+   response is parsed for its code. *)
 
-type codec = {
+type 'm codec = {
   send :
-    ?retries:int -> ?backoff_ms:int -> Net.Client.t -> string -> string option;
+    ?retries:int -> ?backoff_ms:int -> Net.Client.t -> 'm -> string option;
   error_code : string -> string option;
-  make_error : request:string -> id:J.t -> P.error_code -> string -> string;
+  make_error : request:'m -> id:J.t -> P.error_code -> string -> string;
 }
 
 let json =
-  { send = Net.Client.request_admitted;
+  { send =
+      (fun ?retries ?backoff_ms c (s, pos, len) ->
+        Net.Client.request_admitted ?retries ?backoff_ms ~pos ~len c s);
     error_code =
       (fun resp ->
         if not (P.may_be_error resp) then None
@@ -365,10 +368,12 @@ let handle_message p out =
     Service.Outbuf.add_char out '\n'
   in
   function
-  | Net.Server.Line l -> line (respond p (S.decode_line ~shallow:true l) l)
+  | Net.Server.Line (b, pos, len) ->
+    let s = Bytes.unsafe_to_string b in
+    line (respond p (S.decode_line ~shallow:true ~pos ~len s) (s, pos, len))
   | Net.Server.Frame f -> Service.Outbuf.add_string out (respond_frame p f)
   | Net.Server.Bad_line msg ->
-    line (respond p (Error (J.Null, P.Bad_request, msg)) "")
+    line (respond p (Error (J.Null, P.Bad_request, msg)) ("", 0, 0))
   | Net.Server.Bad_frame msg ->
     Telemetry.Counter.incr p.router.requests;
     Service.Outbuf.add_string out

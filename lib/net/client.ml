@@ -53,8 +53,9 @@ let connect ?(retries = 0) ?(backoff_ms = 50) addr =
   in
   go 0
 
-let send_line t line =
-  output_string t.oc line;
+let send_line ?(pos = 0) ?len t line =
+  output_substring t.oc line pos
+    (Option.value len ~default:(String.length line - pos));
   output_char t.oc '\n';
   flush t.oc
 
@@ -67,8 +68,8 @@ let send_raw t s =
 let recv_line t = In_channel.input_line t.ic
 
 (* One synchronous round trip; [None] when the server closed on us. *)
-let request t line =
-  send_line t line;
+let request ?pos ?len t line =
+  send_line ?pos ?len t line;
   recv_line t
 
 let overloaded line =
@@ -89,9 +90,9 @@ let overloaded line =
    resends.  Any other response (or a closed connection) returns
    immediately; admission pressure is the one condition where blind
    resending is known-safe, because a shed request was never executed. *)
-let request_admitted ?(retries = 0) ?(backoff_ms = 50) t line =
+let request_admitted ?(retries = 0) ?(backoff_ms = 50) ?pos ?len t line =
   let rec go attempt =
-    match request t line with
+    match request ?pos ?len t line with
     | Some resp when attempt < retries && overloaded resp ->
       Thread.delay (backoff_delay ~attempt ~backoff_ms);
       go (attempt + 1)

@@ -22,7 +22,9 @@ val backoff_delay : attempt:int -> backoff_ms:int -> float
     request was never executed). *)
 val overloaded : string -> bool
 
-val send_line : t -> string -> unit
+(** [send_line ?pos ?len t line] writes [line], or its region of [len]
+    bytes from [pos], and a newline, flushed. *)
+val send_line : ?pos:int -> ?len:int -> t -> string -> unit
 
 (** A partial write: no newline appended, flushed.  For torn-line
     tests. *)
@@ -31,13 +33,13 @@ val send_raw : t -> string -> unit
 (** [None] on server-side close. *)
 val recv_line : t -> string option
 
-(** One synchronous round trip. *)
-val request : t -> string -> string option
+(** One synchronous round trip ([pos]/[len] as for {!send_line}). *)
+val request : ?pos:int -> ?len:int -> t -> string -> string option
 
 (** Like {!request}, but an [overloaded] response is resent (same
     connection) up to [retries] times with the jittered backoff. *)
-val request_admitted : ?retries:int -> ?backoff_ms:int -> t -> string ->
-  string option
+val request_admitted : ?retries:int -> ?backoff_ms:int -> ?pos:int -> ?len:int ->
+  t -> string -> string option
 
 (** {1 Binary ([cxxlookup-rpc/1b]) framing}
 

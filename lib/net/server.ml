@@ -145,16 +145,31 @@ let write_out fd out =
   done
 
 type message =
-  | Line of string
+  | Line of bytes * int * int
   | Frame of string
   | Bad_line of string
   | Bad_frame of string
 
-(* The first newline in [buf] at or after [i] and before [n]; [n] when
-   there is none. *)
-let rec newline_in buf i n =
-  if i >= n || Bytes.unsafe_get buf i = '\n' then i
-  else newline_in buf (i + 1) n
+(* The first newline in [b.[i .. j - 1]], or [j]: a word at a time
+   while no byte of the word xor '\n' is zero *)
+let rec newline b i j =
+  if
+    i + 8 <= j
+    && Int64.(
+         let x = logxor (Bytes.get_int64_ne b i) 0x0a0a0a0a0a0a0a0aL in
+         logand (logand (sub x 0x0101010101010101L) (lognot x))
+           0x8080808080808080L = 0L)
+  then newline b (i + 8) j
+  else if i >= j || Bytes.unsafe_get b i = '\n' then i
+  else newline b (i + 1) j
+
+(* [b.[i .. j - 1]] is blank as [String.trim] sees it (a line holds no
+   newline) *)
+let rec blank b i j =
+  i >= j
+  || match Bytes.unsafe_get b i with
+     | ' ' | '\012' | '\r' | '\t' -> blank b (i + 1) j
+     | _ -> false
 
 (* A connection's whole life on the systhread that accepted it: read,
    split into messages, hand each complete message to [handle] (which
@@ -165,13 +180,17 @@ let rec newline_in buf i n =
    held unsent is bounded by the responses to one read.  The server and
    the router both run their connections here.
 
+   One read buffer, kept for the connection's life: reads land at its
+   fill point, a line is handed over where it lies and a frame as one
+   copy, and only new bytes are scanned for a newline.  When it is
+   full, what is left moves to the front — into a 64 KiB buffer the
+   first time, later into one the size the message needs.
+
    Framing: at each message boundary the first byte chooses — 0xB1
    starts a binary (1b) frame (6-byte header, then exactly the declared
    payload), anything else is a JSON line up to its newline.
    Negotiation is per message, so one connection may interleave
-   framings freely.  Bytes move in spans: a line's bytes up to the next
-   newline, or a frame's up to its declared end, are copied with one
-   [Buffer.add_subbytes] per read.
+   framings freely.
 
    Guards, shared across framings.  Max-line: a line over the bound is
    discarded to its newline and handed over as [Bad_line]; a frame
@@ -186,139 +205,110 @@ let rec newline_in buf i n =
    A torn partial line or frame at close is dropped, never handled. *)
 let serve_conn ~idle_timeout ~max_line fd handle timed_out =
   let out = Service.Outbuf.create 4096 in
-  (* The read buffer starts at 4 KiB and becomes 64 KiB the first time
-     a read fills it: a large message moves in few reads, and a
-     connection of small requests keeps a small footprint. *)
+  let hdr = Service.Frame.header_len in
   let buf = ref (Bytes.create 4096) in
-  let acc = Buffer.create 256 in
-  let discarding = ref false in
-  let discarded = ref 0 in
-  (* binary-frame state: [in_frame] accumulates into [fbuf];
-     [frame_total] is the full frame length once the header is in
-     (-1 before); [frame_skip] counts payload bytes of an oversized
-     frame still to discard ([frame_over] its declared length) *)
-  let fbuf = Buffer.create 256 in
-  let in_frame = ref false in
-  let frame_total = ref (-1) in
-  let frame_skip = ref 0 in
-  let frame_over = ref 0 in
+  (* [!buf.[start .. fill - 1]] is not handed over yet; no newline lies
+     before [scan]; the message at [start] needs a buffer of [need] *)
+  let start = ref 0 and fill = ref 0 and scan = ref 0 and need = ref 0 in
+  (* bytes of an over-long line discarded so far, -1 outside one *)
+  let discarded = ref (-1) in
+  (* payload bytes of an oversized frame still to skip, and its
+     declared length *)
+  let frame_skip = ref 0 and frame_over = ref 0 in
   let deadline = ref (Unix.gettimeofday () +. idle_timeout) in
   let alive = ref true in
   let rearm () = deadline := Unix.gettimeofday () +. idle_timeout in
-  let emit_line () =
-    rearm ();
-    if !discarding then begin
-      let n = !discarded + Buffer.length acc in
-      Buffer.clear acc;
-      discarding := false;
-      discarded := 0;
-      handle out
-        (Bad_line
-           (Printf.sprintf "line exceeds %d bytes (%d read)" max_line n))
-    end
-    else begin
-      (* tolerate CRLF framing from casual clients *)
-      let n = Buffer.length acc in
-      if n > 0 && Buffer.nth acc (n - 1) = '\r' then Buffer.truncate acc (n - 1);
-      let line = Buffer.contents acc in
-      Buffer.clear acc;
-      (* blank lines skipped, as stdin *)
-      if String.trim line <> "" then handle out (Line line)
-    end
-  in
-  let emit_frame () =
-    let f = Buffer.contents fbuf in
-    Buffer.clear fbuf;
-    in_frame := false;
-    frame_total := -1;
-    rearm ();
-    handle out (Frame f)
-  in
-  (* Consume the bytes of [buf] from [i] (before [n]) that belong to
-     the current frame; returns the next unconsumed position. *)
-  let frame_span i n =
-    let i =
-      if !frame_total >= 0 then i
-      else begin
-        let k = min (Service.Frame.header_len - Buffer.length fbuf) (n - i) in
-        Buffer.add_subbytes fbuf !buf i k;
-        if Buffer.length fbuf = Service.Frame.header_len then begin
-          match Service.Frame.parse_header (Buffer.contents fbuf) with
-          | Error _ ->
-            (* unreachable: the magic matched and the header is complete *)
-            Buffer.clear fbuf;
-            in_frame := false
-          | Ok (_op, len) ->
-            if len > max_line then begin
-              (* discard the declared payload without buffering it *)
-              Buffer.clear fbuf;
-              in_frame := false;
-              frame_over := len;
-              frame_skip := len  (* > 0: len exceeds a positive bound *)
-            end
-            else frame_total := Service.Frame.header_len + len
-        end;
-        i + k
+  let rec consume () =
+    let b = !buf and i = !start in
+    let avail = !fill - i in
+    if !frame_skip > 0 then begin
+      let k = min !frame_skip avail in
+      start := i + k;
+      frame_skip := !frame_skip - k;
+      if !frame_skip = 0 then begin
+        rearm ();
+        handle out
+          (Bad_frame
+             (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
+                max_line !frame_over));
+        consume ()
       end
-    in
-    if !frame_total < 0 then i
-    else begin
-      let k = min (!frame_total - Buffer.length fbuf) (n - i) in
-      Buffer.add_subbytes fbuf !buf i k;
-      if Buffer.length fbuf = !frame_total then emit_frame ();
-      i + k
     end
-  in
-  (* Consume line bytes up to and including the next newline. *)
-  let line_span i n =
-    let j = newline_in !buf i n in
-    let k = j - i in
-    if !discarding then discarded := !discarded + k
-    else begin
-      Buffer.add_subbytes acc !buf i k;
-      if Buffer.length acc > max_line then begin
-        (* switch to discard mode: the line is already over budget,
-           stop accumulating its bytes *)
-        discarding := true;
-        discarded := Buffer.length acc;
-        Buffer.clear acc
-      end
-    end;
-    if j < n then begin
-      emit_line ();
-      j + 1
-    end
-    else j
-  in
-  let consume n =
-    let i = ref 0 in
-    while !i < n do
-      if !frame_skip > 0 then begin
-        let k = min !frame_skip (n - !i) in
-        i := !i + k;
-        frame_skip := !frame_skip - k;
-        if !frame_skip = 0 then begin
-          rearm ();
-          handle out
-            (Bad_frame
-               (Printf.sprintf "frame payload exceeds %d bytes (%d declared)"
-                  max_line !frame_over))
+    else if avail = 0 then ()
+    else if
+      !discarded < 0
+      && Char.code (Bytes.unsafe_get b i) = Service.Frame.request_magic
+    then begin
+      (* message boundary + 0xB1: binary framing this message *)
+      need := hdr;
+      if avail >= hdr then begin
+        let len = Int32.to_int (Bytes.get_int32_le b (i + 2)) land 0xffffffff in
+        if len > max_line then begin
+          (* discard the declared payload without buffering it *)
+          start := i + hdr;
+          frame_over := len;
+          frame_skip := len;  (* > 0: len exceeds a positive bound *)
+          consume ()
         end
+        else if avail >= hdr + len then begin
+          start := i + hdr + len;
+          rearm ();
+          handle out (Frame (Bytes.sub_string b i (hdr + len)));
+          consume ()
+        end
+        else need := hdr + len
       end
-      else if !in_frame then i := frame_span !i n
-      else if
-        Buffer.length acc = 0 && (not !discarding)
-        && Char.code (Bytes.get !buf !i) = Service.Frame.request_magic
-      then begin
-        (* message boundary + 0xB1: binary framing this message *)
-        in_frame := true;
-        frame_total := -1;
-        Buffer.clear fbuf;
-        Buffer.add_char fbuf (Bytes.get !buf !i);
-        incr i
+    end
+    else begin
+      let j = newline b (max !scan i) !fill in
+      if j < !fill then begin
+        start := j + 1;
+        rearm ();
+        let n = j - i in
+        if !discarded >= 0 || n > max_line then begin
+          let n = max 0 !discarded + n in
+          discarded := -1;
+          handle out
+            (Bad_line
+               (Printf.sprintf "line exceeds %d bytes (%d read)" max_line n))
+        end
+        else begin
+          (* tolerate CRLF framing from casual clients *)
+          let n = if n > 0 && Bytes.get b (j - 1) = '\r' then n - 1 else n in
+          (* blank lines skipped, as stdin *)
+          if not (blank b i (i + n)) then handle out (Line (b, i, n))
+        end;
+        consume ()
       end
-      else i := line_span !i n
-    done
+      else if !discarded >= 0 || avail > max_line then begin
+        (* over budget with no newline yet: drop what is here *)
+        discarded := max 0 !discarded + avail;
+        start := !fill
+      end
+      else begin
+        scan := !fill;
+        need := max_line + hdr
+      end
+    end
+  in
+  (* Once all is handed over, or the buffer is full, what is left moves
+     to the front: of a 64 KiB buffer the first time it is full, of a
+     larger one when the message needs it.  A full buffer with a message
+     at its front is smaller than that message needs. *)
+  let make_room () =
+    let size = Bytes.length !buf and n = !fill - !start in
+    if n = 0 || !fill = size then begin
+      let b =
+        if !fill = size && size < 65536 then Bytes.create 65536
+        else if n > 0 && !need > size then Bytes.create !need
+        else !buf
+      in
+      Bytes.blit !buf !start b 0 n;
+      buf := b;
+      scan := !scan - !start;
+      start := 0;
+      fill := n
+    end
   in
   try
     while !alive do
@@ -332,13 +322,14 @@ let serve_conn ~idle_timeout ~max_line fd handle timed_out =
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | [], _, _ -> ()  (* re-check the deadline *)
         | _ ->
-          let n = try Unix.read fd !buf 0 (Bytes.length !buf) with
+          let n = try Unix.read fd !buf !fill (Bytes.length !buf - !fill) with
             | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE | Unix.EBADF), _, _) -> 0
           in
           if n = 0 then alive := false
           else begin
-            consume n;
-            if n = Bytes.length !buf && n = 4096 then buf := Bytes.create 65536;
+            fill := !fill + n;
+            consume ();
+            make_room ();
             (* one write per read; a client that is gone surfaces here
                as EPIPE / ECONNRESET and ends the connection *)
             if Service.Outbuf.length out > 0 then begin
@@ -381,9 +372,10 @@ let service_handler t ~conn =
     Service.Outbuf.add_char out '\n'
   in
   fun out -> function
-    | Line line ->
+    | Line (b, pos, len) ->
       answer_json out
-        (S.handle ~conn ~around:admit t.srv S.json (S.decode_line line))
+        (S.handle ~conn ~around:admit t.srv S.json
+           (S.decode_line ~pos ~len (Bytes.unsafe_to_string b)))
     | Frame f -> ignore (S.answer_frame ~conn ~around:admit t.srv out f)
     | Bad_line msg ->
       answer_json out

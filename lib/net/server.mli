@@ -79,8 +79,10 @@ val accept_loop :
 (** One complete message off a connection, as {!serve_conn} hands it
     to its handler. *)
 type message =
-  | Line of string
-      (** a JSON line: newline and a trailing CR stripped, never blank *)
+  | Line of bytes * int * int
+      (** a JSON line as its region [(buf, pos, len)] of the read buffer,
+          valid only until the handler returns: newline and a trailing
+          CR stripped, never blank *)
   | Frame of string  (** a complete 1b request frame, header included *)
   | Bad_line of string
       (** a line over [max_line], discarded to its newline; the text is
@@ -96,7 +98,9 @@ type message =
     byte (0xB1 opens a 1b frame, anything else a JSON line).  Each
     complete message goes to [handle out msg], which appends its
     response bytes to [out]; [out] is written, with no copy, once per
-    socket read.  The loop of this server and of the cluster router. *)
+    socket read.  Reads land in one buffer, kept for the connection's
+    life, that grows in one step to what a message needs.  The loop of
+    this server and of the cluster router. *)
 val serve_conn :
   idle_timeout:float -> max_line:int -> Unix.file_descr ->
   (Service.Outbuf.t -> message -> unit) -> bool ref -> unit

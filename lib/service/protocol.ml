@@ -355,13 +355,15 @@ let request_of_json j =
    read once.  The routing decode skips [source] and a batch's
    [queries] too and reads nothing: together these fields are all but
    a few bytes of a large request. *)
-let parse_request ?(shallow = false) line =
+let parse_request ?(shallow = false) ?pos ?len line =
   let scanned =
     if shallow then
-      match J.of_string ~skip:[ "chg"; "source"; "queries" ] line with
+      match
+        J.of_string ~skip:[ "chg"; "source"; "queries" ] ?pos ?len line
+      with
       | Ok j -> Ok (j, None)
       | Error msg -> Error msg
-    else J.of_string_reading ~read:"chg" Chg.Serialize.read line
+    else J.of_string_reading ~read:"chg" ?pos ?len Chg.Serialize.read line
   in
   match scanned with
   | Error msg -> Error (J.Null, Parse_error, msg)

@@ -144,12 +144,16 @@ val read_only : op -> bool
     empty when the queries are an array.  Every other check of the full
     decode still applies — the same errors, text and offsets, for the
     same lines; a batch whose queries only the full decode rejects is
-    routed, and its backend gives that answer. *)
+    routed, and its backend gives that answer.  [?pos]/[?len] decode
+    the line in that region of the string, as {!Chg.Json.of_string}
+    does: error offsets count from [pos], and the request shares no
+    bytes with the string. *)
 val request_of_json :
   Chg.Json.t -> (request, Chg.Json.t * error_code * string) result
 
 val parse_request :
-  ?shallow:bool -> string -> (request, Chg.Json.t * error_code * string) result
+  ?shallow:bool -> ?pos:int -> ?len:int -> string ->
+  (request, Chg.Json.t * error_code * string) result
 
 val ok_response : id:Chg.Json.t -> (string * Chg.Json.t) list -> Chg.Json.t
 

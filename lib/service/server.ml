@@ -861,8 +861,8 @@ type decoded = (request, J.t * P.error_code * string) result
 let of_protocol (rq : P.request) =
   { rq_id = rq.P.rq_id; rq_session = rq.P.rq_session; rq_op = Named rq.P.rq_op }
 
-let decode_line ?shallow line =
-  Result.map of_protocol (P.parse_request ?shallow line)
+let decode_line ?shallow ?pos ?len line =
+  Result.map of_protocol (P.parse_request ?shallow ?pos ?len line)
 
 (* The pair count of a lookup or batch_lookup frame whose payload has
    exactly the op's shape — the frames answered in place — else -1. *)

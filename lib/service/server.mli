@@ -172,8 +172,9 @@ val verb : op -> string
 val read_only : op -> bool
 
 (** One JSON line, as {!Protocol.parse_request} types it ([shallow]
-    passed through: the routing decode). *)
-val decode_line : ?shallow:bool -> string -> decoded
+    passed through: the routing decode; [pos]/[len] the line's region
+    of the string). *)
+val decode_line : ?shallow:bool -> ?pos:int -> ?len:int -> string -> decoded
 
 (** [route_frame f] — what routing needs of one complete 1b frame
     (header + payload, as read off the wire): its session and whether

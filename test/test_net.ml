@@ -545,6 +545,147 @@ let test_guard_texts () =
     (message (raw_request ~within:5. fd {|{"id":3,"op":"stats"}|}));
   Unix.close fd
 
+(* ---- the read buffer: one per connection, messages handed over in place ---- *)
+
+(* Every kind of message a connection carries, in one pipeline: JSON
+   lines, a CRLF line, blank lines, 1b frames (one answered, one an
+   error), a line past 64 KiB (the buffer's growth past its second
+   size), a syntax error, an oversized line and an oversized frame. *)
+let mixed_pipeline ~max_line =
+  let frame fr_id fr_session =
+    Service.Frame.encode_request
+      { Service.Frame.fr_id; fr_session; fr_op = Service.Frame.Symbols }
+  in
+  String.concat ""
+    [ open_line "struct A { int m; }; struct B : A { };" ^ "\n";
+      lookup_line ~session:"s" ~id:2 ~cls:"B" ~member:"m" ^ "\r\n";
+      "\n   \r\n";
+      frame 3 "s";
+      Printf.sprintf
+        {|{"id":4,"op":"lookup","session":"s","class":"B","member":"m","pad":"%s"}|}
+        (String.make 65_600 'p')
+      ^ "\n";
+      {|{"id":5,"op":}|} ^ "\n";
+      String.make (max_line + 1) 'x' ^ "\n";
+      frame 6 (String.make (max_line + 1) 's');
+      frame 7 "nope";
+      lookup_line ~session:"s" ~id:8 ~cls:"A" ~member:"m" ^ "\n" ]
+
+(* Everything a fresh server answers to [pipeline] written [chunk]
+   bytes per write, read to the end of the connection (the client
+   shuts down its side once the pipeline is out). *)
+let answers_to ~config ~chunk pipeline =
+  with_server ~config @@ fun addr ->
+  let fd = raw_connect addr in
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
+  let n = String.length pipeline in
+  let off = ref 0 in
+  while !off < n do
+    off := !off + Unix.write_substring fd pipeline !off (min chunk (n - !off))
+  done;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  let acc = Buffer.create 4096 and b = Bytes.create 4096 in
+  let rec drain () =
+    match Unix.read fd b 0 (Bytes.length b) with
+    | 0 -> ()
+    | k ->
+      Buffer.add_subbytes acc b 0 k;
+      drain ()
+  in
+  drain ();
+  Unix.close fd;
+  Buffer.contents acc
+
+let test_pipeline_any_read_boundaries () =
+  let config = { Net.Server.default_config with max_line = 66_000 } in
+  let pipeline = mixed_pipeline ~max_line:config.max_line in
+  let whole = answers_to ~config ~chunk:(String.length pipeline) pipeline in
+  let bytewise = answers_to ~config ~chunk:1 pipeline in
+  Alcotest.(check string) "byte at a time = one write" whole bytewise;
+  (* the answers in order: a JSON line's verdict, or a response frame's
+     status *)
+  let rec verdicts i =
+    if i >= String.length whole then []
+    else if Char.code whole.[i] = Service.Frame.response_magic then
+      let len = Int32.to_int (String.get_int32_le whole (i + 2)) in
+      (if whole.[i + 1] = '\000' then "frame ok" else "frame error")
+      :: verdicts (i + Service.Frame.header_len + len)
+    else
+      let j = String.index_from whole i '\n' in
+      let l = String.sub whole i (j - i) in
+      (if ok_resp l then "ok" else error_code l) :: verdicts (j + 1)
+  in
+  Alcotest.(check (list string)) "every answer, in order"
+    [ "ok"; "ok"; "frame ok"; "ok"; "parse_error"; "bad_request";
+      "frame error"; "frame error"; "ok" ]
+    (verdicts 0)
+
+(* A syntax error's offset counts from its own line, wherever the line
+   lies in the buffer. *)
+let test_error_offset_from_line () =
+  with_server @@ fun addr ->
+  let cl = Net.Client.connect addr in
+  Net.Client.send_raw cl ({|{"id":1,"op":"stats"}|} ^ "\n" ^ {|{"id":2,"op":}|} ^ "\n");
+  Alcotest.(check bool) "first line answered" true (ok_resp (must_recv cl));
+  (match J.of_string (must_recv cl) with
+  | Ok j ->
+    Alcotest.(check bool) "offset within the second line" true
+      (J.member "error" j
+       = Ok
+           (J.Obj
+              [ ("code", J.String "parse_error");
+                ("message",
+                 J.String "JSON error at offset 13: unexpected character '}'") ]))
+  | Error e -> Alcotest.failf "bad response: %s" e);
+  Net.Client.close cl
+
+let session_of resp =
+  match J.of_string resp with
+  | Ok j ->
+    (match J.member "session" j with Ok (J.String s) -> s | _ -> "no session: " ^ resp)
+  | Error e -> e
+
+(* A request's strings are copies: an [open]'s session name answers by
+   name after the next reads overwrite the buffer where it arrived —
+   on the server, and through the router, which forwards the caller's
+   bytes from the same buffer. *)
+let test_strings_outlive_the_buffer () =
+  let same_bytes = {|{"id":2,"op":"open","session":"omega","source":"struct A { int m; };"}|} in
+  let check_via name addr =
+    let cl = Net.Client.connect addr in
+    Net.Client.send_raw cl
+      (String.concat "\n"
+         [ {|{"id":1,"op":"open","session":"alpha","source":"struct A { int m; };"}|};
+           lookup_line ~session:"alpha" ~id:9 ~cls:"A" ~member:"m"; "" ]);
+    Alcotest.(check bool) (name ^ ": open answered") true (ok_resp (must_recv cl));
+    Alcotest.(check bool) (name ^ ": pipelined lookup answered") true
+      (ok_resp (must_recv cl));
+    (* the next read lands where the open's bytes were *)
+    Alcotest.(check string) (name ^ ": omega opened") "omega"
+      (session_of (must_recv_request cl same_bytes));
+    List.iter
+      (fun op ->
+        Alcotest.(check string)
+          (Printf.sprintf "%s: %s by the first name" name op)
+          "alpha"
+          (session_of
+             (must_recv_request cl
+                (Printf.sprintf {|{"id":3,"op":"%s","session":"alpha"}|} op))))
+      [ "symbols"; "stats" ];
+    Net.Client.close cl
+  in
+  with_server (check_via "server");
+  with_server @@ fun backend ->
+  let rt =
+    Cluster.Router.create ~leader:0 [ backend ] (Net.Server.Tcp ("127.0.0.1", 0))
+  in
+  let th = Thread.create Cluster.Router.run rt in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster.Router.stop rt;
+      Thread.join th)
+    (fun () -> check_via "router" (Cluster.Router.bound_addr rt))
+
 (* ---- topology: worker 0 on the calling domain ---- *)
 
 (* Connections go to the workers round-robin in accept order, so
@@ -655,7 +796,13 @@ let suite =
     Alcotest.test_case "300 connection cycles: accounting and clean stop"
       `Quick test_connection_churn;
     Alcotest.test_case "guard texts and counts across read boundaries"
-      `Quick test_guard_texts ]
+      `Quick test_guard_texts;
+    Alcotest.test_case "one pipeline, byte at a time or in one write"
+      `Quick test_pipeline_any_read_boundaries;
+    Alcotest.test_case "syntax error offset counts from its line" `Quick
+      test_error_offset_from_line;
+    Alcotest.test_case "request strings outlive the read buffer" `Quick
+      test_strings_outlive_the_buffer ]
   @ List.map QCheck_alcotest.to_alcotest [ prop_concurrent_reads_match_spec ]
   @ [ Alcotest.test_case "every worker serves; stop drains and joins all"
         `Quick test_every_worker_serves_then_stops;
