@@ -1,5 +1,5 @@
 .PHONY: all build test bench bench-smoke lint metrics-smoke net-smoke \
-	cluster-smoke raw-smoke perf-smoke ab verify clean
+	cluster-smoke raw-smoke perf-smoke ab loc verify clean
 
 all: build
 
@@ -111,6 +111,19 @@ AB_CHANGE ?= HEAD
 ab:
 	sh bench/ab.sh -n $(AB_PAIRS) -w $(AB_WORKLOAD) -s $(AB_SEED) \
 	  -t $(AB_SECONDS) $(AB_PARENT) $(AB_CHANGE)
+
+# Lines added, removed and net in lib/ and bin/, per library and in
+# total, from LOC_BASE to the working tree (new files count once added
+# to git): the one count every change that deletes code reports.
+LOC_BASE ?= HEAD~1
+loc:
+	@git diff --numstat --no-renames $(LOC_BASE) -- lib bin | awk ' \
+	  $$1 != "-" { split($$3, p, "/"); k = p[1] == "lib" ? "lib/" p[2] : p[1]; \
+	    a[k] += $$1; d[k] += $$2; ta += $$1; td += $$2 } \
+	  END { for (k in a) \
+	          printf "%-14s +%-6d -%-6d net %+d\n", k, a[k], d[k], a[k] - d[k] | "sort"; \
+	        close("sort"); \
+	        printf "%-14s +%-6d -%-6d net %+d\n", "lib/ + bin/", ta, td, ta - td }'
 
 # CI entry point: full build, full test suite, a smoke run of the
 # telemetry pipeline end to end (parse -> all three engines -> JSON),

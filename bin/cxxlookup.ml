@@ -1874,7 +1874,9 @@ let batch_cmd =
             if String.trim line <> "" then begin
               let resp =
                 match Chg.Json.of_string line with
-                | Ok j -> Service.Server.handle_json srv (with_defaults !n j)
+                | Ok j ->
+                  Service.Server.handle_line srv
+                    (Chg.Json.to_string (with_defaults !n j))
                 | Error msg ->
                   Service.Protocol.error_response ~id:Chg.Json.Null
                     Service.Protocol.Parse_error msg

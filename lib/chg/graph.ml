@@ -81,72 +81,119 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 exception Error of error
 
-type class_rec = {
-  r_name : string;
-  r_bases : base list;
-  r_members : member list;
+(* What the checks of class appends leave behind: the last stamp on
+   each member name and on each base id.  Every append takes a fresh
+   stamp before it checks, so the marks of one that failed match no
+   later append. *)
+type marks = {
+  declarer : (string, int ref) Hashtbl.t;
+  mutable derived : int array;
+  mutable stamp : int;
 }
 
-type builder = {
-  mutable rev_classes : class_rec list;
-  b_ids : (string, int) Hashtbl.t;
-  mutable count : int;
-}
+(* A base id outside [0, count): [Unresolved i] at the [i]th base. *)
+exception Unresolved of int
 
-let create_builder () = { rev_classes = []; b_ids = Hashtbl.create 16; count = 0 }
-
-let check_members cls members =
-  let seen = Hashtbl.create 8 in
-  List.iter
-    (fun m ->
-      if Hashtbl.mem seen m.m_name then
-        raise (Error (Duplicate_member { cls; member = m.m_name }));
-      Hashtbl.add seen m.m_name ())
-    members
-
-(* The checks every class declaration passes, against the ids declared
-   so far: a fresh name, distinct members, declared and distinct bases.
-   Returns the resolved bases. *)
-let resolve_class ids name ~bases ~members =
+(* The four rules of a class append, in the order every build reports
+   them: a fresh name, distinct members, then each base in turn
+   resolved and distinct.  The classes so far are the ids [0, count),
+   named by [names] and [ids].  Loops, not closures: an [open] pays
+   this per class. *)
+let check marks ~names ~ids ~count name ~bases ~members =
+  let s = marks.stamp + 1 in
+  marks.stamp <- s;
   if Hashtbl.mem ids name then raise (Error (Duplicate_class name));
-  check_members name members;
-  let seen_bases = Hashtbl.create 4 in
-  let resolve (base_name, kind, acc) =
-    match Hashtbl.find_opt ids base_name with
-    | None -> raise (Error (Unknown_base { cls = name; base = base_name }))
-    | Some id ->
-      if Hashtbl.mem seen_bases base_name then
-        raise (Error (Duplicate_base { cls = name; base = base_name }));
-      Hashtbl.add seen_bases base_name ();
-      { b_class = id; b_kind = kind; b_access = acc }
-  in
-  List.map resolve bases
+  for i = 0 to Array.length members - 1 do
+    let m = members.(i).m_name in
+    match Hashtbl.find marks.declarer m with
+    | last when !last = s ->
+      raise (Error (Duplicate_member { cls = name; member = m }))
+    | last -> last := s
+    | exception Not_found -> Hashtbl.add marks.declarer m (ref s)
+  done;
+  for i = 0 to Array.length bases - 1 do
+    let b = bases.(i).b_class in
+    if b < 0 || b >= count then raise (Unresolved i);
+    if marks.derived.(b) = s then
+      raise (Error (Duplicate_base { cls = name; base = names.(b) }));
+    marks.derived.(b) <- s
+  done
 
-let add_class b name ~bases ~members =
-  let resolved = resolve_class b.b_ids name ~bases ~members in
-  let id = b.count in
-  Hashtbl.add b.b_ids name id;
-  b.count <- b.count + 1;
-  b.rev_classes <-
-    { r_name = name; r_bases = resolved; r_members = members } :: b.rev_classes;
-  id
+(* [check] on bases given by name; answers the bases as ids and the
+   members as an array. *)
+let check_named marks ~names ~ids ~count name ~bases ~members =
+  let resolved =
+    Array.of_list
+      (List.map
+         (fun (b, kind, acc) ->
+           { b_class = (try Hashtbl.find ids b with Not_found -> -1);
+             b_kind = kind; b_access = acc })
+         bases)
+  and members = Array.of_list members in
+  (match check marks ~names ~ids ~count name ~bases:resolved ~members with
+  | () -> ()
+  | exception Unresolved i ->
+    let base, _, _ = List.nth bases i in
+    raise (Error (Unknown_base { cls = name; base })));
+  (resolved, members)
 
-let add_member b cls m =
-  if not (Hashtbl.mem b.b_ids cls) then raise (Error (Unknown_class cls));
-  b.rev_classes <-
-    List.map
-      (fun r ->
-        if String.equal r.r_name cls then begin
-          if List.exists (fun m' -> String.equal m'.m_name m.m_name) r.r_members
-          then raise (Error (Duplicate_member { cls; member = m.m_name }));
-          { r with r_members = r.r_members @ [ m ] }
-        end
-        else r)
-      b.rev_classes
+(* Classes in id order, the build behind every graph but {!extend}'s.
+   [o_marks.derived] is as long as the other arrays. *)
+type ordered = {
+  mutable o_names : string array;
+  o_ids : (string, int) Hashtbl.t;
+  mutable o_bases : base array array;
+  mutable o_members : member array array;
+  o_marks : marks;
+  mutable o_count : int;
+}
 
-(* The graph of per-class arrays in id order; [ids] is kept as is. *)
-let of_arrays names ids base_edges member_arrays =
-  let n = Array.length names in
+let ordered n =
+  let n = max n 1 in
+  { o_names = Array.make n ""; o_ids = Hashtbl.create n;
+    o_bases = Array.make n [||]; o_members = Array.make n [||];
+    o_marks =
+      { declarer = Hashtbl.create n; derived = Array.make n 0; stamp = 0 };
+    o_count = 0 }
+
+let grow a fill =
+  let b = Array.make (2 * Array.length a) fill in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+(* Records a checked class as the next id. *)
+let record o name ~bases ~members =
+  let c = o.o_count in
+  if c = Array.length o.o_names then begin
+    o.o_names <- grow o.o_names "";
+    o.o_bases <- grow o.o_bases [||];
+    o.o_members <- grow o.o_members [||];
+    o.o_marks.derived <- grow o.o_marks.derived 0
+  end;
+  Hashtbl.add o.o_ids name c;
+  o.o_names.(c) <- name;
+  o.o_bases.(c) <- bases;
+  o.o_members.(c) <- members;
+  o.o_count <- c + 1
+
+let add_ordered o name ~bases ~members =
+  (match
+     check o.o_marks ~names:o.o_names ~ids:o.o_ids ~count:o.o_count name
+       ~bases ~members
+   with
+  | () -> ()
+  | exception Unresolved _ ->
+    invalid_arg "Graph.add_ordered: a base must be an earlier class");
+  record o name ~bases ~members
+
+(* The graph of the classes so far, named by [ids].  It may share the
+   name and base arrays, whose entries below [o_count] are never written
+   again; the members, which {!add_member} replaces, go into fresh
+   chunks. *)
+let graph_of o ids =
+  let n = o.o_count in
+  let fit a = if Array.length a = n then a else Array.sub a 0 n in
+  let base_edges = fit o.o_bases in
   let derived_edges = Array.make n [] in
   let num_edges = ref 0 in
   (* Walk derived classes in reverse so each adjacency list ends up in
@@ -158,17 +205,40 @@ let of_arrays names ids base_edges member_arrays =
         derived_edges.(e.b_class) <- (c, e.b_kind) :: derived_edges.(e.b_class))
       base_edges.(c)
   done;
-  { names; ids; base_edges; derived_edges;
-    member_arrays = chunked_of_array member_arrays;
+  { names = fit o.o_names; ids; base_edges; derived_edges;
+    member_arrays = chunked_of_array (fit o.o_members);
     num_edges = !num_edges }
 
-let freeze b =
-  let recs = Array.of_list (List.rev b.rev_classes) in
-  of_arrays
-    (Array.map (fun r -> r.r_name) recs)
-    (Hashtbl.copy b.b_ids)
-    (Array.map (fun r -> Array.of_list r.r_bases) recs)
-    (Array.map (fun r -> Array.of_list r.r_members) recs)
+let of_ordered o = graph_of o o.o_ids
+
+type builder = ordered
+
+let create_builder () = ordered 16
+
+let add_class b name ~bases ~members =
+  let bases, members =
+    check_named b.o_marks ~names:b.o_names ~ids:b.o_ids ~count:b.o_count
+      name ~bases ~members
+  in
+  record b name ~bases ~members;
+  b.o_count - 1
+
+let class_id ids cls =
+  match Hashtbl.find_opt ids cls with
+  | Some c -> c
+  | None -> raise (Error (Unknown_class cls))
+
+(* [own], the members of [cls], with [m] appended *)
+let append_member cls own m =
+  if Array.exists (fun m' -> String.equal m'.m_name m.m_name) own then
+    raise (Error (Duplicate_member { cls; member = m.m_name }));
+  Array.append own [| m |]
+
+let add_member b cls m =
+  let c = class_id b.o_ids cls in
+  b.o_members.(c) <- append_member cls b.o_members.(c) m
+
+let freeze b = graph_of b (Hashtbl.copy b.o_ids)
 
 let empty = freeze (create_builder ())
 
@@ -177,33 +247,32 @@ let empty = freeze (create_builder ())
    copies the outer per-class arrays (one pointer per class) and the id
    table; a new member copies one chunk of member arrays. *)
 let extend g name ~bases ~members =
-  let resolved = resolve_class g.ids name ~bases ~members in
-  let id = Array.length g.names in
+  let n = Array.length g.names in
+  let marks = { declarer = Hashtbl.create 8; derived = Array.make n 0; stamp = 0 } in
+  let bases, members =
+    check_named marks ~names:g.names ~ids:g.ids ~count:n name ~bases ~members
+  in
   let ids = Hashtbl.copy g.ids in
-  Hashtbl.add ids name id;
+  Hashtbl.add ids name n;
   let derived_edges = Array.append g.derived_edges [| [] |] in
-  List.iter
+  Array.iter
     (fun e ->
-      derived_edges.(e.b_class) <-
-        derived_edges.(e.b_class) @ [ (id, e.b_kind) ])
-    resolved;
+      derived_edges.(e.b_class) <- derived_edges.(e.b_class) @ [ (n, e.b_kind) ])
+    bases;
   ( { names = Array.append g.names [| name |];
       ids;
-      base_edges = Array.append g.base_edges [| Array.of_list resolved |];
+      base_edges = Array.append g.base_edges [| bases |];
       derived_edges;
-      member_arrays = chunked_set g.member_arrays id (Array.of_list members);
-      num_edges = g.num_edges + List.length resolved },
-    id )
+      member_arrays = chunked_set g.member_arrays n members;
+      num_edges = g.num_edges + Array.length bases },
+    n )
 
 let with_member g cls m =
-  match Hashtbl.find_opt g.ids cls with
-  | None -> raise (Error (Unknown_class cls))
-  | Some c ->
-    let own = chunked_get g.member_arrays c in
-    if Array.exists (fun m' -> String.equal m'.m_name m.m_name) own then
-      raise (Error (Duplicate_member { cls; member = m.m_name }));
-    { g with
-      member_arrays = chunked_set g.member_arrays c (Array.append own [| m |]) }
+  let c = class_id g.ids cls in
+  { g with
+    member_arrays =
+      chunked_set g.member_arrays c
+        (append_member cls (chunked_get g.member_arrays c) m) }
 
 type decl = {
   d_name : string;
@@ -211,146 +280,62 @@ type decl = {
   d_members : member list;
 }
 
-(* Classes in id order, bases already ids: the one-pass build behind
-   {!of_ordered_decls} and the snapshot decode.  A repeated base shows
-   as [last_derived] already holding the class, a repeated member as
-   its name's entry in [last_declarer] already holding it. *)
-type ordered = {
-  mutable o_names : string array;
-  o_ids : (string, int) Hashtbl.t;
-  mutable o_bases : base array array;
-  mutable o_members : member array array;
-  mutable last_derived : int array;
-  last_declarer : (string, int ref) Hashtbl.t;
-  mutable o_count : int;
-}
-
-let ordered n =
-  let n = max n 1 in
-  { o_names = Array.make n ""; o_ids = Hashtbl.create n;
-    o_bases = Array.make n [||]; o_members = Array.make n [||];
-    last_derived = Array.make n (-1); last_declarer = Hashtbl.create n;
-    o_count = 0 }
-
-let grow a fill =
-  let b = Array.make (2 * Array.length a) fill in
-  Array.blit a 0 b 0 (Array.length a);
-  b
-
-(* The checks of {!resolve_class}, in its order, against ids. *)
-let add_ordered o name ~bases ~members =
-  let c = o.o_count in
-  if Hashtbl.mem o.o_ids name then raise (Error (Duplicate_class name));
-  Array.iter
-    (fun m ->
-      match Hashtbl.find_opt o.last_declarer m.m_name with
-      | Some last when !last = c ->
-        raise (Error (Duplicate_member { cls = name; member = m.m_name }))
-      | Some last -> last := c
-      | None -> Hashtbl.add o.last_declarer m.m_name (ref c))
-    members;
-  Array.iter
-    (fun b ->
-      if b.b_class < 0 || b.b_class >= c then
-        invalid_arg "Graph.add_ordered: a base must be an earlier class";
-      if o.last_derived.(b.b_class) = c then
-        raise
-          (Error (Duplicate_base { cls = name; base = o.o_names.(b.b_class) }));
-      o.last_derived.(b.b_class) <- c)
-    bases;
-  if c = Array.length o.o_names then begin
-    o.o_names <- grow o.o_names "";
-    o.o_bases <- grow o.o_bases [||];
-    o.o_members <- grow o.o_members [||];
-    o.last_derived <- grow o.last_derived (-1)
-  end;
-  Hashtbl.add o.o_ids name c;
-  o.o_names.(c) <- name;
-  o.o_bases.(c) <- bases;
-  o.o_members.(c) <- members;
-  o.o_count <- c + 1
-
-let of_ordered o =
-  let fit a = if Array.length a = o.o_count then a else Array.sub a 0 o.o_count in
-  of_arrays (fit o.o_names) o.o_ids (fit o.o_bases) (fit o.o_members)
-
-exception Irregular
-
-(* The common case in one pass: every base declared before the classes
-   deriving from it, as {!Serialize} writes them, so ids are list
-   positions.  Raises [Irregular] at the first forward reference or
-   unknown base, [Error] at a duplicate: the DFS path then sorts the
-   list and reports every error. *)
-let of_ordered_decls decls =
+(* The classes appended in list order. *)
+let build decls =
   let o = ordered (List.length decls) in
   List.iter
-    (fun d ->
-      let base (b, kind, acc) =
-        match Hashtbl.find_opt o.o_ids b with
-        | Some id -> { b_class = id; b_kind = kind; b_access = acc }
-        | None -> raise Irregular
-      in
-      add_ordered o d.d_name
-        ~bases:(Array.of_list (List.map base d.d_bases))
-        ~members:(Array.of_list d.d_members))
+    (fun d -> ignore (add_class o d.d_name ~bases:d.d_bases ~members:d.d_members))
     decls;
   of_ordered o
 
 (* Topologically sort the declarations (bases first) with an explicit
-   DFS so we can report a cycle as a witness path. *)
+   DFS so we can report a cycle as a witness path, then build. *)
 let of_decls_sorted decls =
   let by_name = Hashtbl.create 16 in
+  let state = Hashtbl.create 16 in
+  (* state: 0 = in progress, 1 = done *)
+  let order = ref [] in
+  (* [stack]: the classes in progress, innermost first, each a base of
+     the one after it *)
+  let rec visit stack name =
+    match Hashtbl.find_opt state name with
+    | Some 1 -> ()
+    | Some _ ->
+      let rec take = function
+        | [] -> []
+        | x :: rest -> if x = name then [ x ] else x :: take rest
+      in
+      raise (Error (Cyclic_hierarchy (List.rev (name :: take stack))))
+    | None ->
+      (match Hashtbl.find_opt by_name name with
+      | None -> ()  (* unknown base: reported by the build below *)
+      | Some d ->
+        Hashtbl.add state name 0;
+        List.iter (fun (b, _, _) -> visit (name :: stack) b) d.d_bases;
+        Hashtbl.replace state name 1;
+        order := d :: !order)
+  in
   match
     List.iter
       (fun d ->
         if Hashtbl.mem by_name d.d_name then
           raise (Error (Duplicate_class d.d_name));
         Hashtbl.add by_name d.d_name d)
-      decls
+      decls;
+    List.iter (fun d -> visit [] d.d_name) decls;
+    build (List.rev !order)
   with
-  | exception Error e -> Result.Error e
-  | () ->
-    let state = Hashtbl.create 16 in
-    (* state: 0 = in progress, 1 = done *)
-    let order = ref [] in
-    let rec visit stack name =
-      match Hashtbl.find_opt state name with
-      | Some 1 -> ()
-      | Some _ ->
-        let cycle =
-          let rec take = function
-            | [] -> []
-            | x :: rest -> if x = name then [ x ] else x :: take rest
-          in
-          name :: List.rev (take stack)
-        in
-        raise (Error (Cyclic_hierarchy cycle))
-      | None ->
-        (match Hashtbl.find_opt by_name name with
-        | None -> ()  (* unknown base: reported by the builder below *)
-        | Some d ->
-          Hashtbl.add state name 0;
-          List.iter (fun (b, _, _) -> visit (name :: stack) b) d.d_bases;
-          Hashtbl.replace state name 1;
-          order := d :: !order)
-    in
-    (match List.iter (fun d -> visit [] d.d_name) decls with
-    | exception Error e -> Result.Error e
-    | () ->
-      let b = create_builder () in
-      (match
-         List.iter
-           (fun d ->
-             ignore (add_class b d.d_name ~bases:d.d_bases ~members:d.d_members))
-           (List.rev !order)
-       with
-      | exception Error e -> Result.Error e
-      | () -> Ok (freeze b)))
-
-let of_decls decls =
-  match of_ordered_decls decls with
   | g -> Ok g
-  | exception (Irregular | Error _) -> of_decls_sorted decls
+  | exception Error e -> Result.Error e
+
+(* The common case in one pass: every base declared before the classes
+   deriving from it, as {!Serialize} writes them.  Any error, a forward
+   reference included, sends the list to the sort, which gives the
+   error every list with these classes gets. *)
+let of_decls decls =
+  match build decls with
+  | g -> Ok g
+  | exception Error _ -> of_decls_sorted decls
 
 let member ?(kind = Data) ?(static = false) ?(virtual_ = false)
     ?(access = Public) name =

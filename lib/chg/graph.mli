@@ -56,7 +56,9 @@ type error =
   | Unknown_base of { cls : string; base : string }
   | Duplicate_base of { cls : string; base : string }
   | Duplicate_member of { cls : string; member : string }
-  | Cyclic_hierarchy of string list  (** a cycle, as class names *)
+  | Cyclic_hierarchy of string list
+      (** a cycle as a path of class names, each followed by one of its
+          bases, ending where it started: [A -> B -> C -> A] *)
 
 val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
@@ -64,7 +66,12 @@ val error_to_string : error -> string
 exception Error of error
 
 (** Mutable builder.  Classes must be added bases-first, mirroring the C++
-    requirement that a base class be complete at its point of use. *)
+    requirement that a base class be complete at its point of use.
+    Every build of a graph, this one included, appends its classes
+    through the same checks, in the same order: a fresh name, distinct
+    members, then each base in turn declared and distinct.  A class
+    that fails them leaves the builder as it was, so a caller may go
+    on adding classes after an error. *)
 type builder
 
 val create_builder : unit -> builder
@@ -107,7 +114,7 @@ val freeze : builder -> t
 val empty : t
 
 (** [extend g name ~bases ~members] is [g] plus one class, with the
-    next id (returned), validated exactly like {!add_class}.
+    next id (returned), validated by {!add_class}'s checks.
     @raise Error like {!add_class}. *)
 val extend :
   t ->
@@ -156,13 +163,15 @@ val ordered : int -> ordered
 
 (** [add_ordered o name ~bases ~members] adds the next class, checked
     as {!add_class} checks it and in its order: a fresh name, distinct
-    members, distinct bases.  The arrays are kept, not copied.
+    members, distinct bases.  A class that fails adds nothing.  The
+    arrays are kept, not copied.
     @raise Error on a duplicate class, member or base.
     @raise Invalid_argument on a base that is not an earlier class. *)
 val add_ordered :
   ordered -> string -> bases:base array -> members:member array -> unit
 
-(** [of_ordered o] is the graph of the classes added so far. *)
+(** [of_ordered o] is the graph of the classes added so far.  It
+    shares [o]'s name table, so [o] takes no more classes. *)
 val of_ordered : ordered -> t
 
 (** Convenience: a plain member with defaults

@@ -250,8 +250,7 @@ let boxed_column_bytes col =
 (* ---- column codec --------------------------------------------------
    Little-endian, deterministic: u32 class count, u32 arena length,
    entries as i64 (a packed red immediate exceeds u32 past ~2^15
-   classes), arena as u32.  Readers validate tags, offsets and codes so
-   a corrupt snapshot section fails loud, not subtly wrong. *)
+   classes), arena as u32. *)
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (B.Corrupt m)) fmt
 
@@ -301,18 +300,6 @@ let validate_column ?(what = "packed column") col =
         check_lv "arena slice" (vget col.pc_arena (off + header + i))
       done
   done
-
-let read_column r =
-  let n = B.Reader.u32 r in
-  let alen = B.Reader.u32 r in
-  if (8 * n) + (4 * alen) > B.Reader.remaining r then
-    corrupt "packed column larger than its payload (%d classes, %d arena)" n
-      alen;
-  let entries = Array.init n (fun _ -> B.Reader.i64 r) in
-  let arena = Array.init alen (fun _ -> B.Reader.u32 r) in
-  let col = { pc_classes = n; pc_entries = Arr entries; pc_arena = Arr arena } in
-  validate_column col;
-  col
 
 (* ---- the table image ------------------------------------------------
 

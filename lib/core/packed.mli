@@ -109,12 +109,11 @@ val column_equal : column -> column -> bool
 (** {2 Codec}
 
     Deterministic little-endian layout via {!Chg.Binary}: u32 class
-    count, u32 arena length, entries as i64, arena as u32.
-    {!read_column} validates every tag, offset and lv code and raises
-    {!Chg.Binary.Corrupt} on malformed input. *)
+    count, u32 arena length, entries as i64, arena as u32.  Written
+    only: {!encode} is a table's bytes, and snapshots hold the table
+    image below. *)
 
 val write_column : Chg.Binary.Writer.t -> column -> unit
-val read_column : Chg.Binary.Reader.t -> column
 
 (** [validate_column col] proves [col] well-formed — every tag, arena
     offset, slice bound and lv code — through the accessor layer, so it

@@ -342,14 +342,6 @@ let request_of ~chg j =
    [open]: the router never reads an [open]'s hierarchy. *)
 let hollow_chg = Ok G.empty
 
-let request_of_json j =
-  let chg =
-    match field "chg" j with
-    | Some v -> Chg.Serialize.of_json v
-    | None -> hollow_chg
-  in
-  request_of ~chg j
-
 (* An [open]'s [chg] is never built as a tree: the scanner hands it to
    the cxxlookup-chg reader as it validates the line, so the line is
    read once.  The routing decode skips [source] and a batch's

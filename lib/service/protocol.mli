@@ -129,13 +129,12 @@ val op_string : op -> string
     {!Server.read_only} extends it to the id-addressed 1b requests. *)
 val read_only : op -> bool
 
-(** [request_of_json j] / [parse_request line] — a typed request, or the
-    id to echo plus a structured error.
+(** [parse_request line] — a typed request, or the id to echo plus a
+    structured error.
 
-    [parse_request] never builds an [open]'s [chg] as a tree: the JSON
-    scanner hands it to {!Chg.Serialize.read} as it validates the line,
-    so the line is read once ([request_of_json] reads the subtree with
-    {!Chg.Serialize.of_json}, to the same result).  A JSON syntax error
+    It never builds an [open]'s [chg] as a tree: the JSON scanner hands
+    it to {!Chg.Serialize.read} as it validates the line, so the line
+    is read once.  A JSON syntax error
     anywhere in the line is the answer, whatever the [chg] held.
     [~shallow:true] is the routing decode: an [open]'s [chg] / [source]
     value and a [batch_lookup]'s [queries] are validated by the JSON
@@ -148,9 +147,6 @@ val read_only : op -> bool
     the line in that region of the string, as {!Chg.Json.of_string}
     does: error offsets count from [pos], and the request shares no
     bytes with the string. *)
-val request_of_json :
-  Chg.Json.t -> (request, Chg.Json.t * error_code * string) result
-
 val parse_request :
   ?shallow:bool -> ?pos:int -> ?len:int -> string ->
   (request, Chg.Json.t * error_code * string) result

@@ -1073,9 +1073,6 @@ let handle ?conn ?(around = fun _ _ run -> run ()) t codec = function
 
 let handle_request ?conn t rq = execute ?conn t json (of_protocol rq)
 
-let handle_json ?conn t j =
-  handle ?conn t json (Result.map of_protocol (P.request_of_json j))
-
 let handle_line ?conn t line = handle ?conn t json (decode_line line)
 
 let answer_frame ?conn ?around t out f =

@@ -1,6 +1,6 @@
 (** The lookup service: a session store plus the [cxxlookup-rpc/1]
     request dispatcher ([cxxlookup serve] is a thin wrapper over
-    {!serve}; [cxxlookup batch] drives {!handle_json} directly).
+    {!serve}; [cxxlookup batch] drives {!handle_line} directly).
 
     On the stdin/stdout path the server is synchronous and
     single-threaded: one request, one response, in order.  Under the
@@ -215,12 +215,9 @@ val handle :
   ?conn:int -> ?around:('a codec -> request -> (unit -> 'a) -> 'a) -> t ->
   'a codec -> decoded -> 'a
 
-(** [handle_request t rq] / [handle_json t j] / [handle_line t line] —
-    one JSON request at the corresponding decoding stage, answered with
-    its response document. *)
+(** [handle_request t rq] / [handle_line t line] — one JSON request,
+    decoded or as a line, answered with its response document. *)
 val handle_request : ?conn:int -> t -> Protocol.request -> Chg.Json.t
-
-val handle_json : ?conn:int -> t -> Chg.Json.t -> Chg.Json.t
 
 val handle_line : ?conn:int -> t -> string -> Chg.Json.t
 

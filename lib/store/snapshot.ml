@@ -11,17 +11,14 @@ type t = {
 let magic = "CXLSNAP0"
 let format_version = 1
 
-(* section tags; unknown tags are skipped on decode (forward compat).
-   Columns have three encodings: tag 3 is the legacy boxed verdict
-   codec (still read, converted on load), tag 4 the per-column packed
-   codec (still read), and tag 5 — what we write — the whole table as
-   one position-independent image whose word area is 8-aligned in the
+(* section tags; unknown tags are skipped on decode, as are the column
+   sections 3 and 4 that older builds wrote (their columns are compiled
+   again on a miss).  Tag 5 is the whole table as one
+   position-independent image whose word area is 8-aligned in the
    file, so {!open_mapped} can serve it straight from a Bigarray
    mapping while {!decode} falls back to a byte-at-a-time read. *)
 let tag_meta = 1
 let tag_graph = 2
-let tag_columns_boxed = 3
-let tag_columns_packed = 4
 let tag_table_image = 5
 
 let crc_int s = Int32.to_int (B.crc32_string s) land 0xffffffff
@@ -104,19 +101,6 @@ let decode s =
         meta := Some (session, epoch, protocol)
       end
       else if tag = tag_graph then graph := Some (B.read_graph pr)
-      else if tag = tag_columns_packed then
-        columns :=
-          B.read_list pr (fun pr ->
-              let m = B.Reader.string pr in
-              let col = Lookup_core.Packed.read_column pr in
-              (m, col))
-      else if tag = tag_columns_boxed then
-        (* pre-packing snapshot: decode the boxed codec, pack on load *)
-        columns :=
-          B.read_list pr (fun pr ->
-              let m = B.Reader.string pr in
-              let col = Lookup_core.Verdict_io.read_column pr in
-              (m, Lookup_core.Packed.pack_column col))
       else if tag = tag_table_image then
         (* the mmap-able image, decoded byte-at-a-time — the path taken
            when the caller didn't (or couldn't) map the file *)

@@ -13,12 +13,13 @@
     table as a position-independent image ({!Lookup_core.Packed}) whose
     64-bit word area the writer pads to an 8-aligned file offset —
     what {!open_mapped} serves zero-copy from a [Bigarray] mapping and
-    {!decode} reads byte-at-a-time.  Legacy column sections are still
-    decoded: tag [4] (per-column packed codec) and tag [3] (boxed
-    {!Lookup_core.Verdict_io}, packed on load).  Unknown tags are
-    CRC-checked and skipped, so later format minors can add sections
-    without breaking this reader; a major layout change bumps
-    [format_version] and is rejected.
+    {!decode} reads byte-at-a-time.  Unknown tags are CRC-checked and
+    skipped, so later format minors can add sections without breaking
+    this reader; a major layout change bumps [format_version] and is
+    rejected.  The column sections of older builds, tag [3] (boxed
+    verdicts) and tag [4] (packed per column), are skipped the same
+    way: such a snapshot restores its graph and meta with no columns,
+    which are compiled again on a miss.
 
     Every section carries its own CRC-32: a flipped bit anywhere turns
     {!decode} into an [Error], never into a wrong hierarchy.  Columns

@@ -2,6 +2,7 @@
    order-independent constructor, closures and topological order. *)
 
 module G = Chg.Graph
+module B = Chg.Binary
 
 let nv = G.Non_virtual
 let v = G.Virtual
@@ -180,6 +181,240 @@ let test_dot_output () =
   in
   Alcotest.(check int) "one dashed edge" 1 (List.length dashed)
 
+(* -- error precedence across every build path --------------------------
+
+   Each case has two faults; every path that can express the case must
+   report the same one.  A class is (name, bases, members), plain
+   public non-virtual bases and data members.  [errors] is what a build
+   that drops a failing class and goes on (the front end) reports, in
+   order; a build that stops reports the first. *)
+
+type fault_case = {
+  fc_name : string;
+  fc_classes : (string * string list * string list) list;
+  fc_errors : string list;
+}
+
+let fault_cases =
+  [ { fc_name = "unknown base and repeated member";
+      fc_classes = [ ("B", [ "Zed" ], [ "m"; "m" ]) ];
+      fc_errors = [ "class B declares member m twice" ] };
+    { fc_name = "forward reference and repeated base";
+      fc_classes = [ ("B", [ "A"; "A" ], []); ("A", [], []) ];
+      fc_errors = [ "class B lists direct base A twice" ] };
+    { fc_name = "class named twice and a cycle";
+      fc_classes = [ ("A", [ "B" ], []); ("B", [ "A" ], []); ("A", [], []) ];
+      fc_errors = [ "class A is declared twice" ] };
+    { fc_name = "class named twice and repeated member";
+      fc_classes = [ ("A", [], [ "m" ]); ("A", [], [ "m"; "m" ]) ];
+      fc_errors = [ "class A is declared twice" ] };
+    { fc_name = "repeated base and repeated member";
+      fc_classes = [ ("A", [], []); ("B", [ "A"; "A" ], [ "m"; "m" ]) ];
+      fc_errors = [ "class B declares member m twice" ] };
+    { fc_name = "a failed class leaves no marks";
+      fc_classes =
+        [ ("A", [], [ "m"; "m" ]); ("B", [], [ "m" ]);
+          ("C", [ "B"; "B" ], [ "k" ]); ("D", [ "B" ], [ "k" ]) ];
+      fc_errors =
+        [ "class A declares member m twice";
+          "class C lists direct base B twice" ] } ]
+
+let fc_decls c =
+  List.map
+    (fun (name, bases, members) ->
+      { G.d_name = name;
+        d_bases = List.map (fun b -> (b, nv, G.Public)) bases;
+        d_members = List.map G.member members })
+    c.fc_classes
+
+(* no base names a class declared later *)
+let fc_bases_first c =
+  let rec go seen = function
+    | [] -> true
+    | (name, bases, _) :: rest ->
+      List.for_all
+        (fun b ->
+          List.mem b seen
+          || not (List.exists (fun (n, _, _) -> n = b) rest))
+        bases
+      && go (name :: seen) rest
+  in
+  go [] c.fc_classes
+
+(* [add] each class in order, dropping the failing ones *)
+let fc_errors_going_on add c =
+  List.filter_map
+    (fun d ->
+      match add d with
+      | () -> None
+      | exception G.Error e -> Some (G.error_to_string e))
+    (fc_decls c)
+
+let fc_first_error = function
+  | Ok _ -> "built"
+  | Error e -> G.error_to_string e
+
+(* The classes as a snapshot's graph section, bases as the ids of
+   earlier classes; [None] when a base is not one. *)
+let fc_binary c =
+  let w = B.Writer.create () in
+  B.Writer.u32 w (List.length c.fc_classes);
+  let rec go seen = function
+    | [] -> Some (B.Writer.contents w)
+    | (name, bases, members) :: rest ->
+      B.Writer.string w name;
+      B.Writer.u32 w (List.length bases);
+      if
+        List.for_all
+          (fun b ->
+            match List.assoc_opt b seen with
+            | None -> false
+            | Some id ->
+              B.Writer.u32 w id;
+              B.write_edge_kind w nv;
+              B.write_access w G.Public;
+              true)
+          bases
+      then begin
+        B.Writer.u32 w (List.length members);
+        List.iter (fun m -> B.write_member w (G.member m)) members;
+        go (seen @ [ (name, List.length seen) ]) rest
+      end
+      else None
+  in
+  go [] c.fc_classes
+
+let fc_source c =
+  String.concat " "
+    (List.map
+       (fun (name, bases, members) ->
+         Printf.sprintf "struct %s%s { %s };" name
+           (match bases with [] -> "" | bs -> " : " ^ String.concat ", " bs)
+           (String.concat " "
+              (List.map (Printf.sprintf "int %s;") members)))
+       c.fc_classes)
+
+let test_fault_precedence () =
+  List.iter
+    (fun c ->
+      let first = List.hd c.fc_errors in
+      let check path = Alcotest.(check string) (c.fc_name ^ ": " ^ path) in
+      let decls = fc_decls c in
+      check "of_decls" first (fc_first_error (G.of_decls decls));
+      check "of_decls_sorted" first (fc_first_error (G.of_decls_sorted decls));
+      if fc_bases_first c then begin
+        let b = G.create_builder () in
+        Alcotest.(check (list string)) (c.fc_name ^ ": add_class") c.fc_errors
+          (fc_errors_going_on
+             (fun d ->
+               ignore
+                 (G.add_class b d.G.d_name ~bases:d.G.d_bases
+                    ~members:d.G.d_members))
+             c);
+        let g = ref G.empty in
+        Alcotest.(check (list string)) (c.fc_name ^ ": extend") c.fc_errors
+          (fc_errors_going_on
+             (fun d ->
+               g :=
+                 fst
+                   (G.extend !g d.G.d_name ~bases:d.G.d_bases
+                      ~members:d.G.d_members))
+             c);
+        let r = Frontend.Sema.analyze_source (fc_source c) in
+        Alcotest.(check (list string)) (c.fc_name ^ ": front end") c.fc_errors
+          (List.filter_map
+             (fun (d : Frontend.Diagnostic.t) ->
+               if Frontend.Diagnostic.is_error d then Some d.message else None)
+             r.Frontend.Sema.diagnostics)
+      end;
+      match fc_binary c with
+      | None -> ()
+      | Some s ->
+        check "read_graph" ("graph rejected: " ^ first)
+          (match B.read_graph (B.Reader.of_string s) with
+          | _ -> "built"
+          | exception B.Corrupt msg -> msg))
+    fault_cases
+
+(* The front end on the program above, as a user writes it: one
+   diagnostic per failing class, none for the classes after them. *)
+let test_fault_precedence_front_end () =
+  let r =
+    Frontend.Sema.analyze_source
+      "struct A{int m;int m;}; struct B{int m;}; struct C:B,B{int k;}; \
+       struct D:B{int k;};"
+  in
+  Alcotest.(check (list string)) "diagnostics"
+    [ "1:8: error: class A declares member m twice";
+      "1:50: error: class C lists direct base B twice" ]
+    (List.map Frontend.Diagnostic.to_string r.Frontend.Sema.diagnostics)
+
+let test_frozen_graph_is_a_snapshot () =
+  let b = G.create_builder () in
+  ignore (G.add_class b "A" ~bases:[] ~members:[ G.member "m" ]);
+  let g = G.freeze b in
+  ignore (G.add_class b "New" ~bases:[ ("A", nv, G.Public) ] ~members:[]);
+  G.add_member b "A" (G.member "n");
+  Alcotest.(check int) "classes" 1 (G.num_classes g);
+  Alcotest.(check (list string)) "members of A" [ "m" ]
+    (List.map (fun m -> m.G.m_name) (G.members g (G.find g "A")));
+  Alcotest.(check bool) "New unknown" true (G.find_opt g "New" = None);
+  let g' = G.freeze b in
+  Alcotest.(check int) "the builder went on" 2 (G.num_classes g');
+  Alcotest.(check (list string)) "members of A, later" [ "m"; "n" ]
+    (List.map (fun m -> m.G.m_name) (G.members g' (G.find g' "A")))
+
+(* Any hierarchy with a cycle: its witness is a path, each name
+   followed by one of its bases, that ends where it started. *)
+let prop_cycle_witness_is_a_path =
+  QCheck.Test.make ~count:300 ~name:"cycle witness is a closed base path"
+    QCheck.(make ~print:string_of_int Gen.int)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 1 + Random.State.int st 7 in
+      let name i = Printf.sprintf "C%d" i in
+      (* a ring through the first [k] classes, then random edges *)
+      let k = 1 + Random.State.int st n in
+      let bases =
+        Array.init n (fun i ->
+            let ring = if i < k then [ (i + 1) mod k ] else [] in
+            ring
+            @ List.filter
+                (fun j -> (not (List.mem j ring)) && Random.State.int st 3 = 0)
+                (List.init n Fun.id))
+      in
+      let order = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let t = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- t
+      done;
+      let decls =
+        Array.to_list
+          (Array.map
+             (fun i ->
+               { G.d_name = name i;
+                 d_bases = List.map (fun j -> (name j, nv, G.Public)) bases.(i);
+                 d_members = [] })
+             order)
+      in
+      let is_base x y =
+        List.exists
+          (fun d -> d.G.d_name = x && List.exists (fun (b, _, _) -> b = y) d.G.d_bases)
+          decls
+      in
+      let rec path = function
+        | x :: (y :: _ as rest) -> is_base x y && path rest
+        | _ -> true
+      in
+      match G.of_decls decls with
+      | Error (G.Cyclic_hierarchy w) ->
+        (List.length w >= 2 && List.hd w = List.nth w (List.length w - 1) && path w)
+        || QCheck.Test.fail_reportf "witness %s" (String.concat " -> " w)
+      | Error e -> QCheck.Test.fail_reportf "error %s" (G.error_to_string e)
+      | Ok _ -> QCheck.Test.fail_report "no cycle found")
+
 let suite =
   [ Alcotest.test_case "accessors" `Quick test_basic_accessors;
     Alcotest.test_case "duplicate class rejected" `Quick test_duplicate_class;
@@ -198,4 +433,11 @@ let suite =
       test_closure_deep_virtual;
     Alcotest.test_case "topological order" `Quick test_topo_order;
     Alcotest.test_case "derived closure" `Quick test_derived_closure;
-    Alcotest.test_case "dot export" `Quick test_dot_output ]
+    Alcotest.test_case "dot export" `Quick test_dot_output;
+    Alcotest.test_case "two faults: one error on every build path" `Quick
+      test_fault_precedence;
+    Alcotest.test_case "two faults: the front end's diagnostics" `Quick
+      test_fault_precedence_front_end;
+    Alcotest.test_case "a frozen graph is a snapshot" `Quick
+      test_frozen_graph_is_a_snapshot;
+    QCheck_alcotest.to_alcotest prop_cycle_witness_is_a_path ]

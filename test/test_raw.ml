@@ -12,7 +12,6 @@ module J = Chg.Json
 module Path = Subobject.Path
 module Spec = Subobject.Spec
 module Engine = Lookup_core.Engine
-module Vio = Lookup_core.Verdict_io
 module Packed = Lookup_core.Packed
 module Session = Service.Session
 module Server = Service.Server
@@ -562,10 +561,11 @@ let prop_mmap_matches_oracle =
           check_columns "mmap-fast" (restored `Fast);
           true))
 
-(* Legacy snapshots (pre-image boxed tag-3 columns) predate the
-   mappable section, so the zero-copy opener must decline and the store
-   must restore them through the decode path — silently, with correct
-   verdicts and no mmap engagement. *)
+(* Legacy snapshots (tag-3 boxed columns, whatever the payload) predate
+   the mappable section, so the zero-copy opener must decline and the
+   store must restore them through the decode path: the graph and meta,
+   no columns, and no mmap engagement.  A session over them compiles
+   each column on its first miss, with the oracle's verdicts. *)
 let test_legacy_snapshot_falls_back_to_decode () =
   let g = Hiergen.Figures.fig3 () in
   with_temp_dir (fun dir ->
@@ -585,15 +585,7 @@ let test_legacy_snapshot_falls_back_to_decode () =
                 B.Writer.i64 w 0;
                 B.Writer.string w P.version) );
           (2, section (fun w -> B.write_graph w g));
-          ( 3,
-            section (fun w ->
-                let cols = boxed_columns g in
-                B.Writer.u32 w (List.length cols);
-                List.iter
-                  (fun (m, col) ->
-                    B.Writer.string w m;
-                    Vio.write_column w col)
-                  cols) ) ]
+          (3, "columns in a codec this build does not read") ]
       in
       B.Writer.u32 w (List.length sections);
       List.iter
@@ -611,20 +603,30 @@ let test_legacy_snapshot_falls_back_to_decode () =
       | (Ok (Some rv), engaged) ->
         Alcotest.(check bool) "mmap did not engage on a legacy file" false
           engaged;
+        let snap = rv.Store.rv_snapshot in
+        Alcotest.(check int) "no columns restored" 0
+          (List.length snap.Store.Snapshot.s_columns);
+        let s =
+          Session.restore ~name:"q" ~epoch:snap.Store.Snapshot.s_epoch
+            ~columns:snap.Store.Snapshot.s_columns snap.Store.Snapshot.s_graph
+        in
         List.iter
           (fun m ->
-            match
-              List.assoc_opt m rv.Store.rv_snapshot.Store.Snapshot.s_columns
-            with
-            | None -> Alcotest.failf "legacy column %S missing" m
-            | Some col ->
-              for c = 0 to G.num_classes g - 1 do
+            for c = 0 to G.num_classes g - 1 do
+              match Session.lookup s (G.name g c) m with
+              | Ok (v, Session.Compiled) ->
                 Alcotest.(check int)
                   (Printf.sprintf "legacy verdict (%s, %s)" (G.name g c) m)
-                  (oracle_code g c m)
-                  (Packed.column_resolve_code col c)
-              done)
-          (G.member_names g)
+                  (oracle_code g c m) (Session.code_of_verdict v)
+              | Ok (_, Session.Memoised) ->
+                Alcotest.failf "(%s, %s) not served from a column"
+                  (G.name g c) m
+              | Error e -> Alcotest.failf "lookup failed: %s" e
+            done)
+          (G.member_names g);
+        Alcotest.(check (list string)) "columns compiled on a miss"
+          (List.sort compare (G.member_names g))
+          (List.map fst (Session.compiled_columns s))
       | (Ok None, _) -> Alcotest.fail "legacy snapshot invisible to recovery"
       | (Error e, _) -> Alcotest.failf "legacy recovery failed: %s" e)
 

@@ -395,16 +395,17 @@ let error_code r =
   | _ -> Alcotest.fail "unstructured error"
 
 let open_request ?(session = "s") g =
-  J.Obj
-    [ ("id", J.Int 0); ("op", J.String "open");
-      ("session", J.String session); ("chg", Chg.Serialize.to_json g) ]
+  J.to_string
+    (J.Obj
+       [ ("id", J.Int 0); ("op", J.String "open");
+         ("session", J.String session); ("chg", Chg.Serialize.to_json g) ])
 
 let test_server_open_and_errors () =
   let srv = Server.create () in
-  let r = Server.handle_json srv (open_request (graph ())) in
+  let r = Server.handle_line srv (open_request (graph ())) in
   Alcotest.(check bool) "open ok" true (is_ok r);
   Alcotest.(check bool) "class count" true (field r "classes" = J.Int 8);
-  let dup = Server.handle_json srv (open_request (graph ())) in
+  let dup = Server.handle_line srv (open_request (graph ())) in
   Alcotest.(check string) "duplicate session" "duplicate_session"
     (error_code dup);
   let unknown =
@@ -458,7 +459,7 @@ let test_server_protocol_error_paths () =
   Alcotest.(check string) "mutate with both kinds" "bad_request"
     (code
        {|{"op":"mutate","session":"ghost","add_class":{"name":"X"},"add_member":{"class":"X","member":{"name":"m"}}}|});
-  ignore (Server.handle_json srv (open_request (graph ())));
+  ignore (Server.handle_line srv (open_request (graph ())));
   (* durability verbs without a store: structured store_error *)
   Alcotest.(check string) "snapshot without store" "store_error"
     (code {|{"op":"snapshot","session":"s"}|});
@@ -471,7 +472,7 @@ let test_server_protocol_error_paths () =
     (code {|{"op":"lookup","session":"s","class":"A","member":"foo"}|});
   (* the server survived all of it: a fresh open still works *)
   Alcotest.(check bool) "still serving" true
-    (is_ok (Server.handle_json srv (open_request (graph ()))))
+    (is_ok (Server.handle_line srv (open_request (graph ()))))
 
 (* ---- the durable server: store-backed open/mutate/restore ---------- *)
 
@@ -493,7 +494,7 @@ let test_server_store_restart () =
       let store = Store.open_dir dir in
       let srv = Server.create ~store () in
       Alcotest.(check bool) "open ok" true
-        (is_ok (Server.handle_json srv (open_request ~session:"d" (graph ()))));
+        (is_ok (Server.handle_line srv (open_request ~session:"d" (graph ()))));
       Alcotest.(check bool) "mutate ok" true
         (is_ok
            (Server.handle_line srv
@@ -548,7 +549,7 @@ let test_server_store_restart () =
 
 let test_server_metrics_verb () =
   let srv = Server.create () in
-  ignore (Server.handle_json srv (open_request (graph ())));
+  ignore (Server.handle_line srv (open_request (graph ())));
   ignore
     (Server.handle_line srv
        {|{"op":"lookup","session":"s","class":"A","member":"foo"}|});
@@ -589,7 +590,7 @@ let test_server_metrics_verb () =
 
 let test_server_stats_observability_fields () =
   let srv = Server.create () in
-  ignore (Server.handle_json srv (open_request (graph ())));
+  ignore (Server.handle_line srv (open_request (graph ())));
   ignore
     (Server.handle_line srv
        {|{"op":"lookup","session":"s","class":"A","member":"foo"}|});
@@ -616,7 +617,7 @@ let test_server_request_log_and_flight () =
   let path = Filename.temp_file "cxxlog" ".jsonl" in
   let log = Service.Request_log.open_path path in
   let srv = Server.create ~request_log:log ~slow_ms:0 () in
-  ignore (Server.handle_json srv (open_request (graph ())));
+  ignore (Server.handle_line srv (open_request (graph ())));
   ignore
     (Server.handle_line srv
        {|{"id":"q1","op":"lookup","session":"s","class":"A","member":"foo"}|});
@@ -707,7 +708,7 @@ let prop_batch_matches_spec =
     ~name:"batch_lookup over exhaustive workload = spec oracle" instance_arb
     (fun { Hiergen.Families.graph = g; _ } ->
       let srv = Server.create () in
-      let opened = Server.handle_json srv (open_request g) in
+      let opened = Server.handle_line srv (open_request g) in
       opened <> J.Null
       && is_ok opened
       &&
