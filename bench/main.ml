@@ -32,23 +32,24 @@ let write_metrics ?entries () =
   Format.printf "@.wrote BENCH_lookup.json (%d sweep points)@."
     (List.length entries)
 
-(* A quick mode reruns one experiment but keeps every other
-   experiment's rows: the existing file's entries minus that
-   experiment's stale ones, plus the fresh records.  A missing or
+(* A quick mode reruns some experiments but keeps every other
+   experiment's rows: the existing file's entries minus those
+   experiments' stale ones, plus the fresh records.  A missing or
    unparseable file degrades to the fresh rows alone. *)
-let merge_entries ~experiment fresh =
+let merge_entries ~experiments fresh =
+  let what = String.concat "/" experiments in
   let kept =
     match
       In_channel.with_open_text "BENCH_lookup.json" In_channel.input_all
     with
     | exception Sys_error _ -> []
     | text ->
-      (match Raw_bench.Reader.parse text with
-      | exception Raw_bench.Reader.Bad msg ->
+      (match Telemetry.Json.of_string text with
+      | exception Telemetry.Json.Parse_error msg ->
         Format.printf
           "  note: BENCH_lookup.json unparseable (%s); keeping %s rows \
            only@."
-          msg experiment;
+          msg what;
         []
       | Telemetry.Json.Obj fields ->
         (match List.assoc_opt "entries" fields with
@@ -56,8 +57,9 @@ let merge_entries ~experiment fresh =
           List.filter
             (function
               | Telemetry.Json.Obj fs ->
-                List.assoc_opt "experiment" fs
-                <> Some (Telemetry.Json.String experiment)
+                (match List.assoc_opt "experiment" fs with
+                | Some (Telemetry.Json.String e) -> not (List.mem e experiments)
+                | _ -> true)
               | _ -> true)
             l
         | _ -> [])
@@ -65,14 +67,15 @@ let merge_entries ~experiment fresh =
   in
   kept @ fresh
 
-(* Run one experiment, merge its rows into BENCH_lookup.json in place
-   and exit with its checks' verdict. *)
-let quick_mode ~experiment run =
+(* Run some experiments, merge their rows into BENCH_lookup.json in
+   place and exit with their checks' verdict. *)
+let quick_mode ~experiments run =
   run ();
   write_metrics
-    ~entries:(merge_entries ~experiment (List.rev !Scaling.bench_records)) ();
+    ~entries:(merge_entries ~experiments (List.rev !Scaling.bench_records)) ();
   Format.printf "@.%s@."
-    (if !Fig_tables.checks_failed = 0 then experiment ^ " checks passed."
+    (if !Fig_tables.checks_failed = 0 then
+       String.concat "/" experiments ^ " checks passed."
      else
        Printf.sprintf "%d CHECKS FAILED — see MISMATCH lines above."
          !Fig_tables.checks_failed);
@@ -102,26 +105,32 @@ let () =
            !Fig_tables.checks_failed);
     exit (if !Fig_tables.checks_failed = 0 then 0 else 1)
   end;
-  (* The quick modes each rerun one experiment and merge its rows into
-     BENCH_lookup.json in place (other experiments' entries are kept):
-     `svc` the session read path, `srv` the networked server, for iterating on the server; `clu` the
-     cluster (router + replicas); `raw` the raw speed floor, where rows
-     mmap cannot engage are reported as skipped, not failed; `rte` the
-     router's read-and-classify cost on a large open line; `opn` the
-     server's decode of an open line into a graph; `flr` the serving
-     floor, an echo on the connection loop.  The full run below
-     includes all seven and regenerates the file. *)
+  (* The quick modes each rerun one experiment (or a few) and merge
+     their rows into BENCH_lookup.json in place (other experiments'
+     entries are kept): `svc` the session read path, `srv` the networked
+     server, for iterating on the server; `clu` the cluster (router +
+     replicas); `raw` the raw speed floor, where rows mmap cannot engage
+     are reported as skipped, not failed; `rte` the router's
+     read-and-classify cost on a large open line; `opn` the server's
+     decode of an open line into a graph; `flr` the serving floor, an
+     echo on the connection loop; `cpl` member-column compilation (C1,
+     C2 and PAR1).  The full run below includes them all and
+     regenerates the file. *)
   List.iter
-    (fun (mode, experiment, run) ->
+    (fun (mode, experiments, run) ->
       if Array.exists (String.equal mode) Sys.argv then
-        quick_mode ~experiment run)
-    [ ("svc", "SVC1", Throughput.run);
-      ("srv", "SRV1", Srv_bench.run);
-      ("clu", "CLU1", Cluster_bench.run);
-      ("raw", "RAW1", Raw_bench.run);
-      ("rte", "RTE1", Route_bench.run);
-      ("opn", "OPN1", Open_bench.run);
-      ("flr", "FLR1", Floor_bench.run) ];
+        quick_mode ~experiments run)
+    [ ("svc", [ "SVC1" ], Throughput.run);
+      ("srv", [ "SRV1" ], Srv_bench.run);
+      ("clu", [ "CLU1" ], Cluster_bench.run);
+      ("raw", [ "RAW1" ], Raw_bench.run);
+      ("rte", [ "RTE1" ], Route_bench.run);
+      ("opn", [ "OPN1" ], Open_bench.run);
+      ("flr", [ "FLR1" ], Floor_bench.run);
+      ("cpl", [ "C1"; "C2"; "PAR1" ], fun () ->
+          Scaling.c1 ();
+          Scaling.c2 ();
+          Packed_bench.par1 ~n:1024 ()) ];
   Fig_tables.run ();
   Scaling.run ();
   Ablation.run ();

@@ -3,7 +3,8 @@
    PAR1: whole-table column compilation fanned over OCaml 5 domains.
    Columns are independent, so the build should scale with --jobs up to
    the core count; whatever the schedule, the packed table must encode
-   byte-identically (the determinism contract in DESIGN.md).
+   byte-identically (the determinism contract in DESIGN.md), and equal
+   the table packed from Engine.build_member's columns.
 
    PAK1: the packed representation against the boxed engine table on the
    C4 random-DAG family: resident bytes (packed must be well under the
@@ -26,6 +27,20 @@ let family ~n =
     ~members:(List.init (max 4 (n / 16)) (fun k -> Printf.sprintf "m%d" k))
     ~seed:42
 
+(* The same table packed from Engine.build_member's boxed columns: the
+   reference every parallel build must encode byte-identically to. *)
+let reference_encoding g cl =
+  let names = Array.of_list (G.member_names g) in
+  Packed.encode
+    (Packed.of_engine
+       (Engine.of_columns cl ~names
+          ~columns:
+            (Array.map
+               (fun m -> Engine.column (Engine.build_member cl m) m)
+               names)))
+
+let repeats = 5
+
 let par1 ~n () =
   header "PAR1" "parallel column compilation: scaling and determinism";
   let i = family ~n in
@@ -35,26 +50,49 @@ let par1 ~n () =
     (G.num_classes g)
     (List.length (G.member_names g))
     (Domain.recommended_domain_count ());
-  Format.printf "  %-8s %12s %10s@." "jobs" "build" "speedup";
-  let reference = ref "" in
-  let t1 = ref 0.0 in
+  let jobs_list = [ 1; 2; 4 ] in
+  (* one warm-up call per jobs value (a first multi-domain call pays the
+     domains' start-up), then [repeats] rounds over every jobs value in
+     turn, so drift on the host spreads over all rows alike *)
+  List.iter (fun jobs -> ignore (Packed.build ~jobs cl)) jobs_list;
+  let times = Array.make_matrix (List.length jobs_list) repeats 0.0 in
+  for r = 0 to repeats - 1 do
+    List.iteri
+      (fun k jobs ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Sys.opaque_identity (Packed.build ~jobs cl));
+        times.(k).(r) <- Unix.gettimeofday () -. t0)
+      jobs_list
+  done;
+  Format.printf "  %-8s %12s %24s %10s@." "jobs" "build" "[q1, q3]" "speedup";
+  let reference = reference_encoding g cl in
   let deterministic = ref true in
-  List.iter
-    (fun jobs ->
-      let t, latency = Timing.measure (fun () -> Packed.build ~jobs cl) in
+  let t1 = ref 0.0 in
+  List.iteri
+    (fun k jobs ->
+      let t, q1, q3 = Open_bench.quartiles times.(k) in
       if jobs = 1 then t1 := t;
       let metrics = Metrics.create () in
       let table = Packed.build ~jobs ~metrics cl in
-      let enc = Packed.encode table in
-      if jobs = 1 then reference := enc
-      else if not (String.equal enc !reference) then deterministic := false;
+      if not (String.equal (Packed.encode table) reference) then
+        deterministic := false;
       Scaling.record ~experiment:"PAR1"
         ~family:(Printf.sprintf "%s jobs=%d" i.Families.description jobs)
-        ~n_plus_e:(size g) ~time_ns:(t *. 1e9) ~latency
-        (Metrics.counters_json metrics);
-      Format.printf "  %-8d %a %9.2fx@." jobs Timing.pp_time t (!t1 /. t))
-    [ 1; 2; 4 ];
-  Format.printf "  [%s] packed tables byte-identical for jobs=1/2/4@."
+        ~n_plus_e:(size g) ~time_ns:(t *. 1e9)
+        (match Metrics.counters_json metrics with
+        | Telemetry.Json.Obj fields ->
+          Telemetry.Json.Obj
+            (fields
+            @ [ ("time_ns_q1", Telemetry.Json.Float (q1 *. 1e9));
+                ("time_ns_q3", Telemetry.Json.Float (q3 *. 1e9));
+                ("repeats", Telemetry.Json.Int repeats) ])
+        | j -> j);
+      Format.printf "  %-8d %a [%a, %a] %9.2fx@." jobs Timing.pp_time t
+        Timing.pp_time q1 Timing.pp_time q3 (!t1 /. t))
+    jobs_list;
+  Format.printf
+    "  [%s] packed tables byte-identical for jobs=1/2/4 and to the \
+     build_member table@."
     (if !deterministic then "OK" else "MISMATCH");
   if not !deterministic then incr Fig_tables.checks_failed
 

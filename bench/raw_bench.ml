@@ -306,123 +306,3 @@ let run () =
   header "RAW1" "raw speed floor: binary framing QPS and mmap restore";
   qps ();
   restore ()
-
-(* ---- reading BENCH_lookup.json back -------------------------------- *)
-
-(* A minimal float-tolerant JSON reader for BENCH_lookup.json itself:
-   {!Telemetry.Json} is deliberately write-only and {!Chg.Json} rejects
-   floats, but the [raw] quick mode must merge fresh RAW1 rows into the
-   file's existing entries without re-running every other experiment.
-   Covers exactly what {!Telemetry.Json.to_string} emits (no [\u]
-   escapes — the bench file never contains one). *)
-module Reader = struct
-  exception Bad of string
-
-  let parse s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\n' | '\t' | '\r') -> incr pos; skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () = Some c then incr pos
-      else fail (Printf.sprintf "expected %C" c)
-    in
-    let lit word v =
-      let w = String.length word in
-      if !pos + w <= n && String.sub s !pos w = word then begin
-        pos := !pos + w;
-        v
-      end
-      else fail "bad literal"
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> incr pos
-        | Some '\\' ->
-          incr pos;
-          (match peek () with
-          | Some 'n' -> Buffer.add_char b '\n'; incr pos
-          | Some 't' -> Buffer.add_char b '\t'; incr pos
-          | Some 'r' -> Buffer.add_char b '\r'; incr pos
-          | Some (('"' | '\\' | '/') as c) -> Buffer.add_char b c; incr pos
-          | _ -> fail "unsupported escape");
-          go ()
-        | Some c -> Buffer.add_char b c; incr pos; go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let numeric = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while (match peek () with Some c -> numeric c | None -> false) do
-        incr pos
-      done;
-      let tok = String.sub s start (!pos - start) in
-      match int_of_string_opt tok with
-      | Some i -> Telemetry.Json.Int i
-      | None ->
-        (match float_of_string_opt tok with
-        | Some f -> Telemetry.Json.Float f
-        | None -> fail "bad number")
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin incr pos; Telemetry.Json.Obj [] end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; fields ((k, v) :: acc)
-            | Some '}' -> incr pos; List.rev ((k, v) :: acc)
-            | _ -> fail "expected ',' or '}'"
-          in
-          Telemetry.Json.Obj (fields [])
-      | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin incr pos; Telemetry.Json.List [] end
-        else
-          let rec items acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' -> incr pos; items (v :: acc)
-            | Some ']' -> incr pos; List.rev (v :: acc)
-            | _ -> fail "expected ',' or ']'"
-          in
-          Telemetry.Json.List (items [])
-      | Some '"' -> Telemetry.Json.String (string_lit ())
-      | Some 't' -> lit "true" (Telemetry.Json.Bool true)
-      | Some 'f' -> lit "false" (Telemetry.Json.Bool false)
-      | Some 'n' -> lit "null" Telemetry.Json.Null
-      | Some ('0' .. '9' | '-') -> number ()
-      | Some _ -> fail "unexpected character"
-      | None -> fail "unexpected end of input"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
-end

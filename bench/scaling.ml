@@ -9,6 +9,7 @@
 module G = Chg.Graph
 module Engine = Lookup_core.Engine
 module Metrics = Lookup_core.Metrics
+module Packed = Lookup_core.Packed
 module Families = Hiergen.Families
 
 let size g = G.num_classes g + G.num_edges g
@@ -57,52 +58,68 @@ let full_table_counters cl =
   ignore (Engine.build ~metrics cl);
   Metrics.counters_json metrics
 
+(* The member column compiled both ways, one row each:
+   [Engine.build_member] (the Figure-8 reference, boxed) and the packed
+   sweep the service compiles with ([Packed.compile_column], family
+   suffixed "sweep").  Both count the same unit operations.  Returns
+   the sweep's ns per (|N|+|E|). *)
+let column_rows ~experiment (i : Families.instance) =
+  let g = i.graph in
+  let cl = Chg.Closure.compute g in
+  let t, latency = Timing.measure (fun () -> Engine.build_member cl "m") in
+  record ~experiment ~family:i.description ~n_plus_e:(size g)
+    ~time_ns:(t *. 1e9) ~latency
+    (member_column_counters cl "m");
+  let ts, latency = Timing.measure (fun () -> Packed.compile_column cl "m") in
+  let metrics = Metrics.create () in
+  ignore (Packed.compile_column ~metrics cl "m");
+  record ~experiment ~family:(i.description ^ " sweep") ~n_plus_e:(size g)
+    ~time_ns:(ts *. 1e9) ~latency
+    (Metrics.counters_json metrics);
+  let per t = t *. 1e9 /. float_of_int (size g) in
+  Format.printf "  %-34s %8d %a %8.1f %a %8.1f@." i.description (size g)
+    Timing.pp_time t (per t) Timing.pp_time ts (per ts);
+  per ts
+
+let column_header () =
+  Format.printf "  %-34s %8s %21s %21s@." "" "" "build_member" "sweep";
+  Format.printf "  %-34s %8s %12s %8s %12s %8s@." "family" "|N|+|E|" "time"
+    "ns/size" "time" "ns/size"
+
+(* The sweep's spread over one family: largest over smallest ns per
+   (|N|+|E|), the paper's O(|N|+|E|) claim read as a flat line. *)
+let spread name per =
+  let hi = List.fold_left max neg_infinity per
+  and lo = List.fold_left min infinity per in
+  Format.printf "  sweep over %s: %.2fx from the cheapest to the dearest \
+                 point@." name (hi /. lo)
+
 (* C1: single-member column on unambiguous families: expect time/(N+E)
    roughly flat (the paper's O(|N|+|E|) common case). *)
 let c1 () =
   header "C1" "single lookup, unambiguous case: expect ~linear in |N|+|E|";
-  Format.printf "  %-34s %8s %12s %14s@." "family" "|N|+|E|" "time"
-    "ns per |N|+|E|";
-  let run (i : Families.instance) =
-    let g = i.graph in
-    let cl = Chg.Closure.compute g in
-    let t, latency = Timing.measure (fun () -> Engine.build_member cl "m") in
-    record ~experiment:"C1" ~family:i.description ~n_plus_e:(size g)
-      ~time_ns:(t *. 1e9) ~latency
-      (member_column_counters cl "m");
-    Format.printf "  %-34s %8d %a %10.2f@." i.description (size g)
-      Timing.pp_time t
-      (t *. 1e9 /. float_of_int (size g))
-  in
-  List.iter
-    (fun n -> run (Families.chain ~n ~kind:G.Non_virtual))
-    [ 256; 512; 1024; 2048; 4096 ];
+  column_header ();
+  let run = column_rows ~experiment:"C1" in
+  spread "chains"
+    (List.map
+       (fun n -> run (Families.chain ~n ~kind:G.Non_virtual))
+       [ 256; 512; 1024; 2048; 4096 ]);
   List.iter
     (fun levels ->
-      run (Families.redeclared_diamond_stack ~levels ~kind:G.Virtual))
+      ignore (run (Families.redeclared_diamond_stack ~levels ~kind:G.Virtual)))
     [ 32; 64; 128; 256 ];
-  List.iter
-    (fun depth -> run (Families.wide_tree ~fanout:4 ~depth))
-    [ 3; 4; 5; 6 ]
+  spread "wide trees"
+    (List.map
+       (fun depth -> run (Families.wide_tree ~fanout:4 ~depth))
+       [ 3; 4; 5; 6 ])
 
 (* C2: the ambiguity-heavy fence family: many blue definitions cross each
    edge, so per-(N+E) cost grows with the width (the O(|N|*(|N|+|E|))
    general case). *)
 let c2 () =
   header "C2" "single lookup, ambiguous case: per-size cost grows with width";
-  Format.printf "  %-34s %8s %12s %14s@." "family" "|N|+|E|" "time"
-    "ns per |N|+|E|";
-  let run (i : Families.instance) =
-    let g = i.graph in
-    let cl = Chg.Closure.compute g in
-    let t, latency = Timing.measure (fun () -> Engine.build_member cl "m") in
-    record ~experiment:"C2" ~family:i.description ~n_plus_e:(size g)
-      ~time_ns:(t *. 1e9) ~latency
-      (member_column_counters cl "m");
-    Format.printf "  %-34s %8d %a %10.2f@." i.description (size g)
-      Timing.pp_time t
-      (t *. 1e9 /. float_of_int (size g))
-  in
+  column_header ();
+  let run i = ignore (column_rows ~experiment:"C2" i) in
   (* blue chains carry [width] distinct leastVirtual values down the
      chain: the per-(N+E) cost grows ~linearly with width, the general
      O(|N|*(|N|+|E|)) case. *)

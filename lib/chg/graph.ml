@@ -348,19 +348,21 @@ let name g c = g.names.(c)
 let find g n = Hashtbl.find g.ids n
 let find_opt g n = Hashtbl.find_opt g.ids n
 let bases g c = Array.to_list g.base_edges.(c)
+let num_bases g c = Array.length g.base_edges.(c)
+let base g c i = g.base_edges.(c).(i)
 let derived g c = g.derived_edges.(c)
 let members g c = Array.to_list (chunked_get g.member_arrays c)
 
-(* index of [m] among [c]'s own members, or -1: a plain loop, since
-   lookups probe this once per combine *)
+(* index of [m] among [c]'s own members, or -1: a plain loop that
+   allocates nothing, since every column compile probes it once per
+   class *)
 let member_index g c m =
   let ms = chunked_get g.member_arrays c in
-  let rec go i =
-    if i = Array.length ms then -1
-    else if String.equal ms.(i).m_name m then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < Array.length ms && not (String.equal ms.(!i).m_name m) do
+    incr i
+  done;
+  if !i < Array.length ms then !i else -1
 
 let find_member g c m =
   match member_index g c m with

@@ -196,6 +196,12 @@ val find_opt : t -> string -> class_id option
 (** [bases g c] are the direct bases of [c] in declaration order. *)
 val bases : t -> class_id -> base list
 
+(** [num_bases g c] is the number of direct bases of [c]; [base g c i]
+    is the [i]-th of them, [0 <= i < num_bases g c], in declaration
+    order: the edges read without building a list. *)
+val num_bases : t -> class_id -> int
+val base : t -> class_id -> int -> base
+
 (** [derived g c] are the classes having [c] as direct base, with the
     edge kind, in declaration order of the derived classes. *)
 val derived : t -> class_id -> (class_id * edge_kind) list

@@ -67,6 +67,17 @@ val pack_column : Engine.verdict option array -> column
 
 val unpack_column : column -> Engine.verdict option array
 
+(** [compile_column ?static_rule ?metrics cl m] is member [m]'s column
+    over [cl], compiled in one increasing pass over class ids that
+    writes packed entries directly: [O(|N| + |E|)] when no lookup of
+    [m] is ambiguous, with no boxed verdict built.  It equals
+    [pack_column (Engine.column (Engine.build_member cl m) m)] bit for
+    bit, and bumps [metrics]' counters by the same amounts as
+    {!Engine.build_member} (it records no timer span and no trace
+    event).  [static_rule] as in {!Engine.build}. *)
+val compile_column :
+  ?static_rule:bool -> ?metrics:Metrics.t -> Chg.Closure.t -> string -> column
+
 (** [column_get col c] decodes one entry (allocates the verdict). *)
 val column_get : column -> Chg.Graph.class_id -> Engine.verdict option
 
@@ -166,11 +177,11 @@ type t
 (** [build ?static_rule ?jobs ?metrics cl] compiles every member's
     packed column.  [static_rule] as in {!Engine.build}.  [jobs]
     (default [1]) is the number of domains; [1] runs inline on the
-    calling domain without spawning.  The result is bit-identical for
-    every [jobs] value.  [metrics] receives the merged counters of all
-    worker domains ({!Metrics.merge_into}); with [jobs > 1] the
-    [build] timer spans the whole parallel region (wall clock, not CPU
-    time).
+    calling domain without spawning.  Each column is one
+    {!compile_column}.  The result is bit-identical for every [jobs]
+    value.  [metrics] receives the merged counters of all worker
+    domains ({!Metrics.merge_into}); the [build] timer spans the whole
+    build (wall clock, not CPU time).
     @raise Invalid_argument when [jobs < 1]. *)
 val build : ?static_rule:bool -> ?jobs:int -> ?metrics:Metrics.t ->
   Chg.Closure.t -> t

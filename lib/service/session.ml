@@ -144,10 +144,10 @@ let count_verdict t = function
 
 (* The one read path.  A resident column answers with one array read.
    On a miss the session either compiles the column or declines:
-   - while the engine is still lazy (no mutation yet), one Figure-8
-     sweep over the closure compiles the member's column, which is kept
-     for good — a member is compiled at most once, and nothing boxed
-     outlives the sweep;
+   - while the engine is still lazy (no mutation yet), one packed
+     sweep over the closure ({!Packed.compile_column}) writes the
+     member's column, which is kept for good — a member is compiled at
+     most once, and the sweep builds no boxed verdict;
    - once a mutation has forced the engine, its row answers the query
      (one hash probe) and nothing is compiled: [None] here. *)
 let column t id =
@@ -161,9 +161,7 @@ let column t id =
     | Some _ as col -> col
     | None ->
       let m = t.member_names_arr.(id) in
-      let col =
-        Packed.pack_column (Engine.column (Engine.build_member t.closure m) m)
-      in
+      let col = Packed.compile_column t.closure m in
       Table_cache.fill t.store id col;
       Some col)
 

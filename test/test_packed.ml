@@ -199,11 +199,148 @@ let prop_column_append =
       in
       ok)
 
+(* The packed sweep against its reference, on every family generator
+   and both settings of the Section 6 rule: for every member the column
+   is bit-identical to the packed Figure-8 column, and the operation
+   counters agree with build_member's one for one. *)
+let family_gen =
+  QCheck.Gen.(
+    let kind = oneofl [ G.Virtual; G.Non_virtual ] in
+    let random static =
+      map
+        (fun (n, (max_bases, vp, dp), sp, seed) ->
+          let members = [ "m"; "n"; "p" ] in
+          let virtual_prob = float_of_int vp /. 10.
+          and declare_prob = float_of_int dp /. 10. in
+          if static then
+            Hiergen.Families.random_static_dag ~n ~max_bases ~virtual_prob
+              ~declare_prob ~static_prob:(float_of_int sp /. 10.) ~members
+              ~seed
+          else
+            Hiergen.Families.random_dag ~n ~max_bases ~virtual_prob
+              ~declare_prob ~members ~seed)
+        (quad (int_range 1 30)
+           (triple (int_range 1 4) (int_range 0 10) (int_range 1 6))
+           (int_range 0 10) (int_range 0 10000))
+    in
+    oneof
+      [ map2 (fun n kind -> Hiergen.Families.chain ~n ~kind) (int_range 1 40) kind;
+        map2 (fun levels kind -> Hiergen.Families.diamond_stack ~levels ~kind)
+          (int_range 1 6) kind;
+        map2
+          (fun levels kind ->
+            Hiergen.Families.redeclared_diamond_stack ~levels ~kind)
+          (int_range 1 6) kind;
+        map2 (fun width levels -> Hiergen.Families.fence ~width ~levels)
+          (int_range 1 5) (int_range 1 4);
+        map2 (fun fanout depth -> Hiergen.Families.wide_tree ~fanout ~depth)
+          (int_range 1 4) (int_range 0 3);
+        map2 (fun width depth -> Hiergen.Families.blue_chain ~width ~depth)
+          (int_range 1 6) (int_range 0 8);
+        random false;
+        random true ])
+
+let prop_compile_column_matches_build_member =
+  QCheck.Test.make ~count:400
+    ~name:"compile_column = packed build_member"
+    (QCheck.make
+       QCheck.Gen.(pair family_gen bool)
+       ~print:(fun (i, static_rule) ->
+         Printf.sprintf "static_rule=%b %s\n%s" static_rule
+           i.Hiergen.Families.description
+           (Format.asprintf "%a" G.pp i.Hiergen.Families.graph)))
+    (fun ({ Hiergen.Families.graph = g; _ }, static_rule) ->
+      let module Metrics = Lookup_core.Metrics in
+      let cl = Chg.Closure.compute g in
+      List.for_all
+        (fun m ->
+          let mr = Metrics.create () and ms = Metrics.create () in
+          let reference =
+            Packed.pack_column
+              (Engine.column (Engine.build_member ~static_rule ~metrics:mr cl m) m)
+          in
+          let swept = Packed.compile_column ~static_rule ~metrics:ms cl m in
+          Packed.column_equal swept reference
+          && Metrics.counters ms = Metrics.counters mr)
+        ("absent" :: G.member_names g))
+
+(* Packed.build compiles through the sweep on any number of domains;
+   its encoding must be the table packed from build_member's columns. *)
+let test_build_matches_build_member () =
+  List.iter
+    (fun (i : Hiergen.Families.instance) ->
+      let g = i.graph in
+      let cl = Chg.Closure.compute g in
+      let names = Array.of_list (G.member_names g) in
+      let reference =
+        Packed.encode
+          (Packed.of_engine
+             (Engine.of_columns cl ~names
+                ~columns:
+                  (Array.map
+                     (fun m -> Engine.column (Engine.build_member cl m) m)
+                     names)))
+      in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, jobs=%d" i.description jobs)
+            true
+            (String.equal (Packed.encode (Packed.build ~jobs cl)) reference))
+        [ 1; 2; 4 ])
+    [ Hiergen.Families.random_dag ~n:80 ~max_bases:3 ~virtual_prob:0.3
+        ~declare_prob:0.2
+        ~members:(List.init 12 (fun k -> Printf.sprintf "m%d" k))
+        ~seed:17;
+      Hiergen.Families.random_static_dag ~n:80 ~max_bases:3
+        ~virtual_prob:0.4 ~declare_prob:0.2 ~static_prob:0.5
+        ~members:(List.init 12 (fun k -> Printf.sprintf "m%d" k))
+        ~seed:29;
+      Hiergen.Families.blue_chain ~width:8 ~depth:16 ]
+
+(* The sweep's garbage is bounded per class: on a 600-class random DAG
+   of the serving benchmark's shape, compiling one column allocates at
+   most [per_class] words per class beyond the column it returns
+   (minor words plus words allocated directly in the major heap). *)
+let test_compile_column_allocation () =
+  let per_class = 8 in
+  let i =
+    Hiergen.Families.random_dag ~n:600 ~max_bases:2 ~virtual_prob:0.2
+      ~declare_prob:0.05
+      ~members:(List.init 256 (Printf.sprintf "m%d"))
+      ~seed:1
+  in
+  let g = i.Hiergen.Families.graph in
+  let n = G.num_classes g in
+  let cl = Chg.Closure.compute g in
+  let words () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. (major -. promoted)
+  in
+  List.iter
+    (fun m ->
+      let before = words () in
+      let col = Packed.compile_column cl m in
+      let spent = words () -. before in
+      (* the column: its record, the two vec boxes, the entry and arena
+         arrays with their headers *)
+      let own = Packed.column_bytes col / 8 + 4 in
+      let excess = int_of_float spent - own in
+      if excess > per_class * n then
+        Alcotest.failf "%s: %d words beyond the column's %d, over %d per class"
+          m excess own per_class)
+    [ "m0"; "m7"; "m100"; "m255" ]
+
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_packed_matches_eager_and_spec; prop_roundtrip; prop_column_append ]
+    [ prop_packed_matches_eager_and_spec; prop_roundtrip; prop_column_append;
+      prop_compile_column_matches_build_member ]
   @ [ Alcotest.test_case "Ω coding edge cases" `Quick test_omega_edge_cases;
       Alcotest.test_case "parallel determinism" `Quick
         test_parallel_determinism;
       Alcotest.test_case "parallel metrics merge" `Quick
-        test_parallel_metrics_merge ]
+        test_parallel_metrics_merge;
+      Alcotest.test_case "build = build_member table" `Quick
+        test_build_matches_build_member;
+      Alcotest.test_case "compile_column allocation" `Quick
+        test_compile_column_allocation ]

@@ -73,6 +73,34 @@ let test_json_output () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "Chg.Json rejects telemetry output: %s" e
 
+(* A file written by to_string and read back prints the same text again:
+   a bench quick mode rewrites only its own rows.  2771371.2 is the
+   float whose six digits, [2.77137e+06], once read back as 2771370.0
+   and printed another way. *)
+let test_json_reprint_fixed_point () =
+  let module J = Telemetry.Json in
+  Alcotest.(check string) "six whole digits print whole" "2771370.0"
+    (J.to_string (J.Float 2771371.2));
+  let reprint text = J.to_string ~pretty:true (J.of_string text) in
+  let doc =
+    J.to_string ~pretty:true
+      (J.Obj
+         [ ("f", J.List (List.map (fun f -> J.Float f)
+                   [ 2771371.2; 123456.7; 999999.5; 1.5e-7; -0.25; 3.0;
+                     1e20; 9.999999e14 +. 0.5; Float.nan ]));
+           ("i", J.Int (-42)); ("s", J.String "a\"b/c"); ("b", J.Bool true) ])
+  in
+  Alcotest.(check string) "document reprints identically" doc (reprint doc)
+
+let prop_float_reprint_fixed_point =
+  QCheck.Test.make ~count:2000 ~name:"json float reprint fixed point"
+    QCheck.(oneof [ float; map (fun (m, e) -> ldexp (float_of_int m) e)
+                              (pair small_signed_int (int_range (-60) 60)) ])
+    (fun f ->
+      let text = Telemetry.Json.to_string (Telemetry.Json.Float f) in
+      String.equal text
+        (Telemetry.Json.to_string (Telemetry.Json.of_string text)))
+
 (* -- engine instrumentation ----------------------------------------- *)
 
 let test_engine_counters () =
@@ -294,6 +322,8 @@ let suite =
   [ Alcotest.test_case "counter/timer/sink primitives" `Quick
       test_counter_timer_sink;
     Alcotest.test_case "json output" `Quick test_json_output;
+    Alcotest.test_case "json reprint fixed point" `Quick
+      test_json_reprint_fixed_point;
     Alcotest.test_case "engine counters on Figure 9" `Quick
       test_engine_counters;
     Alcotest.test_case "disabled metrics are inert" `Quick
@@ -307,4 +337,5 @@ let suite =
     Alcotest.test_case "trace replays Figure 8" `Quick
       test_trace_replays_topologically ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ prop_member_column_is_linear; prop_memo_conserves_work ]
+      [ prop_member_column_is_linear; prop_memo_conserves_work;
+        prop_float_reprint_fixed_point ]
