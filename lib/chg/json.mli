@@ -92,9 +92,12 @@ val str_index : reader -> string array -> from:int -> int
 (** The last string scanned, decoded. *)
 val str_value : reader -> string
 
-(** {!str_value}, shared: equal strings read by one reader are one
-    string, so a document's repeated names cost one copy. *)
-val shared_str : reader -> string
+(** Where the last string scanned lies: its content is [text r.[str_start r
+    .. str_stop r - 1]], the bytes as they are in the document, with
+    escapes undecoded when {!str_escaped}. *)
+val str_start : reader -> int
+val str_stop : reader -> int
+val str_escaped : reader -> bool
 
 (** [read_items r f a] reads the array {!peek} found: [f r a] per
     element, which must consume it. *)
@@ -104,6 +107,41 @@ val read_items : reader -> (reader -> 'a -> unit) -> 'a -> unit
     key is scanned (read it with {!str_index}), then [f r a] must consume
     the value. *)
 val read_fields : reader -> (reader -> 'a -> unit) -> 'a -> unit
+
+(** [fields_after r f a] reads the rest of an object whose fields up
+    to the value just read were read elsewhere: as {!read_fields} goes
+    on after [f] has consumed a value. *)
+val fields_after : reader -> (reader -> 'a -> unit) -> 'a -> unit
+
+(** {2 Matching a known layout}
+
+    A reader that expects the bytes of a value in one layout — the one
+    its own writer prints — may match them where they lie and jump past
+    them, instead of scanning them token by token.  Whatever does not
+    match it reads with the functions above, from where it started, so
+    the error text and offsets are the scanner's.  The caller vouches
+    that the bytes it jumps over are one well-formed value. *)
+
+(** The document: the whole string the reader scans (a region of it
+    when {!of_string_reading} was given one). *)
+val text : reader -> string
+
+(** The reader's offset in {!text}: after {!peek}, the next value's
+    first byte. *)
+val pos : reader -> int
+
+(** [jump r p] moves the reader to offset [p], past bytes the caller
+    has matched. *)
+val jump : reader -> int -> unit
+
+(** [lit r p w]: the document holds the bytes of [w] at offset [p],
+    all of them before the region's end. *)
+val lit : reader -> int -> string -> bool
+
+(** [quote_from r p] is the offset of the first ['"'] at or after [p]
+    when no ['\\'] comes before it, else -1 (also when the region ends
+    first). *)
+val quote_from : reader -> int -> int
 
 (** Accessors returning [Error] with a path-aware message. *)
 

@@ -15,7 +15,7 @@
       materialized, and [add_class] / [add_member] update it in place.
 
     A name no class declares answers [None] and touches neither the
-    store nor the intern table.
+    store nor the member index.
 
     A mutation costs what the incremental engine costs, and never
     recomputes anything whole.  It publishes a copy of the store in
@@ -106,8 +106,9 @@ val lookup :
 (** {2 Interned ids — the binary hot path}
 
     Classes are addressed by graph id (declaration order, append-only);
-    members by the session's dense intern ids, assigned in
-    first-declaration order at open and append-only across mutations —
+    members by the dense ids of the graph's member index
+    ({!Chg.Graph.member_id}), in first-declaration order at open and
+    append-only across mutations: nothing is interned at open, and —
     never renumbered within a server lifetime, so a client's table plus
     mutation deltas stays valid.  (Ids are {e not} stable across server
     restarts; clients re-fetch [symbols] per session open.) *)
