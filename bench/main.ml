@@ -86,6 +86,8 @@ let () =
   if Array.exists (String.equal "floor-child") Sys.argv then Floor_bench.child ();
   (* OPN1's cold open, in the children OPN1 starts *)
   if Array.exists (String.equal "open-child") Sys.argv then Open_bench.child ();
+  if Array.exists (String.equal "open-stages-child") Sys.argv then
+    Open_bench.stages_child ();
   Format.printf "cxxlookup benchmark harness — ";
   Format.printf "A Member Lookup Algorithm for C++ (PLDI 1997)@.";
   (* `smoke` (make bench-smoke, CI) runs only the packed-table checks on
@@ -114,7 +116,7 @@ let () =
      read-and-classify cost on a large open line; `opn` the server's
      decode of an open line into a graph; `flr` the serving floor, an
      echo on the connection loop; `cpl` member-column compilation (C1,
-     C2 and PAR1).  The full run below includes them all and
+     C2 and PAR1); `sto` the durable store's session open (STO1).  The full run below includes them all and
      regenerates the file. *)
   List.iter
     (fun (mode, experiments, run) ->
@@ -127,6 +129,7 @@ let () =
       ("rte", [ "RTE1" ], Route_bench.run);
       ("opn", [ "OPN1" ], Open_bench.run);
       ("flr", [ "FLR1" ], Floor_bench.run);
+      ("sto", [ "STO1" ], Store_bench.run);
       ("cpl", [ "C1"; "C2"; "PAR1" ], fun () ->
           Scaling.c1 ();
           Scaling.c2 ();

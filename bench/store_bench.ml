@@ -8,17 +8,18 @@
    serving state is ready without recomputation.  The third family adds
    a WAL tail to the warm path: recovery replays the logged mutations
    through the session's incremental engine, which is the real restart
-   cost once a store has been running between compactions. *)
+   cost once a store has been running between compactions.
+
+   Each row is the median and quartiles over [repeats] rounds; a round
+   times the three families in turn (each a calibrated mean over at
+   least 20 ms of calls), so a drift of the machine lands on all three
+   alike.  [dune exec bench/main.exe -- sto] reruns STO1 alone. *)
 
 module G = Chg.Graph
 module Families = Hiergen.Families
 module Session = Service.Session
 
 let header id title = Format.printf "@.---- %s: %s ----@." id title
-
-let counters_json pairs =
-  Telemetry.Json.Obj
-    (List.map (fun (k, v) -> (k, Telemetry.Json.Int v)) pairs)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -39,6 +40,7 @@ let compile_columns s g =
     (G.member_names g)
 
 let wal_tail = 48
+let repeats = 9
 
 let run () =
   header "STO1" "session open: cold build vs snapshot restore";
@@ -109,36 +111,46 @@ let run () =
   ignore (cold_open ());
   ignore (warm_open "plain");
   ignore (warm_open "tail") (* warm the page cache for all three *);
-  let t_cold, lat_cold = Timing.measure (fun () -> cold_open ()) in
-  let t_warm, lat_warm = Timing.measure (fun () -> warm_open "plain") in
-  let t_tail, lat_tail = Timing.measure (fun () -> warm_open "tail") in
-  Format.printf "  %-38s %a@." "cold open (build + compile columns)"
-    Timing.pp_time t_cold;
-  Format.printf "  %-38s %a@." "warm open (snapshot restore)"
-    Timing.pp_time t_warm;
-  Format.printf "  %-38s %a@."
-    (Printf.sprintf "warm open + %d-record WAL replay" wal_tail)
-    Timing.pp_time t_tail;
-  Format.printf "  warm speedup over cold: %.2fx@." (t_cold /. t_warm);
-  let shape =
-    [ ("classes", G.num_classes g);
-      ("member_names", List.length members);
-      ("snapshot_bytes", snapshot_bytes);
-      ("wal_records", 0) ]
+  let families =
+    [ ("cold open (build + compile columns)", (fun () -> ignore (cold_open ())), 0);
+      ("warm open (snapshot restore)", (fun () -> ignore (warm_open "plain")), 0);
+      ( Printf.sprintf "warm open + %d-record WAL replay" wal_tail,
+        (fun () -> ignore (warm_open "tail")),
+        wal_tail ) ]
   in
-  Scaling.record ~experiment:"STO1"
-    ~family:"cold open (build + compile columns)" ~n_plus_e:size
-    ~time_ns:(t_cold *. 1e9) ~latency:lat_cold
-    (counters_json shape);
-  Scaling.record ~experiment:"STO1" ~family:"warm open (snapshot restore)"
-    ~n_plus_e:size ~time_ns:(t_warm *. 1e9) ~latency:lat_warm
-    (counters_json shape);
-  Scaling.record ~experiment:"STO1"
-    ~family:(Printf.sprintf "warm open + %d-record WAL replay" wal_tail)
-    ~n_plus_e:size ~time_ns:(t_tail *. 1e9) ~latency:lat_tail
-    (counters_json
-       (List.map
-          (fun (k, v) -> if k = "wal_records" then (k, wal_tail) else (k, v))
-          shape));
+  let times = List.map (fun _ -> Array.make repeats 0.) families in
+  let latency = Array.make (List.length families) None in
+  for r = 0 to repeats - 1 do
+    List.iteri
+      (fun k ((_, f, _), t) ->
+        let mean, hist = Timing.measure f in
+        t.(r) <- mean;
+        latency.(k) <- Some hist)
+      (List.combine families times)
+  done;
+  let medians =
+    List.mapi
+      (fun k ((family, _, records), t) ->
+        let m, q1, q3 = Open_bench.quartiles t in
+        Format.printf "  %-38s %a [%a, %a]@." family Timing.pp_time m
+          Timing.pp_time q1 Timing.pp_time q3;
+        let f x = Telemetry.Json.Float x and i x = Telemetry.Json.Int x in
+        Scaling.record ~experiment:"STO1" ~family ~n_plus_e:size
+          ~time_ns:(m *. 1e9) ?latency:latency.(k)
+          (Telemetry.Json.Obj
+             [ ("classes", i (G.num_classes g));
+               ("member_names", i (List.length members));
+               ("snapshot_bytes", i snapshot_bytes);
+               ("wal_records", i records);
+               ("repeats", i repeats);
+               ("time_ns_q1", f (q1 *. 1e9));
+               ("time_ns_q3", f (q3 *. 1e9)) ]);
+        m)
+      (List.combine families times)
+  in
+  (match medians with
+  | t_cold :: t_warm :: _ ->
+    Format.printf "  warm speedup over cold: %.2fx (medians)@." (t_cold /. t_warm)
+  | _ -> ());
   Store.close store;
   rm_rf dir

@@ -433,11 +433,113 @@ let slash_names g =
       | j -> j)
     (Chg.Serialize.to_json g)
 
+(* [j] with every class name (and base reference) through [cls] and
+   every member name through [mem] *)
+let renamed ~cls ~mem j =
+  everywhere
+    (function
+      | Json.Obj fields ->
+        let is k = List.mem_assoc k fields in
+        let f =
+          if is "bases" then Some cls
+          else if is "kind" then Some mem
+          else if is "class" then Some cls
+          else None
+        in
+        (match f with
+        | None -> Json.Obj fields
+        | Some f ->
+          Json.Obj
+            (List.map
+               (function
+                 | (("name" | "class") as k), Json.String x -> (k, Json.String (f x))
+                 | kv -> kv)
+               fields))
+      | j -> j)
+    j
+
+(* Names of one length built from [k] blocks of "Aa" and "BB": all of
+   them have the same polynomial hash, so they probe one chain. *)
+let colliding k i =
+  String.concat "" (List.init k (fun b -> if (i lsr b) land 1 = 0 then "Aa" else "BB"))
+
+(* [f] over the names, numbered in first-seen order *)
+let numbered f =
+  let seen = Hashtbl.create 16 in
+  fun x ->
+    match Hashtbl.find_opt seen x with
+    | Some y -> y
+    | None ->
+      let y = f (Hashtbl.length seen) x in
+      Hashtbl.add seen x y;
+      y
+
+let swap_adjacent st = function
+  | Json.Obj fields when List.length fields >= 2 && Random.State.bool st ->
+    let i = Random.State.int st (List.length fields - 1) in
+    let a = Array.of_list fields in
+    let x = a.(i) in
+    a.(i) <- a.(i + 1);
+    a.(i + 1) <- x;
+    Json.Obj (Array.to_list a)
+  | j -> j
+
+(* a well-formed value of the same field, for an earlier duplicate *)
+let another st = function
+  | Json.String x -> Json.String (x ^ "x")
+  | Json.Bool b -> Json.Bool (not b)
+  | Json.Int n -> Json.Int (n + 1)
+  | v -> ignore st; v
+
+(* every member's kind, static, virtual and access drawn at random *)
+let random_flags st =
+  everywhere (function
+    | Json.Obj fields when List.mem_assoc "kind" fields ->
+      let str xs = Json.String (pick st xs) and bool () = Json.Bool (Random.State.bool st) in
+      Json.Obj
+        (List.map
+           (function
+             | "kind", _ -> ("kind", str [ "data"; "function"; "type"; "enumerator" ])
+             | "static", _ -> ("static", bool ())
+             | "virtual", _ -> ("virtual", bool ())
+             | "access", _ -> ("access", str [ "public"; "protected"; "private" ])
+             | kv -> kv)
+           fields)
+    | j -> j)
+
 (* A mutation of [g]'s document: its name, the text, and whether it
    keeps the document's meaning. *)
 let mutated st g =
   let j = Chg.Serialize.to_json g in
-  match Random.State.int st 9 with
+  match Random.State.int st 15 with
+  | 9 ->
+    (* names that differ only in their last byte *)
+    let long x = String.make 40 'p' ^ x in
+    ("last byte", Json.to_string (renamed ~cls:long ~mem:long j), false)
+  | 10 ->
+    let cls = numbered (fun i _ -> colliding 6 i)
+    and mem = numbered (fun i _ -> colliding 3 i) in
+    ("hash collisions", Json.to_string (renamed ~cls ~mem j), false)
+  | 11 ->
+    (* quotes, backslashes and \u escapes inside names *)
+    let mem = numbered (fun i x -> if i mod 2 = 0 then x ^ {|"\|} else x) in
+    ( "escaped names",
+      replace_all ~sub:{|"class":"|} ~by:({|"class":"|} ^ u 'K')
+        (replace_all ~sub:{|{"name":"|} ~by:({|{"name":"|} ^ u 'e')
+           (Json.to_string (renamed ~cls:Fun.id ~mem j))),
+      false )
+  | 12 -> ("flags at random", Json.to_string (random_flags st j), false)
+  | 13 -> ("keys swapped", Json.to_string (everywhere (swap_adjacent st) j), true)
+  | 14 ->
+    ( "earlier duplicates",
+      Json.to_string
+        (everywhere
+           (function
+             | Json.Obj ((k, v) :: _ as f) when Random.State.bool st ->
+               Json.Obj ((k, another st v) :: f)
+             | j -> j)
+           j),
+      false )
   | 0 -> ("as is", Chg.Serialize.to_string g, true)
   | 1 ->
     ( "fields reordered",

@@ -1235,11 +1235,13 @@ let test_open_garbage () =
   done;
   let bytes = float_of_int (String.length doc) in
   let per_byte = !fewest /. bytes and major_per_byte = !fewest_major /. bytes in
-  if per_byte > 0.5 then
-    Alcotest.failf "warm open: %.2f minor words per document byte (<= 0.5)"
+  (* the layout-matching reader and a session that interns nothing
+     measure 0.14 minor and 0.08 major words per byte here *)
+  if per_byte > 0.2 then
+    Alcotest.failf "warm open: %.2f minor words per document byte (<= 0.2)"
       per_byte;
-  if major_per_byte > 0.25 then
-    Alcotest.failf "warm open: %.2f major words per document byte (<= 0.25)"
+  if major_per_byte > 0.125 then
+    Alcotest.failf "warm open: %.2f major words per document byte (<= 0.125)"
       major_per_byte
 
 let suite =
