@@ -176,11 +176,7 @@ let build_general ?(static_rule = true) ?(witnesses = false)
   Telemetry.Span.run metrics.Metrics.spans "intern" (fun () ->
       match only with
       | Some m -> ignore (intern m)
-      | None ->
-        Chg.Graph.iter_classes g (fun c ->
-            List.iter
-              (fun (mem : Chg.Graph.member) -> ignore (intern mem.m_name))
-              (Chg.Graph.members g c)));
+      | None -> List.iter (fun m -> ignore (intern m)) (Chg.Graph.member_names g));
   let num_members = Hashtbl.length member_ids in
   let member_names = Array.of_list (List.rev !rev_names) in
   let member_sets = Array.init n (fun _ -> Chg.Bitset.create num_members) in
