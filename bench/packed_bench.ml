@@ -121,12 +121,26 @@ let pak1_point ~check i =
     done;
     !acc
   in
-  let t_boxed =
-    Timing.seconds_per_call (fun () -> probe Engine.resolves_to eng)
-  in
-  let t_packed, lat_packed =
-    Timing.measure (fun () -> probe Packed.resolves_to packed)
-  in
+  (* each side's time is the median of [repeats] probes, taken in
+     alternating order, so one slow stretch of a shared host lands on
+     one probe of one side, not on the whole comparison; the latency
+     distribution is the last packed probe's *)
+  let boxed_s = Array.make repeats 0.0 and packed_s = Array.make repeats 0.0 in
+  let lat_packed = ref (Telemetry.Histogram.create ()) in
+  for r = 0 to repeats - 1 do
+    let boxed () =
+      boxed_s.(r) <-
+        Timing.seconds_per_call (fun () -> probe Engine.resolves_to eng)
+    and packed () =
+      let t, lat = Timing.measure (fun () -> probe Packed.resolves_to packed) in
+      packed_s.(r) <- t;
+      lat_packed := lat
+    in
+    if r mod 2 = 0 then (boxed (); packed ()) else (packed (); boxed ())
+  done;
+  let median xs = let m, _, _ = Open_bench.quartiles xs in m in
+  let t_boxed = median boxed_s and t_packed = median packed_s in
+  let lat_packed = !lat_packed in
   let queries = float_of_int (nc * max 1 (Array.length members)) in
   let boxed_ns = t_boxed *. 1e9 /. queries
   and packed_ns = t_packed *. 1e9 /. queries in

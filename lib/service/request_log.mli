@@ -49,10 +49,40 @@ val close : t -> unit
 
 (** {1 Flight recorder} *)
 
-type recorder = entry Telemetry.Ring.t
+(** The most recent entries, in columns allocated once: a push stores
+    ints and strings the caller already holds, so it leaves nothing for
+    a minor collection to promote. *)
+type recorder
 
 val default_flight_capacity : int
 
-(** [dump r oc] writes the ring oldest-first as JSON lines between
-    human-readable header/footer markers, then flushes. *)
+(** [recorder capacity]; capacity must be >= 1. *)
+val recorder : int -> recorder
+
+(** [push r ...] overwrites the oldest entry once [r] is full.  Pushes
+    must be serialized by the caller; {!entries} and {!dump} may run
+    beside one, or interrupt one, and then skip the slot it is writing.
+    The strings are stored as they are: pass ones the caller keeps. *)
+val push :
+  recorder ->
+  seq:int ->
+  conn:int option ->
+  verb:string ->
+  session:string option ->
+  id:Chg.Json.t ->
+  outcome:string ->
+  latency_ns:int ->
+  bytes:int ->
+  via:string option ->
+  slow:bool ->
+  unit
+
+(** Total pushes ever, including overwritten ones. *)
+val pushed : recorder -> int
+
+(** Surviving entries, oldest first. *)
+val entries : recorder -> entry list
+
+(** [dump r oc] writes {!entries} as JSON lines between human-readable
+    header/footer markers, then flushes. *)
 val dump : recorder -> out_channel -> unit

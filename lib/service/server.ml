@@ -127,7 +127,7 @@ let create ?(role = Leader) ?(config = Session.default_config)
       request_log;
       slow_ns = Option.map (fun ms -> ms * 1_000_000) slow_ms;
       slow_requests;
-      flight = Telemetry.Ring.create Request_log.default_flight_capacity;
+      flight = Request_log.recorder Request_log.default_flight_capacity;
       frame_decode_ns;
       mutation_stage_ns;
       net;
@@ -183,6 +183,9 @@ let create ?(role = Leader) ?(config = Session.default_config)
        fun (s : Gc.stat) -> s.minor_collections);
       ("cxxlookup_gc_major_collections", "Major collection cycles since start.",
        fun s -> s.major_collections);
+      ( "cxxlookup_gc_promoted_words",
+        "Words promoted from the minor to the major heap since start.",
+        fun s -> int_of_float s.promoted_words );
       ( "cxxlookup_gc_heap_words",
         "Major heap size, in words, as of the last finished major cycle \
          (0 before the first).",
@@ -960,6 +963,18 @@ let error_series t code =
     Hashtbl.add t.error_series code c;
     c
 
+(* [session]'s name as a string the server already holds, the open
+   session's own: a decoded request's copy is young, and the flight
+   recorder must not keep it.  [execute]'s callers hold the networked
+   server's lock, at least to read, so [sessions] is not written
+   meanwhile. *)
+let held_session t = function
+  | None -> None
+  | Some name as session ->
+    (match Hashtbl.find_opt t.sessions name with
+    | Some s -> Some (Session.name s)
+    | None -> session)
+
 (* One finished request: per-verb latency histogram and request
    counter, per-error-code counter, slow-threshold accounting, a
    flight-recorder push, and (when configured) one JSON log line.
@@ -972,15 +987,15 @@ let observe_locked conn t ~verb ~session ~id ~latency ~outcome ~via ~bytes =
   let slow = match t.slow_ns with Some s -> latency >= s | None -> false in
   if slow then Telemetry.Counter.incr t.slow_requests;
   t.next_seq <- t.next_seq + 1;
-  let entry =
-    { Request_log.e_seq = t.next_seq; e_conn = conn; e_verb = verb;
-      e_session = session;
-      e_id = id; e_outcome = outcome; e_latency_ns = latency;
-      e_bytes = bytes; e_via = via; e_slow = slow }
-  in
-  Telemetry.Ring.push t.flight entry;
+  Request_log.push t.flight ~seq:t.next_seq ~conn ~verb
+    ~session:(held_session t session) ~id ~outcome ~latency_ns:latency ~bytes
+    ~via ~slow;
   match t.request_log with
-  | Some lg -> Request_log.log lg entry
+  | Some lg ->
+    Request_log.log lg
+      { Request_log.e_seq = t.next_seq; e_conn = conn; e_verb = verb;
+        e_session = session; e_id = id; e_outcome = outcome;
+        e_latency_ns = latency; e_bytes = bytes; e_via = via; e_slow = slow }
   | None -> ()
 
 let observe conn t ~verb ~session ~id ~t0 ~outcome ~via ~bytes =

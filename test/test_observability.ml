@@ -1,12 +1,12 @@
 (* Observability-layer tests: the log-bucketed histogram's merge and
-   quantile contracts (unit + QCheck), the flight-recorder ring, the
+   quantile contracts (unit + QCheck), the flight recorder, the
    metric registry, the Prometheus renderer against the project's own
    exposition checker, the checker's reject paths, and the determinism
    contract that per-domain column-cost histograms merged from any
    --jobs schedule compare equal. *)
 
 module H = Telemetry.Histogram
-module Ring = Telemetry.Ring
+module Request_log = Service.Request_log
 module Registry = Telemetry.Registry
 module Prometheus = Telemetry.Prometheus
 module Expocheck = Telemetry.Expocheck
@@ -168,26 +168,74 @@ let prop_jobs_merge_deterministic =
       let reference = cost 1 in
       List.for_all (fun jobs -> H.equal (cost jobs) reference) [ 2; 4; 7 ])
 
-(* ---- ring (flight-recorder storage) -------------------------------- *)
+(* ---- the flight recorder ------------------------------------------- *)
+
+(* push number [k], every field derived from it *)
+let push_k r k =
+  Request_log.push r ~seq:k ~conn:(Some k) ~verb:"lookup" ~session:(Some "s")
+    ~id:(Chg.Json.Int k) ~outcome:"ok" ~latency_ns:k ~bytes:k ~via:(Some "table")
+    ~slow:false
+
+let seqs r = List.map (fun e -> e.Request_log.e_seq) (Request_log.entries r)
 
 let test_ring () =
-  let r = Ring.create 3 in
-  Alcotest.(check bool) "fresh is empty" true (Ring.is_empty r);
-  Ring.push r 1;
-  Ring.push r 2;
-  Alcotest.(check (list int)) "partial fill keeps order" [ 1; 2 ]
-    (Ring.to_list r);
-  List.iter (Ring.push r) [ 3; 4; 5 ];
-  Alcotest.(check int) "length capped" 3 (Ring.length r);
-  Alcotest.(check int) "total pushes tracked" 5 (Ring.pushed r);
-  Alcotest.(check (list int)) "oldest evicted first" [ 3; 4; 5 ]
-    (Ring.to_list r);
-  Ring.clear r;
-  Alcotest.(check bool) "clear empties" true (Ring.is_empty r);
-  Alcotest.(check int) "capacity survives clear" 3 (Ring.capacity r);
+  let r = Request_log.recorder 3 in
+  Alcotest.(check (list int)) "fresh is empty" [] (seqs r);
+  push_k r 1;
+  push_k r 2;
+  Alcotest.(check (list int)) "partial fill keeps order" [ 1; 2 ] (seqs r);
+  List.iter (push_k r) [ 3; 4; 5 ];
+  Alcotest.(check (list int)) "length capped, oldest evicted first" [ 3; 4; 5 ]
+    (seqs r);
+  Alcotest.(check int) "total pushes tracked" 5 (Request_log.pushed r);
+  (* the optional fields and a non-int id come back as pushed *)
+  let e =
+    { Request_log.e_seq = 6; e_conn = None; e_verb = "invalid"; e_session = None;
+      e_id = Chg.Json.String "x"; e_outcome = "parse_error"; e_latency_ns = 9;
+      e_bytes = 0; e_via = None; e_slow = true }
+  in
+  Request_log.push r ~seq:e.e_seq ~conn:e.e_conn ~verb:e.e_verb
+    ~session:e.e_session ~id:e.e_id ~outcome:e.e_outcome
+    ~latency_ns:e.e_latency_ns ~bytes:e.e_bytes ~via:e.e_via ~slow:e.e_slow;
+  Alcotest.(check bool) "absent fields stay absent" true
+    (List.nth (Request_log.entries r) 2 = e);
   Alcotest.check_raises "capacity must be >= 1"
-    (Invalid_argument "Ring.create: capacity must be >= 1") (fun () ->
-      ignore (Ring.create 0))
+    (Invalid_argument "Request_log.recorder: capacity must be >= 1") (fun () ->
+      ignore (Request_log.recorder 0))
+
+(* A dump that runs beside a push skips the slot being written: every
+   entry read while another domain pushes is one whole push, and they
+   come oldest first. *)
+let test_recorder_reads_whole_entries () =
+  let r = Request_log.recorder 4 and stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let k = ref 0 in
+        while not (Atomic.get stop) do
+          incr k;
+          push_k r !k
+        done)
+  in
+  let mixed = ref 0 and unordered = ref 0 in
+  for _ = 1 to 20_000 do
+    let es = Request_log.entries r in
+    List.iter
+      (fun (e : Request_log.entry) ->
+        let k = e.e_seq in
+        if e.e_conn <> Some k || e.e_id <> Chg.Json.Int k || e.e_latency_ns <> k
+           || e.e_bytes <> k
+        then incr mixed)
+      es;
+    let ks = List.map (fun (e : Request_log.entry) -> e.e_seq) es in
+    if List.sort_uniq compare ks <> ks then incr unordered
+  done;
+  Atomic.set stop true;
+  Domain.join writer;
+  Alcotest.(check int) "entries mixing two pushes" 0 !mixed;
+  Alcotest.(check int) "dumps out of order" 0 !unordered;
+  let n = Request_log.pushed r in
+  Alcotest.(check (list int)) "the last pushes survive"
+    [ n - 3; n - 2; n - 1; n ] (seqs r)
 
 (* ---- registry + renderer ------------------------------------------- *)
 
@@ -307,6 +355,8 @@ let suite =
     Alcotest.test_case "histogram merge is lossless" `Quick
       test_histogram_merge_lossless;
     Alcotest.test_case "ring buffer" `Quick test_ring;
+    Alcotest.test_case "flight recorder reads whole entries" `Quick
+      test_recorder_reads_whole_entries;
     Alcotest.test_case "registry + Prometheus renderer" `Quick
       test_registry_and_render;
     Alcotest.test_case "registry hit allocates no instrument" `Quick

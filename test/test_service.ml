@@ -970,6 +970,61 @@ let test_request_garbage () =
   if fmajor >= 50. then
     Alcotest.failf "1b lookup: %.1f major words per request (< 50)" fmajor
 
+(* Words promoted to the major heap per call, over [n] calls, and the
+   minor collections those calls spanned.  A collection promotes what is
+   live in the minor heap when it runs: for a warm server, the request
+   in flight and whatever the previous requests left reachable. *)
+let promoted_per_call n f =
+  for _ = 1 to 1_000 do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let minor0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let _, promoted0, _ = Gc.counters () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  let _, promoted1, _ = Gc.counters () in
+  ( (Gc.quick_stat ()).Gc.minor_collections - minor0,
+    (promoted1 -. promoted0) /. float n )
+
+(* A warm request keeps nothing: the flight recorder stores ints and
+   strings the server already holds, so a minor collection promotes
+   only the request it interrupts.  A recorder of records (entry,
+   option box, id, session string) had every collection promote its 64
+   newest entries: 2.56 words per JSON lookup here, 0.47 per 1b
+   frame. *)
+let test_warm_requests_promote_nothing () =
+  let srv = Server.create () in
+  let opened =
+    Server.handle_line srv
+      {|{"id":0,"op":"open","session":"s","source":"struct A { int m; }; struct B : A {};"}|}
+  in
+  Alcotest.(check bool) "opened" true (J.member "ok" opened = Ok (J.Bool true));
+  let spans what collections =
+    if collections < 4 then
+      Alcotest.failf "%s: %d minor collections (want >= 4)" what collections
+  in
+  let line = {|{"id":7,"op":"lookup","session":"s","class":"B","member":"m"}|} in
+  let collections, promoted =
+    promoted_per_call 40_000 (fun () -> J.to_string (Server.handle_line srv line))
+  in
+  spans "JSON lookup" collections;
+  if promoted > 0.5 then
+    Alcotest.failf "JSON lookup: %.2f promoted words per request (<= 0.5)"
+      promoted;
+  let frame =
+    Frame.encode_request
+      { Frame.fr_id = 7; fr_session = "s";
+        fr_op = Frame.Lookup { lk_class = 1; lk_member = 0 } }
+  in
+  let collections, promoted =
+    promoted_per_call 200_000 (fun () -> Server.handle_frame srv frame)
+  in
+  spans "1b lookup" collections;
+  if promoted > 0.05 then
+    Alcotest.failf "1b lookup: %.3f promoted words per request (<= 0.05)"
+      promoted
+
 (* A warm id batch allocates per request, not per lookup: once every
    member's row is built, 64 pairs cost the same minor words as 1.
    Measured on {!Server.answer_frame} into a buffer that is reused, as
@@ -1284,7 +1339,9 @@ let suite =
     Alcotest.test_case "request log and flight recorder" `Quick
       test_server_request_log_and_flight;
     Alcotest.test_case "garbage per served request" `Quick
-      test_request_garbage ]
+      test_request_garbage;
+    Alcotest.test_case "warm requests promote nothing" `Quick
+      test_warm_requests_promote_nothing ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_batch_matches_spec; prop_serve_sessions_promote;
         prop_mutation_trace_matches_spec ]
