@@ -791,14 +791,6 @@ let unix_sock_term =
     & info [ "unix" ] ~docv:"PATH" ~doc:"Unix-domain socket path.")
 
 let serve_cmd =
-  let trace =
-    Arg.(
-      value & flag
-      & info [ "trace" ]
-          ~doc:
-            "Record a per-request telemetry event stream and print it to \
-             stderr at EOF.")
-  in
   let store_dir =
     Arg.(
       value
@@ -913,7 +905,7 @@ let serve_cmd =
       & info [ "replicate-unix" ] ~docv:"PATH"
           ~doc:"Stream the store to read replicas on a Unix socket.")
   in
-  let run config trace store_dir store_config metrics_file metrics_interval
+  let run config store_dir store_config metrics_file metrics_interval
       request_log slow_ms listen unix_path workers max_conns queue_depth
       idle_timeout max_line replicate_listen replicate_unix =
     let store =
@@ -921,7 +913,7 @@ let serve_cmd =
     in
     let log = Option.map Service.Request_log.open_path request_log in
     let srv =
-      Service.Server.create ~config ~trace ?store ?request_log:log ?slow_ms ()
+      Service.Server.create ~config ?store ?request_log:log ?slow_ms ()
     in
     (* SIGUSR1 dumps the flight recorder: the last requests, to stderr,
        without disturbing the serving loop *)
@@ -1015,9 +1007,7 @@ let serve_cmd =
     | None -> ()
     | Some st ->
       Store.sync st;
-      Store.close st);
-    if trace then
-      Format.eprintf "%a%!" Telemetry.Sink.pp (Service.Server.sink srv)
+      Store.close st)
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1043,7 +1033,7 @@ let serve_cmd =
           timeouts.  With --replicate-listen (or --replicate-unix) and \
           --store, the node also streams per-session snapshots and the \
           WAL tail to read replicas.")
-    Term.(const run $ service_config_term $ trace $ store_dir
+    Term.(const run $ service_config_term $ store_dir
           $ store_config_term $ metrics_file $ metrics_interval
           $ request_log $ slow_ms $ listen $ unix_sock_term $ workers
           $ max_conns $ queue_depth $ idle_timeout

@@ -155,11 +155,17 @@ let combine_incoming = combine
 
 let build_general ?(static_rule = true) ?(witnesses = false)
     ?(metrics = Metrics.disabled) cl ~only =
-  Telemetry.Timer.span metrics.Metrics.build_timer @@ fun () ->
+  Metrics.time_build metrics @@ fun () ->
   let g = Chg.Closure.graph cl in
   let n = Chg.Graph.num_classes g in
   let sink = metrics.Metrics.sink in
   let tracing = Telemetry.Sink.enabled sink in
+  (* the trace brackets the two phases, which never nest *)
+  let phase event name =
+    if tracing then
+      Telemetry.Sink.emit sink event
+        [ ("span", Telemetry.Event.Str name); ("depth", Telemetry.Event.Int 0) ]
+  in
   (* Intern member names.  When [only] restricts to a single member, the
      universe is that one name. *)
   let member_ids = Hashtbl.create 64 in
@@ -173,10 +179,11 @@ let build_general ?(static_rule = true) ?(witnesses = false)
       rev_names := name :: !rev_names;
       id
   in
-  Telemetry.Span.run metrics.Metrics.spans "intern" (fun () ->
-      match only with
-      | Some m -> ignore (intern m)
-      | None -> List.iter (fun m -> ignore (intern m)) (Chg.Graph.member_names g));
+  phase "span_begin" "intern";
+  (match only with
+  | Some m -> ignore (intern m)
+  | None -> List.iter (fun m -> ignore (intern m)) (Chg.Graph.member_names g));
+  phase "span_end" "intern";
   let num_members = Hashtbl.length member_ids in
   let member_names = Array.of_list (List.rev !rev_names) in
   let member_sets = Array.init n (fun _ -> Chg.Bitset.create num_members) in
@@ -199,7 +206,7 @@ let build_general ?(static_rule = true) ?(witnesses = false)
   let verdict_str v = Telemetry.Event.Str (verdict_string g v) in
   (* Class ids are topological (bases before derived): one increasing
      pass implements the paper's traversal. *)
-  Telemetry.Span.run metrics.Metrics.spans "propagate" @@ fun () ->
+  phase "span_begin" "propagate";
   for c = 0 to n - 1 do
     Metrics.bump metrics metrics.Metrics.classes_visited;
     (* Members[C] := M[C] ∪ (∪_X Members[X])   (Figure 8 lines [7]-[9]) *)
@@ -298,6 +305,7 @@ let build_general ?(static_rule = true) ?(witnesses = false)
         end)
       member_sets.(c)
   done;
+  phase "span_end" "propagate";
   { g; cl; member_ids; member_names; table; witness_table; member_sets }
 
 let build ?static_rule ?witnesses ?metrics cl =

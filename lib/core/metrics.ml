@@ -20,8 +20,7 @@ type t = {
          compiled member column.  Deterministic for a given hierarchy, so
          per-domain histograms merged at join compare equal for any job
          count — the observability side of the determinism contract. *)
-  build_timer : Telemetry.Timer.t;
-  spans : Telemetry.Span.t;
+  build_ns : Telemetry.Histogram.t;  (* one observation per whole build *)
   sink : Telemetry.Sink.t;
 }
 
@@ -43,23 +42,28 @@ let make ~enabled ~sink =
     incr_row_members = Telemetry.Counter.make "incr_row_members";
     incr_closure_bits = Telemetry.Counter.make "incr_closure_bits";
     column_cost = Telemetry.Histogram.create ();
-    build_timer = Telemetry.Timer.make "build";
-    spans = Telemetry.Span.make sink;
+    build_ns = Telemetry.Histogram.create ();
     sink }
 
 let disabled = make ~enabled:false ~sink:Telemetry.Sink.null
 
-let create ?(trace = false) ?trace_limit () =
-  let sink =
-    if trace then Telemetry.Sink.create ?limit:trace_limit ()
-    else Telemetry.Sink.null
-  in
-  make ~enabled:true ~sink
+let create ?(trace = false) () =
+  make ~enabled:true
+    ~sink:(if trace then Telemetry.Sink.create () else Telemetry.Sink.null)
 
 let enabled m = m.enabled
 let bump m c = if m.enabled then Telemetry.Counter.incr c
 let bump_n m c n = if m.enabled then Telemetry.Counter.add c n
 let observe_column m ~cost = if m.enabled then Telemetry.Histogram.record m.column_cost cost
+
+let time_build m f =
+  if not m.enabled then f ()
+  else begin
+    let since = Telemetry.Clock.now_ns () in
+    let r = f () in
+    Telemetry.Histogram.record m.build_ns (Telemetry.Clock.elapsed_ns ~since);
+    r
+  end
 
 let all_counters m =
   [ m.classes_visited; m.members_processed; m.edge_traversals;
@@ -75,7 +79,7 @@ let counters m =
 
 (* Fold one bag's counts into another — the join step of a parallel
    build, where each worker domain bumped a private bag.  Counters and
-   the column-cost histogram (whose merge is lossless): timers and
+   the column-cost histogram (whose merge is lossless): build times and
    sinks stay with the bag that recorded them. *)
 let merge_into ~into m =
   if into.enabled then begin
@@ -85,19 +89,25 @@ let merge_into ~into m =
     Telemetry.Histogram.merge_into ~into:into.column_cost m.column_cost
   end
 
-let reset m =
-  List.iter Telemetry.Counter.reset (all_counters m);
-  Telemetry.Histogram.reset m.column_cost;
-  Telemetry.Timer.reset m.build_timer;
-  if Telemetry.Sink.enabled m.sink then Telemetry.Sink.clear m.sink
+(* a nanosecond count with a readable unit *)
+let pp_ns ppf ns =
+  let f = float_of_int ns in
+  if ns < 1_000 then Format.fprintf ppf "%d ns" ns
+  else if ns < 1_000_000 then Format.fprintf ppf "%.2f us" (f /. 1e3)
+  else if ns < 1_000_000_000 then Format.fprintf ppf "%.2f ms" (f /. 1e6)
+  else Format.fprintf ppf "%.2f s" (f /. 1e9)
 
 let pp_summary ppf m =
   List.iter
     (fun (name, v) ->
       if v <> 0 then Format.fprintf ppf "  %-22s %d@." name v)
     (counters m);
-  if Telemetry.Timer.count m.build_timer > 0 then
-    Format.fprintf ppf "  %a@." Telemetry.Timer.pp m.build_timer
+  let builds = Telemetry.Histogram.count m.build_ns in
+  if builds > 0 then
+    Format.fprintf ppf "  build: %a over %d span%s@." pp_ns
+      (Telemetry.Histogram.sum m.build_ns)
+      builds
+      (if builds = 1 then "" else "s")
 
 let counters_json m =
   Telemetry.Json.Obj
@@ -114,12 +124,11 @@ let column_cost_json m =
 
 let timers_json m =
   Telemetry.Json.Obj
-    [ ( Telemetry.Timer.name m.build_timer,
+    [ ( "build",
         Telemetry.Json.Obj
-          [ ("total_ns", Telemetry.Json.Int
-               (Telemetry.Timer.total_ns m.build_timer));
-            ("spans", Telemetry.Json.Int
-               (Telemetry.Timer.count m.build_timer)) ] ) ]
+          [ ("total_ns", Telemetry.Json.Int (Telemetry.Histogram.sum m.build_ns));
+            ("spans", Telemetry.Json.Int (Telemetry.Histogram.count m.build_ns))
+          ] ) ]
 
 (* Exposition: every counter as cxxlookup_engine_<name>_total plus the
    column-cost histogram, labelled (typically engine=eager/memo/...) so

@@ -1,5 +1,5 @@
 (** Telemetry for the lookup engines: the unit operations of the paper's
-    complexity model as observable counters, plus phase timers and an
+    complexity model as observable counters, plus build times and an
     optional Figure-8 propagation trace.
 
     Section 5 bounds the algorithm by counting edge traversals and
@@ -53,10 +53,11 @@ type t = {
           member column built by {!Packed.build}.  Deterministic for a
           given hierarchy, so per-domain histograms merged at join are
           equal for every job count. *)
-  (* timers *)
-  build_timer : Telemetry.Timer.t;  (** whole eager build *)
+  build_ns : Telemetry.Histogram.t;
+      (** whole-build wall time, one observation per {!Engine.build},
+          {!Engine.build_member} or {!Packed.build} on an enabled bag:
+          [sum] is the total nanoseconds, [count] the builds *)
   (* propagation trace *)
-  spans : Telemetry.Span.t;
   sink : Telemetry.Sink.t;
 }
 
@@ -64,10 +65,9 @@ type t = {
     It is the default for every engine's [?metrics] argument. *)
 val disabled : t
 
-(** [create ?trace ?trace_limit ()] is a live bag.  [trace] (default
-    [false]) additionally records the propagation event stream into
-    {!sink} (capped at [trace_limit] events, default unbounded). *)
-val create : ?trace:bool -> ?trace_limit:int -> unit -> t
+(** [create ?trace ()] is a live bag.  [trace] (default [false])
+    additionally records the propagation event stream into {!sink}. *)
+val create : ?trace:bool -> unit -> t
 
 val enabled : t -> bool
 
@@ -81,6 +81,10 @@ val bump_n : t -> Telemetry.Counter.t -> int -> unit
     edge-traversal cost into {!column_cost} iff [m] is enabled. *)
 val observe_column : t -> cost:int -> unit
 
+(** [time_build m f] is [f ()], its wall time recorded into {!build_ns}
+    iff [m] is enabled. *)
+val time_build : t -> (unit -> 'a) -> 'a
+
 (** [counters m] is every counter with its current value, in a stable
     order (the declaration order above). *)
 val counters : t -> (string * int) list
@@ -88,14 +92,13 @@ val counters : t -> (string * int) list
 (** [merge_into ~into m] adds every counter of [m] into the matching
     counter of [into], and merges the {!column_cost} histogram — the
     join step of a parallel build, where each worker domain bumped a
-    private bag.  [m]'s timers and trace sink are not propagated.  A
-    no-op when [into] is disabled. *)
+    private bag.  [m]'s build times and trace sink are not propagated.
+    A no-op when [into] is disabled. *)
 val merge_into : into:t -> t -> unit
 
-val reset : t -> unit
-
-(** [pp_summary] prints the non-zero counters and non-empty timers,
-    grouped, one per line — the human side of [cxxlookup stats]. *)
+(** [pp_summary] prints the non-zero counters, one per line, then
+    after any build a [build: <total> over <n> span(s)] line — the human
+    side of [cxxlookup stats]. *)
 val pp_summary : Format.formatter -> t -> unit
 
 (** [counters_json m] is a flat JSON object [name -> value] over all
@@ -103,7 +106,8 @@ val pp_summary : Format.formatter -> t -> unit
     schema by heart). *)
 val counters_json : t -> Telemetry.Json.t
 
-(** [timers_json m] is [{ "build": { "total_ns": n, "spans": k } }]. *)
+(** [timers_json m] is [{ "build": { "total_ns": n, "spans": k } }]:
+    {!build_ns}'s sum and count. *)
 val timers_json : t -> Telemetry.Json.t
 
 (** [column_cost_json m] summarizes the {!column_cost} distribution:

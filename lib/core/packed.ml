@@ -890,7 +890,7 @@ let build ?(static_rule = true) ?(jobs = 1) ?(metrics = Metrics.disabled) cl =
       ~cost:(Telemetry.Counter.value bag.Metrics.edge_traversals - before)
   in
   let jobs = min jobs (max 1 nm) in
-  Telemetry.Timer.span metrics.Metrics.build_timer (fun () ->
+  Metrics.time_build metrics (fun () ->
       if jobs = 1 then
         for i = 0 to nm - 1 do
           compile_one metrics i

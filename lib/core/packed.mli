@@ -73,7 +73,7 @@ val unpack_column : column -> Engine.verdict option array
     [m] is ambiguous, with no boxed verdict built.  It equals
     [pack_column (Engine.column (Engine.build_member cl m) m)] bit for
     bit, and bumps [metrics]' counters by the same amounts as
-    {!Engine.build_member} (it records no timer span and no trace
+    {!Engine.build_member} (it records no build time and no trace
     event).  [static_rule] as in {!Engine.build}. *)
 val compile_column :
   ?static_rule:bool -> ?metrics:Metrics.t -> Chg.Closure.t -> string -> column
@@ -180,8 +180,8 @@ type t
     calling domain without spawning.  Each column is one
     {!compile_column}.  The result is bit-identical for every [jobs]
     value.  [metrics] receives the merged counters of all worker
-    domains ({!Metrics.merge_into}); the [build] timer spans the whole
-    build (wall clock, not CPU time).
+    domains ({!Metrics.merge_into}) and one {!Metrics.build_ns}
+    observation for the whole build (wall clock, not CPU time).
     @raise Invalid_argument when [jobs < 1]. *)
 val build : ?static_rule:bool -> ?jobs:int -> ?metrics:Metrics.t ->
   Chg.Closure.t -> t

@@ -181,7 +181,6 @@ type metrics = {
   pairs_checked : Telemetry.Counter.t;
   variant_builds : Telemetry.Counter.t;
   gxx_skipped : Telemetry.Counter.t;
-  timer : Telemetry.Timer.t;
 }
 
 let make_metrics enabled =
@@ -193,8 +192,7 @@ let make_metrics enabled =
            Rule.all);
     pairs_checked = Telemetry.Counter.make "lint_pairs_checked";
     variant_builds = Telemetry.Counter.make "lint_variant_builds";
-    gxx_skipped = Telemetry.Counter.make "lint_gxx_skipped";
-    timer = Telemetry.Timer.make "lint_run" }
+    gxx_skipped = Telemetry.Counter.make "lint_gxx_skipped" }
 
 let create_metrics () = make_metrics true
 let disabled = make_metrics false
@@ -309,7 +307,6 @@ let cpp_only = function
 
 let run ?(config = default_config) ?(semantics = Mro.Cpp) ?(locs = no_locs)
     ?(metrics = disabled) ?(jobs = 1) cl =
-  Telemetry.Timer.span metrics.timer @@ fun () ->
   let g = Closure.graph cl in
   let cpp = semantics = Mro.Cpp in
   (* the rules read verdicts and Members[C], never witness paths, so the

@@ -125,8 +125,8 @@ val parse_rules : string -> (Rule.id list, string) result
 
 type metrics
 
-(** Per-rule fired counters, pair/variant-build/gxx-skip counters, and
-    a wall-clock timer for the whole pass. *)
+(** Per-rule fired counters and pair/variant-build/gxx-skip
+    counters. *)
 val create_metrics : unit -> metrics
 
 (** Shared no-op bag: increments are skipped entirely. *)

@@ -28,8 +28,6 @@ type t = {
   sessions : (string, Session.t) Hashtbl.t;
   mutable session_order : string list;  (* open order, for stats *)
   mutable next_session : int;
-  sink : Telemetry.Sink.t;
-  spans : Telemetry.Span.t;
   requests : Telemetry.Counter.t;
   errors : Telemetry.Counter.t;
   sessions_opened : Telemetry.Counter.t;
@@ -73,10 +71,7 @@ let verbs =
     "restore"; "stats"; "metrics"; "symbols"; "close" ]
 
 let create ?(role = Leader) ?(config = Session.default_config)
-    ?(trace = false) ?store ?request_log ?slow_ms () =
-  let sink =
-    if trace then Telemetry.Sink.create () else Telemetry.Sink.null
-  in
+    ?store ?request_log ?slow_ms () =
   let registry = Telemetry.Registry.create () in
   let slow_requests = Telemetry.Counter.make "slow_requests" in
   (* registered eagerly so the series exists (empty) before the first
@@ -110,8 +105,6 @@ let create ?(role = Leader) ?(config = Session.default_config)
       sessions = Hashtbl.create 8;
       session_order = [];
       next_session = 0;
-      sink;
-      spans = Telemetry.Span.make sink;
       requests = Telemetry.Counter.make "requests";
       errors = Telemetry.Counter.make "errors";
       sessions_opened = Telemetry.Counter.make "sessions_opened";
@@ -197,7 +190,6 @@ let create ?(role = Leader) ?(config = Session.default_config)
   (match store with None -> () | Some s -> Store.register s registry);
   t
 
-let sink t = t.sink
 let role t = t.role
 let store t = t.store
 let registry t = t.registry
@@ -1048,18 +1040,7 @@ let execute ?conn t codec rq =
     (* an exception is a bug, not a bad request: answer [internal]
        instead of dying, and dump the flight recorder below so the
        requests leading here are preserved *)
-    match
-      if Telemetry.Sink.enabled t.sink then begin
-        Telemetry.Sink.emit t.sink "request"
-          (("op", Telemetry.Event.Str verb)
-           ::
-           (match rq.rq_session with
-           | Some s -> [ ("session", Telemetry.Event.Str s) ]
-           | None -> []));
-        Telemetry.Span.run t.spans ("rpc:" ^ verb) (fun () -> gated t rq verb)
-      end
-      else gated t rq verb
-    with
+    match gated t rq verb with
     | r -> r
     | exception exn ->
       internal := true;

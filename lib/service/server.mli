@@ -33,21 +33,20 @@ type net_stats = {
   net_overloaded : Telemetry.Counter.t;  (** explicit overload rejections *)
 }
 
-(** [create ?config ?trace ?store ?request_log ?slow_ms ()] — [config]
-    applies to every session opened; [trace] (default false) records
-    per-request telemetry (a [request] event and an [rpc:<op>] span
-    pair) into {!sink}; [store] makes sessions durable (opens write
-    snapshots, mutations append to the WAL, and the [snapshot] /
-    [restore] verbs work — [store_error] without it); [request_log]
-    writes one structured JSON line per finished request; [slow_ms]
-    marks requests at or over the threshold as slow (counted, and
-    flagged in the log).  Every server owns a metric {!registry} that
-    the store, each opened session, and the request path register
-    into. *)
+(** [create ?role ?config ?store ?request_log ?slow_ms ()] — [config]
+    applies to every session opened; [store] makes sessions durable
+    (opens write snapshots, mutations append to the WAL, and the
+    [snapshot] / [restore] verbs work — [store_error] without it);
+    [request_log] writes one structured JSON line per finished request;
+    [slow_ms] marks requests at or over the threshold as slow (counted,
+    and flagged in the log).  Requests are observed through three
+    things only: the request log, the flight recorder (the last
+    requests, kept whether or not a log is configured; see
+    {!dump_flight}) and the metric {!registry} that the store, each
+    opened session and the request path register into. *)
 val create :
   ?role:role ->
   ?config:Session.config ->
-  ?trace:bool ->
   ?store:Store.t ->
   ?request_log:Request_log.t ->
   ?slow_ms:int ->
@@ -55,9 +54,6 @@ val create :
   t
 
 val role : t -> role
-
-(** The per-request event stream (disabled sink unless [~trace:true]). *)
-val sink : t -> Telemetry.Sink.t
 
 val store : t -> Store.t option
 

@@ -1,61 +1,30 @@
 type t = {
   enabled : bool;
-  limit : int option;
   t0_ns : int;
   mutable seq : int;
   mutable rev_events : Event.t list;
-  mutable stored : int;
-  mutable dropped : int;
 }
 
-let create ?limit () =
-  { enabled = true;
-    limit;
-    t0_ns = Clock.now_ns ();
-    seq = 0;
-    rev_events = [];
-    stored = 0;
-    dropped = 0 }
+let create () =
+  { enabled = true; t0_ns = Clock.now_ns (); seq = 0; rev_events = [] }
 
-let null =
-  { enabled = false;
-    limit = Some 0;
-    t0_ns = 0;
-    seq = 0;
-    rev_events = [];
-    stored = 0;
-    dropped = 0 }
-
+let null = { enabled = false; t0_ns = 0; seq = 0; rev_events = [] }
 let enabled t = t.enabled
 
 let emit t name fields =
   if t.enabled then begin
-    let keep =
-      match t.limit with None -> true | Some l -> t.stored < l
+    let ev =
+      { Event.seq = t.seq;
+        at_ns = Clock.elapsed_ns ~since:t.t0_ns;
+        name;
+        fields }
     in
-    if keep then begin
-      let ev =
-        { Event.seq = t.seq;
-          at_ns = Clock.elapsed_ns ~since:t.t0_ns;
-          name;
-          fields }
-      in
-      t.rev_events <- ev :: t.rev_events;
-      t.stored <- t.stored + 1
-    end
-    else t.dropped <- t.dropped + 1;
+    t.rev_events <- ev :: t.rev_events;
     t.seq <- t.seq + 1
   end
 
 let events t = List.rev t.rev_events
-let length t = t.stored
-let dropped t = t.dropped
-
-let clear t =
-  t.seq <- 0;
-  t.rev_events <- [];
-  t.stored <- 0;
-  t.dropped <- 0
+let length t = t.seq
 
 let pp ppf t =
   List.iter (fun ev -> Format.fprintf ppf "%a@." Event.pp ev) (events t)

@@ -10,15 +10,13 @@
         Sink.emit sink "flow" [ ("from", Str a); ("to", Str b) ]
     ]}
 
-    Events are kept in order; an optional [limit] turns the sink into a
-    guard against runaway traces (excess events are counted but not
-    stored, see {!dropped}). *)
+    Events are kept in order, without bound: a sink records one
+    bounded run (a single member's Figure-8 replay), never a stream. *)
 
 type t
 
-(** [create ?limit ()] is an enabled, empty sink keeping at most [limit]
-    events (unbounded by default). *)
-val create : ?limit:int -> unit -> t
+(** [create ()] is an enabled, empty sink. *)
+val create : unit -> t
 
 (** [null] is the shared, permanently disabled sink. *)
 val null : t
@@ -34,11 +32,6 @@ val events : t -> Event.t list
 
 (** [length t] is the number of stored events. *)
 val length : t -> int
-
-(** [dropped t] is the number of events discarded because of [limit]. *)
-val dropped : t -> int
-
-val clear : t -> unit
 
 (** [pp] prints one event per line ({!Event.pp}). *)
 val pp : Format.formatter -> t -> unit

@@ -31,26 +31,13 @@ let fig9 () =
 
 (* -- telemetry primitives ------------------------------------------- *)
 
-let test_counter_timer_sink () =
+let test_counter_sink () =
   let c = Counter.make "c" in
   Counter.incr c;
   Counter.add c 4;
   Alcotest.(check int) "counter accumulates" 5 (v c);
   Counter.reset c;
   Alcotest.(check int) "counter resets" 0 (v c);
-  let t = Telemetry.Timer.make "t" in
-  let x = Telemetry.Timer.span t (fun () -> 41 + 1) in
-  Alcotest.(check int) "span returns" 42 x;
-  Alcotest.(check int) "span counted" 1 (Telemetry.Timer.count t);
-  Alcotest.(check bool) "duration non-negative" true
-    (Telemetry.Timer.total_ns t >= 0);
-  let sink = Telemetry.Sink.create ~limit:2 () in
-  for i = 1 to 5 do
-    Telemetry.Sink.emit sink "e" [ ("i", Telemetry.Event.Int i) ]
-  done;
-  Alcotest.(check int) "limit keeps prefix" 2 (Telemetry.Sink.length sink);
-  Alcotest.(check int) "excess counted as dropped" 3
-    (Telemetry.Sink.dropped sink);
   Alcotest.(check bool) "null sink drops silently" true
     (Telemetry.Sink.emit Telemetry.Sink.null "e" [];
      Telemetry.Sink.length Telemetry.Sink.null = 0)
@@ -118,19 +105,28 @@ let test_engine_counters () =
   Alcotest.(check bool) "dominance probes ran" true
     (v m.Metrics.dominance_probes > 0);
   Alcotest.(check int) "one timed build" 1
-    (Telemetry.Timer.count m.Metrics.build_timer)
+    (Telemetry.Histogram.count m.Metrics.build_ns)
 
 let test_disabled_metrics_inert () =
-  (* builds without ?metrics must not leak into the shared disabled bag *)
+  (* builds without ?metrics must not leak into the shared disabled bag:
+     not a counter, not a build time, not a trace event *)
   let g = fig9 () in
   let cl = Chg.Closure.compute g in
   ignore (Engine.build cl);
+  ignore (Lookup_core.Packed.build ~jobs:1 cl);
+  ignore (Lookup_core.Packed.build ~jobs:2 cl);
+  ignore (Lint.run cl);
   let memo = Memo.create cl in
   G.iter_classes g (fun c -> ignore (Memo.lookup memo c "m"));
   List.iter
     (fun (name, value) ->
       Alcotest.(check int) ("disabled counter " ^ name) 0 value)
     (Metrics.counters Metrics.disabled);
+  let built = Metrics.disabled.Metrics.build_ns in
+  Alcotest.(check int) "disabled bag timed no build" 0
+    (Telemetry.Histogram.count built);
+  Alcotest.(check int) "disabled bag recorded no build time" 0
+    (Telemetry.Histogram.sum built);
   Alcotest.(check int) "disabled sink stays empty" 0
     (Telemetry.Sink.length Metrics.disabled.Metrics.sink)
 
@@ -319,8 +315,7 @@ let prop_memo_conserves_work =
       && misses <= G.num_classes g)
 
 let suite =
-  [ Alcotest.test_case "counter/timer/sink primitives" `Quick
-      test_counter_timer_sink;
+  [ Alcotest.test_case "counter/sink primitives" `Quick test_counter_sink;
     Alcotest.test_case "json output" `Quick test_json_output;
     Alcotest.test_case "json reprint fixed point" `Quick
       test_json_reprint_fixed_point;
